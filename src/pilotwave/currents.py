@@ -23,7 +23,6 @@ constants only at expression-construction time.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +32,7 @@ from . import expr
 from .errors import DimensionMismatchError, GridError, PilotwaveError
 from .expr import CoefficientExpression
 from .grids import DerivativeCache, Grid, GridState, spectral_derivative, spectral_divergence
-from .multiindex import MultiIndex, binom_multi, indices_up_to
+from .multiindex import MultiIndex, binom_multi, indices_up_to, multinomial
 from .operators import DifferentialOperator, SamplingSpec, require_hermitian
 
 IMAG_RESIDUE_REL = 1e-9
@@ -158,13 +157,13 @@ def _weight(r: MultiIndex, n: MultiIndex, m: MultiIndex, e_i: MultiIndex) -> Fra
     """Exact multinomial weight of one term of the table formula (without i)."""
     rne = r - n - e_i
     sign = (-1) ** ((r + n).order() + 1)
-    return (
-        Fraction(sign)
-        * Fraction(r.factorial(), math.factorial(r.order()))
-        * Fraction(math.factorial(rne.order()), rne.factorial())
-        * Fraction(math.factorial(n.order()), n.factorial())
-        * binom_multi(rne, m)
-    )
+    return Fraction(sign * multinomial(rne) * multinomial(n) * binom_multi(rne, m), multinomial(r))
+
+
+def _exchange_weight(n: MultiIndex, m: MultiIndex, e_i: MultiIndex) -> Fraction:
+    """Exact weight (-1)^|m| (n!/|n|!) (|m|!/m!) (|n-m-e_i|!/(n-m-e_i)!) of
+    one term of the derivative-exchange identity and the nested-sum current."""
+    return Fraction((-1) ** m.order() * multinomial(m) * multinomial(n - m - e_i), multinomial(n))
 
 
 def derive_current_table(
@@ -252,14 +251,8 @@ def eval_current_direct(
             phi = psi_bar * coef.evaluate_on(meshes, at)
             dphi = DerivativeCache(phi, grid)
             for m in indices_up_to(budget):
-                nme = n - m - e_i
-                w = (
-                    Fraction((-1) ** m.order())
-                    * Fraction(n.factorial(), math.factorial(n.order()))
-                    * Fraction(math.factorial(m.order()), m.factorial())
-                    * Fraction(math.factorial(nme.order()), nme.factorial())
-                )
-                term = 1j * complex(w) * dphi.derivative(m) * dpsi.derivative(nme)
+                w = _exchange_weight(n, m, e_i)
+                term = 1j * complex(w) * dphi.derivative(m) * dpsi.derivative(n - m - e_i)
                 term_scale = max(term_scale, float(np.max(np.abs(term))))
                 comp += term
         raw.append(comp)
@@ -297,14 +290,8 @@ def identity_residual(phi: GridState, chi: GridState, n: MultiIndex) -> float:
             continue
         inner = np.zeros(grid.shape, dtype=complex)
         for m in indices_up_to(budget):
-            nme = n - m - e_i
-            w = (
-                Fraction((-1) ** m.order())
-                * Fraction(n.factorial(), math.factorial(n.order()))
-                * Fraction(math.factorial(m.order()), m.factorial())
-                * Fraction(math.factorial(nme.order()), nme.factorial())
-            )
-            inner += complex(w) * dphi.derivative(m) * dchi.derivative(nme)
+            w = _exchange_weight(n, m, e_i)
+            inner += complex(w) * dphi.derivative(m) * dchi.derivative(n - m - e_i)
         rhs += spectral_derivative(inner, grid, e_i)
     return float(np.max(np.abs(lhs - rhs)))
 

@@ -6,6 +6,14 @@ CAS: smart constructors fold constants and drop additive/multiplicative
 zeros so Leibniz expansions stay compact, and expression equality is decided
 numerically on random sample points rather than by canonicalization.
 
+One tree walker, `_eval`, computes values: over grid meshes, at a single
+point and over a batch of sample points alike, always on complex numpy
+arrays.  A fault is a divide-by-zero, invalid or overflow floating-point
+error; it raises EvaluationDomainError naming the innermost subexpression
+whose operation faulted.  The sampled equality checks draw all their points
+in one call to the random generator, bit-identical to drawing them point by
+point.
+
 Grammar (whitespace-insensitive, ^ binds tightest, then unary minus, then
 * and /, then + and -)::
 
@@ -21,7 +29,6 @@ round-trips; it is never required in hand-written Hamiltonian files.
 
 from __future__ import annotations
 
-import cmath
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -102,7 +109,7 @@ class Conj:
 
 Node = Union[Const, Coord, TimeVar, Add, Sub, Mul, Div, Pow, Neg, Call, Conj]
 
-_FUNCTIONS = ("exp", "sin", "cos", "log", "sqrt")
+_FUNCTIONS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "log": np.log, "sqrt": np.sqrt}
 
 _ZERO = Const(0j)
 _ONE = Const(1 + 0j)
@@ -181,12 +188,13 @@ def _pow(base: Node, exponent: int) -> Node:
 
 
 def _call(func: str, arg: Node) -> Node:
+    node = Call(func, arg)
     if isinstance(arg, Const):
         try:
-            return Const(_apply_func(func, arg.value))
-        except (ValueError, OverflowError, ZeroDivisionError):
+            return Const(complex(_eval(node, (), 0.0)))
+        except EvaluationDomainError:
             pass
-    return Call(func, arg)
+    return node
 
 
 def _conj(a: Node) -> Node:
@@ -216,22 +224,6 @@ def _conj(a: Node) -> Node:
             return _call(a.func, _conj(a.arg))
         return Conj(a)
     raise TypeError(f"unknown node {a!r}")
-
-
-def _apply_func(func: str, z: complex) -> complex:
-    if func == "exp":
-        return cmath.exp(z)
-    if func == "sin":
-        return cmath.sin(z)
-    if func == "cos":
-        return cmath.cos(z)
-    if func == "log":
-        if z == 0:
-            raise ValueError("log of zero")
-        return cmath.log(z)
-    if func == "sqrt":
-        return cmath.sqrt(z)
-    raise ValueError(f"unknown function {func}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,71 +277,47 @@ def _diff(node: Node, axis: int) -> Node:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _eval_scalar(node: Node, q, t: float) -> complex:
+def _eval(node: Node, coords, t):
+    """Value of `node` at the points given by one coordinate array per axis
+    and a time `t` (a float or an array); all of them broadcast together.
+
+    Returns a complex array, or a scalar when `node` uses neither q nor an
+    array t.  Floating-point faults raise EvaluationDomainError.
+    """
+    coords = [np.asarray(c, dtype=complex) for c in coords]
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        return _walk(node, coords, np.asarray(t, dtype=complex))
+
+
+def _walk(node: Node, coords, t):
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Coord):
-        return complex(q[node.axis - 1])
+        return coords[node.axis - 1]
     if isinstance(node, TimeVar):
-        return complex(t)
-    if isinstance(node, Add):
-        return _eval_scalar(node.left, q, t) + _eval_scalar(node.right, q, t)
-    if isinstance(node, Sub):
-        return _eval_scalar(node.left, q, t) - _eval_scalar(node.right, q, t)
-    if isinstance(node, Mul):
-        return _eval_scalar(node.left, q, t) * _eval_scalar(node.right, q, t)
-    if isinstance(node, Div):
-        denom = _eval_scalar(node.right, q, t)
-        if denom == 0:
-            raise EvaluationDomainError("division by zero", _render(node)[0])
-        return _eval_scalar(node.left, q, t) / denom
-    if isinstance(node, Neg):
-        return -_eval_scalar(node.arg, q, t)
-    if isinstance(node, Pow):
-        base = _eval_scalar(node.base, q, t)
-        if base == 0 and node.exponent < 0:
-            raise EvaluationDomainError("zero raised to negative power", _render(node)[0])
-        try:
-            return base ** node.exponent
-        except OverflowError as exc:
-            raise EvaluationDomainError(f"overflow: {exc}", _render(node)[0]) from exc
-    if isinstance(node, Conj):
-        return _eval_scalar(node.arg, q, t).conjugate()
-    if isinstance(node, Call):
-        arg = _eval_scalar(node.arg, q, t)
-        try:
-            return _apply_func(node.func, arg)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationDomainError(str(exc), _render(node)[0]) from exc
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _eval_array(node: Node, meshes, t: float):
-    """Vectorized evaluation over coordinate meshes; returns array or scalar."""
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Coord):
-        return meshes[node.axis - 1].astype(complex)
-    if isinstance(node, TimeVar):
-        return complex(t)
-    if isinstance(node, Add):
-        return _eval_array(node.left, meshes, t) + _eval_array(node.right, meshes, t)
-    if isinstance(node, Sub):
-        return _eval_array(node.left, meshes, t) - _eval_array(node.right, meshes, t)
-    if isinstance(node, Mul):
-        return _eval_array(node.left, meshes, t) * _eval_array(node.right, meshes, t)
-    if isinstance(node, Div):
-        return _eval_array(node.left, meshes, t) / _eval_array(node.right, meshes, t)
-    if isinstance(node, Neg):
-        return -_eval_array(node.arg, meshes, t)
-    if isinstance(node, Pow):
-        return _eval_array(node.base, meshes, t) ** node.exponent
-    if isinstance(node, Conj):
-        return np.conjugate(_eval_array(node.arg, meshes, t))
-    if isinstance(node, Call):
-        arg = np.asarray(_eval_array(node.arg, meshes, t), dtype=complex)
-        fn = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "log": np.log, "sqrt": np.sqrt}[node.func]
-        return fn(arg)
+        return t
+    # A fault in a child is converted by the child, so this names the
+    # innermost node whose own operation faulted.  ArithmeticError also
+    # covers Python arithmetic between two constants, e.g. 1/0.
+    try:
+        if isinstance(node, Add):
+            return _walk(node.left, coords, t) + _walk(node.right, coords, t)
+        if isinstance(node, Sub):
+            return _walk(node.left, coords, t) - _walk(node.right, coords, t)
+        if isinstance(node, Mul):
+            return _walk(node.left, coords, t) * _walk(node.right, coords, t)
+        if isinstance(node, Div):
+            return _walk(node.left, coords, t) / _walk(node.right, coords, t)
+        if isinstance(node, Neg):
+            return -_walk(node.arg, coords, t)
+        if isinstance(node, Pow):
+            return _walk(node.base, coords, t) ** node.exponent
+        if isinstance(node, Conj):
+            return np.conjugate(_walk(node.arg, coords, t))
+        if isinstance(node, Call):
+            return _FUNCTIONS[node.func](_walk(node.arg, coords, t))
+    except ArithmeticError as exc:
+        raise EvaluationDomainError(str(exc), _render(node)[0]) from exc
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -660,21 +628,21 @@ class CoefficientExpression:
         return CoefficientExpression(node, self.dim)
 
     def evaluate(self, q, t: float) -> complex:
+        """Value at one point q (N coordinates) and time t."""
         if len(q) != self.dim:
             raise DimensionMismatchError(f"point dimension {len(q)} != expression dimension {self.dim}")
-        return _eval_scalar(self.node, q, t)
+        return complex(np.ravel(_eval(self.node, np.reshape(q, (self.dim, 1)), t))[0])
 
-    def evaluate_on(self, meshes, t: float) -> np.ndarray:
-        """Evaluate over coordinate meshes (list of N broadcastable arrays)."""
+    def evaluate_on(self, meshes, t) -> np.ndarray:
+        """Evaluate over coordinate meshes (list of N broadcastable arrays).
+
+        `t` is a float, or an array that broadcasts with the meshes to give
+        each point its own time.
+        """
         if len(meshes) != self.dim:
             raise DimensionMismatchError(f"{len(meshes)} meshes for dimension {self.dim}")
-        shape = np.broadcast_shapes(*(np.shape(m) for m in meshes))
-        try:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                out = _eval_array(self.node, meshes, t)
-        except FloatingPointError as exc:
-            raise EvaluationDomainError(str(exc), self.to_string()) from exc
-        return np.broadcast_to(np.asarray(out, dtype=complex), shape).copy()
+        shape = np.broadcast_shapes(*(np.shape(m) for m in meshes), np.shape(t))
+        return np.broadcast_to(_eval(self.node, meshes, t), shape).copy()
 
     # -- predicates ---------------------------------------------------------
     @property
@@ -732,14 +700,6 @@ def call(func: str, arg: CoefficientExpression) -> CoefficientExpression:
     return CoefficientExpression(_call(func, arg.node), arg.dim)
 
 
-def differentiate(e: CoefficientExpression, n: MultiIndex) -> CoefficientExpression:
-    return e.differentiate(n)
-
-
-def evaluate(e: CoefficientExpression, q, t: float) -> complex:
-    return e.evaluate(q, t)
-
-
 SAMPLE_HALF_WIDTH = 2.0  # randomized checks sample q from [-2, 2]^N, t from [0, 1]
 
 
@@ -756,35 +716,59 @@ def approx_equal(
 
     True iff |a-b| <= tol*(1+|a|+|b|) at `samples` points drawn from the
     sampling box (centered on `box_center`, default the origin) x [0,1] in t.
-    Points where either side faults are redrawn, giving up after a 10x
-    oversampling budget.
+    Points where either side faults are skipped: a divide, invalid or
+    overflow error, which `evaluate` reports with the faulting
+    subexpression.  A 10x oversampling budget is drawn; fewer than `samples`
+    valid points in it raise SamplingError unless they already show a
+    mismatch.
+
+    The budget is drawn at once and scaled as Generator.uniform scales, so
+    row k holds exactly the q and t that drawing the points one at a time
+    would give for the k-th attempt.  Each side is evaluated over all rows
+    in one call of the same walker that `evaluate` and `evaluate_on` use,
+    and the first `samples` rows where neither side faults are compared.
     """
     a._check_dim(b)
     dim = a.dim
     center = np.zeros(dim) if box_center is None else np.asarray(box_center, dtype=float)
     if center.shape != (dim,):
         raise DimensionMismatchError(f"box center must have {dim} entries")
-    rng = np.random.default_rng(seed)
-    valid = 0
-    attempts = 0
     budget = 10 * samples
-    while valid < samples:
-        if attempts >= budget:
-            raise SamplingError(
-                f"only {valid}/{samples} valid sample points after {attempts} draws"
-            )
-        attempts += 1
-        q = center + rng.uniform(-box_half_width, box_half_width, dim)
-        t = rng.uniform(0.0, 1.0)
-        try:
-            va = a.evaluate(q, t)
-            vb = b.evaluate(q, t)
-        except EvaluationDomainError:
-            continue
-        valid += 1
-        if abs(va - vb) > tol * (1.0 + abs(va) + abs(vb)):
-            return False
+    u = np.random.default_rng(seed).random((budget, dim + 1))
+    low, high = -box_half_width, box_half_width
+    q = center + (low + (high - low) * u[:, :dim])
+    t = u[:, dim]
+    va, faults_a = _sample(a, q, t)
+    vb, faults_b = _sample(b, q, t)
+    valid = np.flatnonzero(~(faults_a | faults_b))[:samples]
+    va, vb = va[valid], vb[valid]
+    if np.any(np.abs(va - vb) > tol * (1.0 + np.abs(va) + np.abs(vb))):
+        return False
+    if valid.size < samples:
+        raise SamplingError(
+            f"only {valid.size}/{samples} valid sample points after {budget} draws"
+        )
     return True
+
+
+def _sample(e: CoefficientExpression, q: np.ndarray, t: np.ndarray):
+    """Values of `e` at the points (q[k], t[k]) and a mask of the faulting ones.
+
+    One walk over all points; only if that faults is each point evaluated
+    on its own, to find which ones fault.
+    """
+    try:
+        return np.broadcast_to(_eval(e.node, q.T, t), t.shape), np.zeros(t.shape, dtype=bool)
+    except EvaluationDomainError:
+        pass
+    values = np.zeros(t.shape, dtype=complex)
+    faults = np.zeros(t.shape, dtype=bool)
+    for k, (point, when) in enumerate(zip(q, t)):
+        try:
+            values[k] = e.evaluate(point, when)
+        except EvaluationDomainError:
+            faults[k] = True
+    return values, faults
 
 
 def contains_time(e: CoefficientExpression) -> bool:

@@ -119,6 +119,12 @@ class MultiIndex:
         return "[" + ",".join(str(e) for e in self.entries) + "]"
 
 
+def multinomial(n: MultiIndex) -> int:
+    """Multinomial coefficient |n|!/n!, the number of orderings of the
+    derivatives in D^n."""
+    return math.factorial(n.order()) // n.factorial()
+
+
 def binom_multi(n: MultiIndex, m: MultiIndex) -> int:
     """Product of componentwise binomials."""
     n._check_dim(m)

@@ -52,7 +52,7 @@ class SamplingSpec:
 class DifferentialOperator:
     """Finite sum of coefficient-weighted mixed partials, immutable."""
 
-    def __init__(self, dim: int, terms: dict[MultiIndex, CoefficientExpression], prune: bool = True):
+    def __init__(self, dim: int, terms: dict[MultiIndex, CoefficientExpression]):
         self.dim = int(dim)
         clean: dict[MultiIndex, CoefficientExpression] = {}
         for n, coef in terms.items():
@@ -60,7 +60,7 @@ class DifferentialOperator:
                 raise DimensionMismatchError(
                     f"term {n} or its coefficient does not match dimension {self.dim}"
                 )
-            if prune and expr.is_zero(coef):
+            if expr.is_zero(coef):
                 continue
             clean[n] = coef
         self._terms = dict(sorted(clean.items(), key=lambda kv: kv[0].sort_key()))

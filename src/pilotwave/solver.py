@@ -31,7 +31,6 @@ class EvolutionSpec:
     dt: float
     steps: int
     stride: int = 1
-    integrator: str = "rk4"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -40,8 +39,6 @@ class EvolutionSpec:
             raise ValueError("steps must be >= 1")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
-        if self.integrator != "rk4":
-            raise ValueError(f"unknown integrator '{self.integrator}'")
 
 
 def stability_estimate(H: DifferentialOperator, grid: Grid, t: float = 0.0) -> float:

@@ -53,14 +53,16 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 
 def sampled_deviation(a, b, dim, samples=16, seed=11):
-    """Max |a - b| over reproducible sample points in [-2,2]^N x [0,1]."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        q = rng.uniform(-2.0, 2.0, dim)
-        t = rng.uniform(0.0, 1.0)
-        worst = max(worst, abs(a.evaluate(q, t) - b.evaluate(q, t)))
-    return worst
+    """Max |a - b| over reproducible sample points in [-2,2]^N x [0,1].
+
+    Row k of the draw holds the q and t of point k, scaled as
+    Generator.uniform scales, so the points are those of drawing
+    `uniform(-2, 2, dim)` and `uniform(0, 1)` in turn.
+    """
+    u = np.random.default_rng(seed).random((samples, dim + 1))
+    q = -2.0 + 4.0 * u[:, :dim]
+    t = u[:, dim]
+    return float(np.max(np.abs(a.evaluate_on(list(q.T), t) - b.evaluate_on(list(q.T), t))))
 
 
 def test_criterion_01_standard_reduction():

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,8 @@ from pilotwave import expr
 from pilotwave.currents import (
     CurrentTable,
     VectorField,
+    _exchange_weight,
+    _weight,
     current_1d_integral,
     derive_current_table,
     eval_current,
@@ -19,7 +24,7 @@ from pilotwave.errors import (
     PilotwaveError,
 )
 from pilotwave.grids import Grid
-from pilotwave.multiindex import MultiIndex
+from pilotwave.multiindex import MultiIndex, binom_multi, indices_of_max_order, indices_up_to
 from pilotwave.operators import load_hamiltonian
 from pilotwave.solver import EvolutionSpec, evolve
 from pilotwave.states import gaussian, ho_eigenstate, plane_wave, superposition
@@ -85,6 +90,37 @@ def test_table_absent_above_operator_order():
 def test_table_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         derive_current_table(load_hamiltonian('dim = 1\nterm [1] = "1"\n'))
+
+
+def test_weights_match_factorial_forms():
+    def fact(n):
+        return n.factorial()
+
+    def order_fact(n):
+        return math.factorial(n.order())
+
+    for r in indices_of_max_order(2, 6):
+        for axis in (1, 2):
+            e_i = MultiIndex.unit(axis, 2)
+            budget = r.try_sub(e_i)
+            if budget is None:
+                continue
+            for n in indices_up_to(budget):
+                nme = r - n - e_i
+                assert _exchange_weight(r, n, e_i) == (
+                    Fraction((-1) ** n.order())
+                    * Fraction(fact(r), order_fact(r))
+                    * Fraction(order_fact(n), fact(n))
+                    * Fraction(order_fact(nme), fact(nme))
+                )
+                for m in indices_up_to(budget - n):
+                    assert _weight(r, n, m, e_i) == (
+                        Fraction((-1) ** ((r + n).order() + 1))
+                        * Fraction(fact(r), order_fact(r))
+                        * Fraction(order_fact(nme), fact(nme))
+                        * Fraction(order_fact(n), fact(n))
+                        * binom_multi(nme, m)
+                    )
 
 
 def test_eval_current_plane_wave():

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,16 @@ def test_evaluate_on_matches_scalar():
             assert field[i, j] == pytest.approx(e.evaluate((xs[i], ys[j]), 0.25))
 
 
+def test_evaluate_on_broadcasts_time_with_meshes():
+    e = expr.parse("q1*exp(-t)", 1)
+    q = np.array([0.5, 1.0, 2.0])
+    t = np.array([0.0, 0.3, 0.9])
+    field = e.evaluate_on([q], t)
+    assert field.shape == (3,)
+    for k in range(3):
+        assert field[k] == e.evaluate((q[k],), t[k])
+
+
 def test_approx_equal_basics():
     assert expr.approx_equal(expr.parse("q1+q1", 1), expr.parse("2*q1", 1))
     assert expr.approx_equal(expr.parse("sin(q1)^2", 1), expr.parse("1-cos(q1)^2", 1))
@@ -165,6 +177,89 @@ def test_approx_equal_gives_up_when_always_faulting():
     bad = expr.parse("1/(q1-q1)", 1)
     with pytest.raises(SamplingError):
         expr.approx_equal(bad, bad)
+
+
+def test_overflow_is_a_fault():
+    square = expr.parse("(1e200*q1)*(1e200*q1)", 1)
+    with pytest.raises(EvaluationDomainError) as err:
+        square.evaluate((1.0,), 0.0)
+    assert "overflow" in str(err.value)
+    # every sample point overflows, so no point is valid
+    with pytest.raises(SamplingError):
+        expr.approx_equal(square, square + 1)
+    # inf - 2*inf is nan, which no tolerance test rejects: a nonzero term
+    # must not be pruned as zero
+    assert not expr.is_zero(expr.parse("(1e300*q1)*(1e300*q1) - (1e300*q1)*(1e300*q1)*2", 1))
+
+
+def reference_approx_equal(a, b, samples=32, seed=2024, tol=1e-9, box_center=None,
+                           box_half_width=expr.SAMPLE_HALF_WIDTH):
+    """approx_equal as a per-point loop: q and t drawn with rng.uniform per
+    attempt, one evaluate call per side and point, a redraw on a fault."""
+    center = np.zeros(a.dim) if box_center is None else np.asarray(box_center, dtype=float)
+    rng = np.random.default_rng(seed)
+    valid = attempts = 0
+    while valid < samples:
+        if attempts >= 10 * samples:
+            raise SamplingError(f"only {valid}/{samples} valid sample points")
+        attempts += 1
+        q = center + rng.uniform(-box_half_width, box_half_width, a.dim)
+        t = rng.uniform(0.0, 1.0)
+        try:
+            va = a.evaluate(q, t)
+            vb = b.evaluate(q, t)
+        except EvaluationDomainError:
+            continue
+        valid += 1
+        if abs(va - vb) > tol * (1.0 + abs(va) + abs(vb)):
+            return False
+    return True
+
+
+def verdict(check, a, b, **kwargs):
+    try:
+        return check(a, b, **kwargs)
+    except SamplingError:
+        return "gives up"
+
+
+def test_batched_approx_equal_matches_per_point_loop():
+    # A narrow bump at c is seen only if a drawn point lands near c, so
+    # these verdicts depend on exactly which points are drawn and kept.
+    # exp(800*q1) overflows for q1 > 0.89 and exp(10000*(q1+1.8)) for
+    # q1 > -1.73, so those pairs skip many points or run out of them.
+    pairs = [
+        (expr.parse("log(q1^2)", 1), expr.parse("2*log(sqrt(q1^2))", 1), {}),
+        (expr.parse("1/(q1-q1)", 1), expr.parse("1/(q1-q1)", 1), {}),
+    ]
+    for c in np.linspace(-2.2, 2.2, 23):
+        bump = f"1e-3*exp(-5000*(q1 - {float(c)!r})^2)"
+        for base, kwargs in (
+            ("q1", {"samples": 8}),
+            ("exp(800*q1)", {"samples": 8}),
+            ("exp(10000*(q1+1.8))", {"samples": 32}),
+        ):
+            a = expr.parse(base, 1)
+            b = expr.parse(f"({base})*(1 + {bump})", 1)
+            pairs.append((a, b, kwargs))
+        shifted = expr.parse(f"q1*q2 + {bump}*exp(-(q2 + 3)^2)", 2)
+        pairs.append((expr.parse("q1*q2", 2), shifted, {"samples": 8, "box_center": (0.0, -3.0)}))
+    seen = []
+    for seed in (2024, 5):
+        for a, b, kwargs in pairs:
+            expected = verdict(reference_approx_equal, a, b, seed=seed, **kwargs)
+            assert verdict(expr.approx_equal, a, b, seed=seed, **kwargs) == expected, (a, b)
+            seen.append(expected)
+    assert {True, False, "gives up"} <= set(seen)
+
+
+@pytest.mark.parametrize("func", ["exp", "sin", "cos", "log", "sqrt"])
+def test_functions_match_cmath(func):
+    z = np.random.default_rng(41).uniform(-3.0, 3.0, (100, 2))
+    values = expr.parse(f"{func}(q1 + i*q2)", 2).evaluate_on([z[:, 0], z[:, 1]], 0.0)
+    for (x, y), value in zip(z, values):
+        exact = getattr(cmath, func)(complex(x, y))
+        assert abs(value - exact) <= 1e-15 * abs(exact)
 
 
 def test_roundtrip_through_printer():

@@ -12,6 +12,7 @@ from pilotwave.multiindex import (
     check_combinatorial_identity_1d,
     indices_of_max_order,
     indices_up_to,
+    multinomial,
 )
 
 
@@ -24,6 +25,15 @@ def test_order():
 def test_factorial():
     assert MultiIndex((3, 2)).factorial() == 12
     assert MultiIndex((0, 0)).factorial() == 1
+
+
+def test_multinomial():
+    assert multinomial(MultiIndex((2, 1))) == 3
+    assert multinomial(MultiIndex((0, 0))) == 1
+    assert multinomial(MultiIndex((4,))) == 1
+    assert multinomial(MultiIndex((2, 2, 2))) == 90
+    for n in indices_of_max_order(3, 6):
+        assert multinomial(n) * n.factorial() == math.factorial(n.order())
 
 
 @pytest.mark.parametrize(

@@ -36,8 +36,6 @@ def test_spec_validation():
         EvolutionSpec(dt=1e-3, steps=0)
     with pytest.raises(ValueError):
         EvolutionSpec(dt=1e-3, steps=10, stride=0)
-    with pytest.raises(ValueError):
-        EvolutionSpec(dt=1e-3, steps=10, integrator="euler")
 
 
 def test_stability_guard():

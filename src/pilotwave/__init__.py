@@ -6,12 +6,14 @@ from .expr import CoefficientExpression, approx_equal, parse
 from .grids import Grid, GridState
 from .operators import (
     DifferentialOperator,
+    HermitianOperator,
     SamplingSpec,
     adjoint,
     apply,
     hermitize,
     is_hermitian,
     load_hamiltonian,
+    require_hermitian,
 )
 from .currents import (
     CurrentTable,
@@ -46,12 +48,14 @@ __all__ = [
     "Grid",
     "GridState",
     "DifferentialOperator",
+    "HermitianOperator",
     "SamplingSpec",
     "adjoint",
     "apply",
     "hermitize",
     "is_hermitian",
     "load_hamiltonian",
+    "require_hermitian",
     "CurrentTable",
     "VectorField",
     "current_1d_integral",

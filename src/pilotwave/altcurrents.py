@@ -25,7 +25,7 @@ from .currents import VectorField, _floored_real
 from .errors import DimensionMismatchError, PilotwaveError
 from .grids import DerivativeCache, GridState, spectral_divergence
 from .multiindex import MultiIndex
-from .operators import DifferentialOperator, OperatorApplier, SamplingSpec, require_hermitian
+from .operators import DifferentialOperator, OperatorApplier, require_hermitian
 
 
 def momentum_form_coefficients(H: DifferentialOperator) -> dict[MultiIndex, expr.CoefficientExpression]:
@@ -40,14 +40,11 @@ def momentum_form_coefficients(H: DifferentialOperator) -> dict[MultiIndex, expr
     return out
 
 
-def born_jordan_current(
-    H: DifferentialOperator, state: GridState, t: float | None = None,
-    check: SamplingSpec | None = None,
-) -> VectorField:
+def born_jordan_current(H: DifferentialOperator, state: GridState, t: float | None = None) -> VectorField:
     """One-dimensional momentum-derivative current of a Hermitian operator."""
+    H = require_hermitian(H)
     if H.dim != 1 or state.dim != 1:
         raise DimensionMismatchError("the momentum-derivative current is one-dimensional only")
-    require_hermitian(H, check)
     at = state.t if t is None else t
     grid = state.grid
     meshes = grid.meshes()
@@ -83,18 +80,15 @@ def velocity_operator(H: DifferentialOperator, axis: int) -> DifferentialOperato
     return DifferentialOperator(H.dim, terms)
 
 
-def second_order_current(
-    H: DifferentialOperator, state: GridState, t: float | None = None,
-    check: SamplingSpec | None = None,
-) -> VectorField:
+def second_order_current(H: DifferentialOperator, state: GridState, t: float | None = None) -> VectorField:
     """Velocity-operator current Re(conj(psi) v_i psi) for order <= 2 operators."""
+    H = require_hermitian(H)
     if H.dim != state.dim:
         raise DimensionMismatchError(f"operator dim {H.dim} != state dim {state.dim}")
     if H.max_order > 2:
         raise PilotwaveError(
             "the velocity-operator current is not valid beyond second order in the momenta"
         )
-    require_hermitian(H, check)
     at = state.t if t is None else t
     psi_bar = np.conjugate(state.values)
     components = []

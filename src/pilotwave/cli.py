@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Subcommands: check, derive, simulate, compare, equivariance.  Exit codes:
-0 success, 1 domain verdict (non-Hermitian input or failed statistical
-report), 2 usage or parse error, 3 numerical failure.
+0 success, 1 domain verdict (non-Hermitian input, or an equivariance run
+that truncated more than 10% of its trajectories; the KS distance is
+reported but does not set the exit code), 2 usage or parse error,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
 from .grids import Grid
 from .operators import (
     DifferentialOperator,
+    HermitianOperator,
     hermiticity_violations,
     hermitize,
     load_hamiltonian,
@@ -55,11 +58,10 @@ def _read(path: str) -> str:
         raise HamiltonianFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_operator(args) -> DifferentialOperator:
+def _load_operator(args) -> HermitianOperator:
+    """The Hamiltonian file, symmetrized on --hermitize, checked once here."""
     H = load_hamiltonian(_read(args.hamiltonian))
-    if getattr(args, "hermitize", False):
-        H = hermitize(H)
-    return H
+    return require_hermitian(hermitize(H) if args.hermitize else H)
 
 
 def _int_list(text: str) -> list[int]:
@@ -122,15 +124,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    H = load_hamiltonian(_read(args.hamiltonian))
-    if args.hermitize:
-        H = hermitize(H)
-    try:
-        require_hermitian(H)
-    except NonHermitianError:
-        print("error: Hamiltonian is not Hermitian; pass --hermitize to symmetrize", file=sys.stderr)
-        return EXIT_VERDICT
-    table = derive_current_table(H)
+    table = derive_current_table(_load_operator(args))
     text = table.to_latex() if args.format == "latex" else table.to_json()
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -142,7 +136,6 @@ def cmd_derive(args) -> int:
 
 def cmd_simulate(args) -> int:
     H = _load_operator(args)
-    require_hermitian(H)
     psi0, grid = _load_state(args, H.dim)
     spec = _auto_spec(args, H, grid)
     out_dir = Path(args.out or "pilotwave-out")
@@ -229,7 +222,6 @@ def cmd_compare(args) -> int:
         if m not in ALL_METHODS:
             raise HamiltonianFormatError(f"unknown method '{m}' (choose from {', '.join(ALL_METHODS)})")
     H = _load_operator(args)
-    require_hermitian(H)
     psi, grid = _load_state(args, H.dim)
 
     fields = {}

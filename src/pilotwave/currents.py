@@ -33,7 +33,7 @@ from .errors import DimensionMismatchError, GridError, PilotwaveError
 from .expr import CoefficientExpression
 from .grids import DerivativeCache, Grid, GridState, spectral_derivative, spectral_divergence
 from .multiindex import MultiIndex, binom_multi, indices_up_to, multinomial
-from .operators import DifferentialOperator, SamplingSpec, require_hermitian
+from .operators import DifferentialOperator, apply as apply_operator, require_hermitian
 
 IMAG_RESIDUE_REL = 1e-9
 # Absolute floor for the residue check, relative to the largest bilinear term:
@@ -166,11 +166,9 @@ def _exchange_weight(n: MultiIndex, m: MultiIndex, e_i: MultiIndex) -> Fraction:
     return Fraction((-1) ** m.order() * multinomial(m) * multinomial(n - m - e_i), multinomial(n))
 
 
-def derive_current_table(
-    H: DifferentialOperator, check: SamplingSpec | None = None
-) -> CurrentTable:
+def derive_current_table(H: DifferentialOperator) -> CurrentTable:
     """Symbolic current coefficients, completely determined by the Hamiltonian."""
-    require_hermitian(H, check)
+    H = require_hermitian(H)
     dim = H.dim
     axes: list[dict[tuple[MultiIndex, MultiIndex], CoefficientExpression]] = []
     for axis in range(1, dim + 1):
@@ -226,12 +224,9 @@ def _floored_real(raw: list[np.ndarray], term_scale: float, what: str) -> list[n
     return [c.real.copy() for c in raw]
 
 
-def eval_current_direct(
-    H: DifferentialOperator, state: GridState, t: float | None = None,
-    check: SamplingSpec | None = None,
-) -> VectorField:
+def eval_current_direct(H: DifferentialOperator, state: GridState, t: float | None = None) -> VectorField:
     """Evaluate the nested-sum current form without building a table."""
-    require_hermitian(H, check)
+    H = require_hermitian(H)
     if H.dim != state.dim:
         raise DimensionMismatchError(f"operator dim {H.dim} != state dim {state.dim}")
     at = state.t if t is None else t
@@ -261,8 +256,6 @@ def eval_current_direct(
 
 def source_term(H: DifferentialOperator, state: GridState, t: float | None = None) -> np.ndarray:
     """I = 2 Re(i conj(psi) H psi); equals -d/dt |psi|^2 and div j."""
-    from .operators import apply as apply_operator
-
     applied = apply_operator(H, state, t)
     return (2.0 * np.real(1j * np.conjugate(state.values) * applied.values))
 

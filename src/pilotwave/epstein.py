@@ -17,8 +17,9 @@ import numpy as np
 
 from .currents import VectorField
 from .errors import DimensionMismatchError, PilotwaveError
-from .grids import Grid, GridState, spectral_gradient
-from .operators import DifferentialOperator, SamplingSpec, require_hermitian
+from .grids import Grid, GridState, _symbol, spectral_gradient
+from .multiindex import MultiIndex
+from .operators import DifferentialOperator, apply as apply_operator, require_hermitian
 
 SOURCE_MEAN_REL = 1e-10
 RESIDUAL_REL = 1e-9
@@ -51,13 +52,8 @@ class PoissonSolution:
 
 
 def _laplacian_symbol(grid: Grid) -> np.ndarray:
-    k2 = np.zeros(grid.shape, dtype=float)
-    for axis in range(grid.dim):
-        k = grid.wavenumbers(axis)
-        shape = [1] * grid.dim
-        shape[axis] = grid.shape[axis]
-        k2 = k2 + (k ** 2).reshape(shape)
-    return -k2
+    units = (MultiIndex.unit(axis, grid.dim) for axis in range(1, grid.dim + 1))
+    return sum(_symbol(grid, e + e) for e in units).real
 
 
 def poisson_solve(source: np.ndarray, grid: Grid) -> PoissonSolution:
@@ -88,21 +84,16 @@ def poisson_solve(source: np.ndarray, grid: Grid) -> PoissonSolution:
     return PoissonSolution(grid, phi, "spectral", residual)
 
 
-def nonlocal_current(
-    H: DifferentialOperator, state: GridState, t: float | None = None,
-    check: SamplingSpec | None = None,
-) -> VectorField:
+def nonlocal_current(H: DifferentialOperator, state: GridState, t: float | None = None) -> VectorField:
     """Gradient of the inverse Laplacian of the source term.
 
     Satisfies the same continuity equation as the local bilinear current
     (div j = I), but generally differs from it pointwise: currents are fixed
     by continuity only up to a divergence-free field.
     """
+    H = require_hermitian(H)
     if state.dim < 2:
         raise PilotwaveError("the nonlocal construction needs dimension >= 2")
-    require_hermitian(H, check)
-    from .operators import apply as apply_operator
-
     applied = apply_operator(H, state, t)
     bilinear = np.conjugate(state.values) * applied.values
     source = 2.0 * np.real(1j * bilinear)

@@ -125,13 +125,25 @@ def _is_const(node, value=None):
 # Smart constructors (light simplification only: constant folding, identity
 # and annihilator elimination)
 
+def _fold(node: Node, compute) -> Node:
+    """Const(compute()), or `node` itself if computing it faults or gives
+    inf/nan, so that evaluating the node names the fault.  The operators fold
+    in Python complex arithmetic: numpy's differs in the last bit for some
+    products and quotients, which would change derived tables."""
+    try:
+        value = complex(compute())
+    except ArithmeticError:
+        return node
+    return Const(value) if np.isfinite(value) else node
+
+
 def _add(a: Node, b: Node) -> Node:
     if _is_const(a, 0):
         return b
     if _is_const(b, 0):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+        return _fold(Add(a, b), lambda: a.value + b.value)
     return Add(a, b)
 
 
@@ -141,7 +153,7 @@ def _sub(a: Node, b: Node) -> Node:
     if _is_const(a, 0):
         return _neg(b)
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+        return _fold(Sub(a, b), lambda: a.value - b.value)
     if a == b:
         return _ZERO
     return Sub(a, b)
@@ -155,7 +167,7 @@ def _mul(a: Node, b: Node) -> Node:
     if _is_const(b, 1):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+        return _fold(Mul(a, b), lambda: a.value * b.value)
     return Mul(a, b)
 
 
@@ -164,8 +176,8 @@ def _div(a: Node, b: Node) -> Node:
         return _ZERO
     if _is_const(b, 1):
         return a
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
-        return Const(a.value / b.value)
+    if isinstance(a, Const) and isinstance(b, Const):
+        return _fold(Div(a, b), lambda: a.value / b.value)
     return Div(a, b)
 
 
@@ -182,19 +194,16 @@ def _pow(base: Node, exponent: int) -> Node:
         return _ONE
     if exponent == 1:
         return base
-    if isinstance(base, Const) and not (base.value == 0 and exponent < 0):
-        return Const(base.value ** exponent)
+    if isinstance(base, Const):
+        return _fold(Pow(base, exponent), lambda: base.value ** exponent)
     return Pow(base, exponent)
 
 
 def _call(func: str, arg: Node) -> Node:
-    node = Call(func, arg)
     if isinstance(arg, Const):
-        try:
-            return Const(complex(_eval(node, (), 0.0)))
-        except EvaluationDomainError:
-            pass
-    return node
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            return _fold(Call(func, arg), lambda: _FUNCTIONS[func](arg.value))
+    return Call(func, arg)
 
 
 def _conj(a: Node) -> Node:
@@ -291,14 +300,13 @@ def _eval(node: Node, coords, t):
 
 def _walk(node: Node, coords, t):
     if isinstance(node, Const):
-        return node.value
+        return np.complex128(node.value)  # so that unfolded constants fault too
     if isinstance(node, Coord):
         return coords[node.axis - 1]
     if isinstance(node, TimeVar):
         return t
     # A fault in a child is converted by the child, so this names the
-    # innermost node whose own operation faulted.  ArithmeticError also
-    # covers Python arithmetic between two constants, e.g. 1/0.
+    # innermost node whose own operation faulted.
     try:
         if isinstance(node, Add):
             return _walk(node.left, coords, t) + _walk(node.right, coords, t)
@@ -487,10 +495,6 @@ class _Parser:
             raise ExpressionSyntaxError(f"expected '{op}', found '{value or 'end of input'}'", line, col)
         return self._advance()
 
-    def _error(self, message):
-        _, value, line, col = self._peek()
-        raise ExpressionSyntaxError(message, line, col)
-
     def parse(self) -> Node:
         node = self._expr()
         kind, value, line, col = self._peek()
@@ -547,7 +551,10 @@ class _Parser:
     def _base(self) -> Node:
         kind, value, line, col = self._advance()
         if kind == "num":
-            return Const(complex(float(value)))
+            number = float(value)
+            if np.isinf(number):
+                raise ExpressionSyntaxError(f"number {value} is out of range", line, col)
+            return Const(complex(number))
         if kind == "op" and value == "(":
             node = self._expr()
             self._expect_op(")")
@@ -738,37 +745,41 @@ def approx_equal(
     low, high = -box_half_width, box_half_width
     q = center + (low + (high - low) * u[:, :dim])
     t = u[:, dim]
-    va, faults_a = _sample(a, q, t)
-    vb, faults_b = _sample(b, q, t)
+    va, faults_a, fault_a = _sample(a, q, t)
+    vb, faults_b, fault_b = _sample(b, q, t)
     valid = np.flatnonzero(~(faults_a | faults_b))[:samples]
     va, vb = va[valid], vb[valid]
     if np.any(np.abs(va - vb) > tol * (1.0 + np.abs(va) + np.abs(vb))):
         return False
     if valid.size < samples:
         raise SamplingError(
-            f"only {valid.size}/{samples} valid sample points after {budget} draws"
+            f"only {valid.size}/{samples} valid sample points after {budget} draws "
+            f"(first fault: {fault_a or fault_b})"
         )
     return True
 
 
 def _sample(e: CoefficientExpression, q: np.ndarray, t: np.ndarray):
-    """Values of `e` at the points (q[k], t[k]) and a mask of the faulting ones.
+    """Values of `e` at the points (q[k], t[k]), a mask of the faulting ones
+    and the error of the first fault (None without one).
 
     One walk over all points; only if that faults is each point evaluated
     on its own, to find which ones fault.
     """
     try:
-        return np.broadcast_to(_eval(e.node, q.T, t), t.shape), np.zeros(t.shape, dtype=bool)
+        return np.broadcast_to(_eval(e.node, q.T, t), t.shape), np.zeros(t.shape, dtype=bool), None
     except EvaluationDomainError:
         pass
     values = np.zeros(t.shape, dtype=complex)
     faults = np.zeros(t.shape, dtype=bool)
+    first = None
     for k, (point, when) in enumerate(zip(q, t)):
         try:
             values[k] = e.evaluate(point, when)
-        except EvaluationDomainError:
+        except EvaluationDomainError as exc:
             faults[k] = True
-    return values, faults
+            first = first or exc
+    return values, faults, first
 
 
 def contains_time(e: CoefficientExpression) -> bool:

@@ -129,11 +129,27 @@ def hermitize(H: DifferentialOperator) -> DifferentialOperator:
     return (H + adjoint(H)).scaled(0.5)
 
 
-def require_hermitian(H: DifferentialOperator, check: SamplingSpec | None = None) -> None:
-    bad = hermiticity_violations(H, check)
-    if bad:
-        slots = ", ".join(str(n) for n in bad)
-        raise NonHermitianError(f"Hamiltonian is not Hermitian; violated slots: {slots}")
+class HermitianOperator(DifferentialOperator):
+    """An operator that passed the sampled Hermiticity check when it was built;
+    get one from `require_hermitian`.  It shares the checked operator's pruned
+    terms and its repr, which is the provenance of a derived current table."""
+
+    def __init__(self, H: DifferentialOperator, check: SamplingSpec | None = None):
+        bad = hermiticity_violations(H, check)
+        if bad:
+            slots = ", ".join(str(n) for n in bad)
+            raise NonHermitianError(f"Hamiltonian is not Hermitian; violated slots: {slots}")
+        self.dim = H.dim
+        self._terms = H._terms
+
+
+def require_hermitian(H: DifferentialOperator, check: SamplingSpec | None = None) -> HermitianOperator:
+    """H verified, or NonHermitianError naming the violated slots.  Every
+    current needs a Hermitian H; a verified H is checked again only under an
+    explicit `check`."""
+    if isinstance(H, HermitianOperator) and check is None:
+        return H
+    return HermitianOperator(H, check)
 
 
 class OperatorApplier:
@@ -148,7 +164,6 @@ class OperatorApplier:
             raise DimensionMismatchError(f"operator dim {H.dim} != grid dim {grid.dim}")
         if any(s < MIN_POINTS_PER_AXIS for s in grid.shape):
             raise GridError(f"need at least {MIN_POINTS_PER_AXIS} points per axis to apply operators")
-        self.H = H
         self.grid = grid
         self._meshes = grid.meshes()
         self._static: list[tuple[MultiIndex, np.ndarray]] = []
@@ -159,23 +174,28 @@ class OperatorApplier:
             else:
                 self._static.append((n, coef.evaluate_on(self._meshes, 0.0)))
 
+    def _coefficient_grids(self, t: float):
+        yield from self._static
+        for n, coef in self._dynamic:
+            yield n, coef.evaluate_on(self._meshes, t)
+
     def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
         cache = DerivativeCache(values, self.grid)
         out = np.zeros(self.grid.shape, dtype=complex)
-        for n, coef_grid in self._static:
+        for n, coef_grid in self._coefficient_grids(t):
             out += coef_grid * cache.derivative(n)
-        for n, coef in self._dynamic:
-            out += coef.evaluate_on(self._meshes, t) * cache.derivative(n)
         return out
 
-    def coefficient_magnitude(self, t: float) -> dict[MultiIndex, float]:
-        """Max |h_n| over the grid at time t, for stability estimates."""
-        out = {}
-        for n, coef_grid in self._static:
-            out[n] = float(np.max(np.abs(coef_grid)))
-        for n, coef in self._dynamic:
-            out[n] = float(np.max(np.abs(coef.evaluate_on(self._meshes, t))))
-        return out
+    def spectral_radius(self, t: float) -> float:
+        """Conservative estimate sum_n max|h_n| prod_a k_max_a^n_a at time t."""
+        kmax = self.grid.max_wavenumbers()
+        total = 0.0
+        for n, coef_grid in self._coefficient_grids(t):
+            factor = 1.0
+            for k, power in zip(kmax, n.entries):
+                factor *= k ** power
+            total += float(np.max(np.abs(coef_grid))) * factor
+        return total
 
 
 def apply(H: DifferentialOperator, state: GridState, t: float | None = None) -> GridState:

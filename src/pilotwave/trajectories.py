@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .currents import CurrentTable, VectorField, eval_current
+from .currents import CurrentTable, VectorField, derive_current_table, eval_current
 from .errors import (
     DimensionMismatchError,
     NodeError,
@@ -23,7 +23,8 @@ from .errors import (
     TruncationError,
 )
 from .grids import Grid, GridState
-from .operators import DifferentialOperator, SamplingSpec, require_hermitian
+from .operators import DifferentialOperator, require_hermitian
+from .solver import EvolutionSpec, evolve, stability_estimate
 
 NODE_EPS = 1e-10
 MAX_TRUNCATED_FRACTION = 0.10
@@ -318,14 +319,10 @@ def equivariance_test(
     seed: int,
     evolution_spec=None,
     substeps: int = 4,
-    check: SamplingSpec | None = None,
 ) -> EquivarianceReport:
     """Sample |psi0|^2, integrate guided trajectories to the horizon, and
     compare the empirical distribution against |psi(T)|^2."""
-    from .currents import derive_current_table
-    from .solver import EvolutionSpec, evolve, stability_estimate
-
-    require_hermitian(H, check)
+    H = require_hermitian(H)
     if evolution_spec is None:
         radius = stability_estimate(H, psi0.grid, psi0.t)
         dt_max = 1.0 / radius if radius > 0 else horizon / 100.0
@@ -333,7 +330,7 @@ def equivariance_test(
         evolution_spec = EvolutionSpec(
             dt=horizon / steps, steps=steps, stride=max(1, steps // 100)
         )
-    table = derive_current_table(H, check)
+    table = derive_current_table(H)
     snapshots = evolve(H, psi0, evolution_spec)
     ensemble = sample_density(psi0.density(), psi0.grid, count, seed)
     baseline = ks_distance_to_density(ensemble.positions, psi0.grid, psi0.density())

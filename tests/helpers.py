@@ -10,11 +10,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from pilotwave import expr
+from pilotwave import cli, expr, operators
 from pilotwave.expr import CoefficientExpression
 from pilotwave.grids import Grid, GridState
 from pilotwave.multiindex import indices_of_max_order
 from pilotwave.operators import DifferentialOperator, SamplingSpec, hermitize
+
+
+def count_hermiticity_checks(monkeypatch) -> list:
+    """Record the `check` argument of every hermiticity_violations call, made
+    through the operators module or through the CLI's import of it."""
+    calls = []
+    original = operators.hermiticity_violations
+
+    def counting(H, check=None):
+        calls.append(check)
+        return original(H, check)
+
+    for module in (operators, cli):
+        monkeypatch.setattr(module, "hermiticity_violations", counting)
+    return calls
 
 
 def centered_spec(center, samples: int = 48, seed: int = 7, tol: float = 1e-9) -> SamplingSpec:

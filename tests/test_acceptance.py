@@ -35,7 +35,7 @@ from pilotwave.multiindex import (
     indices_of_max_order,
     indices_up_to,
 )
-from pilotwave.operators import is_hermitian, load_hamiltonian
+from pilotwave.operators import is_hermitian, load_hamiltonian, require_hermitian
 from pilotwave.solver import EvolutionSpec, continuity_residual, evolve, norm_drift
 from pilotwave.states import gaussian, plane_wave
 from pilotwave.trajectories import equivariance_test, velocity
@@ -180,8 +180,8 @@ def test_criterion_05_form_equivalence():
         spec = centered_spec(center)
         H = random_hermitian_operator(rng, dim, 3, center, decay=1.2)
         psi = band_limited_state(grid, rng, envelope_kappa=12.0)
-        a = eval_current(derive_current_table(H, spec), psi)
-        b = eval_current_direct(H, psi, check=spec)
+        a = eval_current(derive_current_table(require_hermitian(H, spec)), psi)
+        b = eval_current_direct(require_hermitian(H, spec), psi)
         scale = max(a.max_abs(), 1e-30)
         diff = max(np.max(np.abs(x - y)) for x, y in zip(a.components, b.components))
         worst = max(worst, diff / scale)
@@ -200,7 +200,7 @@ def test_criterion_06_continuity():
         H = random_hermitian_operator(rng, dim, 3, center, decay=1.2)
         psi = band_limited_state(grid, rng, envelope_kappa=12.0)
         I = source_term(H, psi)
-        j = eval_current(derive_current_table(H, spec), psi)
+        j = eval_current(derive_current_table(require_hermitian(H, spec)), psi)
         worst_spectral = max(
             worst_spectral,
             np.max(np.abs(j.divergence() - I)) / max(np.max(np.abs(I)), 1e-30),
@@ -278,8 +278,8 @@ def test_criterion_08_epstein_construction():
     I3 = source_term(H3, psi3)
     peak3 = np.max(np.abs(I3))
     spec3 = centered_spec(center3)
-    j_ep3 = nonlocal_current(H3, psi3, check=spec3)
-    j_loc3 = eval_current(derive_current_table(H3, spec3), psi3)
+    j_ep3 = nonlocal_current(require_hermitian(H3, spec3), psi3)
+    j_loc3 = eval_current(derive_current_table(require_hermitian(H3, spec3)), psi3)
     cont3 = np.max(np.abs(j_ep3.divergence() - I3)) / peak3
     diff3 = [a - b for a, b in zip(j_ep3.components, j_loc3.components)]
     div_diff3 = np.max(np.abs(spectral_divergence(diff3, grid3))) / peak3
@@ -297,8 +297,8 @@ def test_criterion_09_comparison_currents():
     for _ in range(20):
         H = random_hermitian_operator(rng, 1, 4, center, decay=1.2)
         psi = band_limited_state(grid, rng, envelope_kappa=12.0)
-        j_bj = born_jordan_current(H, psi, check=spec)
-        j_can = eval_current(derive_current_table(H, spec), psi)
+        j_bj = born_jordan_current(require_hermitian(H, spec), psi)
+        j_can = eval_current(derive_current_table(require_hermitian(H, spec)), psi)
         scale = max(j_can.max_abs(), 1e-30)
         worst_bj = max(worst_bj, compare_fields(j_bj, j_can).max_abs_diff / scale)
 
@@ -324,8 +324,8 @@ def test_criterion_09_comparison_currents():
         spec_n = centered_spec(center_n)
         H = random_hermitian_operator(rng, dim, 2, center_n, decay=1.2)
         psi = band_limited_state(grid_n, rng, max_mode=2, envelope_kappa=8.0)
-        j_so = second_order_current(H, psi, check=spec_n)
-        j_can = eval_current(derive_current_table(H, spec_n), psi)
+        j_so = second_order_current(require_hermitian(H, spec_n), psi)
+        j_can = eval_current(derive_current_table(require_hermitian(H, spec_n)), psi)
         scale = max(j_can.max_abs(), 1e-30)
         worst_so = max(worst_so, compare_fields(j_so, j_can).max_abs_diff / scale)
     ok = worst_bj < 1e-9 and worst_so < 1e-9 and closed_p4 < 1e-10 and closed_qp < 1e-10

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from pilotwave.cli import main
+from helpers import count_hermiticity_checks
+from pilotwave.cli import ALL_METHODS, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 FREE = 'dim = 1\nterm [2] = "-0.5"\n'
 QP = 'dim = 1\nterm [1] = "-i*q1"\n'
@@ -45,6 +52,16 @@ def test_check_first_derivative_slot(ham, capsys):
 def test_check_malformed_exits_2(ham, capsys):
     assert main(["check", ham("bad.ham", "dim = \n")]) == 2
     assert main(["check", str("no-such-file.ham")]) == 2
+
+
+@pytest.mark.parametrize(
+    "coefficient, literal", [("1e200*1e200*q1", "1e+200*1e+200"), ("1e200^2*q1", "1e+200^2")]
+)
+def test_check_names_an_overflowing_constant(coefficient, literal, ham, capsys):
+    path = ham("big.ham", f'# constants that overflow\ndim = 1\nterm [0] = "{coefficient}"\n')
+    assert main(["check", path]) == 3
+    err = capsys.readouterr().err
+    assert "(first fault: overflow" in err and f"in '{literal}')" in err
 
 
 def test_derive_json(ham, capsys):
@@ -289,3 +306,47 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["derive"])  # missing positional
     assert exit_info.value.code == 2
+
+
+ONE_CHECK_COMMANDS = {
+    "check": ["check", "{free}"],
+    "derive": ["derive", "{free}"],
+    "derive --hermitize": ["derive", "{qp}", "--hermitize"],
+    "simulate --trajectories": [
+        "simulate", "{free}", "--state", "{gauss}", "--grid", "128", "--dt", "1e-3",
+        "--steps", "20", "--stride", "10", "--trajectories", "10", "--out", "{out}",
+    ],
+    "compare": [
+        "compare", "{free}", "--state", "{gauss}", "--grid", "128", "--methods", ",".join(ALL_METHODS),
+    ],
+    "equivariance": [
+        "equivariance", "{free}", "--state", "{gauss}", "--grid", "128", "--count", "50",
+        "--horizon", "0.02", "--dt", "1e-3", "--steps", "20",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ONE_CHECK_COMMANDS)
+def test_each_command_checks_hermiticity_once(command, ham, tmp_path, monkeypatch):
+    calls = count_hermiticity_checks(monkeypatch)
+    files = {"free": ham("free.ham", FREE), "qp": ham("qp.ham", QP),
+             "gauss": ham("gauss.st", GAUSS), "out": str(tmp_path / "run")}
+    assert main([arg.format(**files) for arg in ONE_CHECK_COMMANDS[command]]) == 0
+    assert len(calls) == 1
+
+
+def test_traced_derive_records_one_hermiticity_span(ham, tmp_path):
+    """perfbench/tracing.py wraps pilotwave functions by name; a rename
+    breaks traced benchmark runs, so one traced call runs here."""
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracing.py"), "--spans", str(spans),
+         "--", "derive", ham("ho.ham", HO)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    names = [span["name"] for span in json.loads(spans.read_text())["spans"]]
+    assert names.count("currents.derive") == 1
+    assert names.count("operators.hermiticity") == 1

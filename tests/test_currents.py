@@ -25,7 +25,7 @@ from pilotwave.errors import (
 )
 from pilotwave.grids import Grid
 from pilotwave.multiindex import MultiIndex, binom_multi, indices_of_max_order, indices_up_to
-from pilotwave.operators import load_hamiltonian
+from pilotwave.operators import load_hamiltonian, require_hermitian
 from pilotwave.solver import EvolutionSpec, evolve
 from pilotwave.states import gaussian, ho_eigenstate, plane_wave, superposition
 
@@ -188,8 +188,8 @@ def test_form_equivalence_random_ensemble():
         for _ in range(5):
             H = random_hermitian_operator(rng, dim, 3, center, decay=1.2)
             psi = band_limited_state(grid, rng, envelope_kappa=12.0)
-            a = eval_current(derive_current_table(H, spec), psi)
-            b = eval_current_direct(H, psi, check=spec)
+            a = eval_current(derive_current_table(require_hermitian(H, spec)), psi)
+            b = eval_current_direct(require_hermitian(H, spec), psi)
             scale = max(a.max_abs(), 1e-30)
             diff = max(
                 np.max(np.abs(x - y)) for x, y in zip(a.components, b.components)
@@ -202,7 +202,7 @@ def test_reality_of_table_entries():
     spec = centered_spec((0.0,) * 2, tol=1e-9)
     for _ in range(8):
         H = random_hermitian_operator(rng, 2, 4, (0.0, 0.0))
-        table = derive_current_table(H, centered_spec((0.0, 0.0)))
+        table = derive_current_table(require_hermitian(H, centered_spec((0.0, 0.0))))
         for axis in (1, 2):
             entries = table.entries(axis)
             for (n, m), coef in entries.items():
@@ -251,7 +251,7 @@ def test_spectral_continuity_div_j_equals_source():
             H = random_hermitian_operator(rng, dim, 3, center, decay=1.2)
             psi = band_limited_state(grid, rng, envelope_kappa=12.0)
             I = source_term(H, psi)
-            j = eval_current(derive_current_table(H, spec), psi)
+            j = eval_current(derive_current_table(require_hermitian(H, spec)), psi)
             residual = np.max(np.abs(j.divergence() - I))
             assert residual < 1e-8 * max(np.max(np.abs(I)), 1e-30)
 

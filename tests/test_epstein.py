@@ -8,7 +8,7 @@ from pilotwave.currents import derive_current_table, eval_current, source_term
 from pilotwave.epstein import green_function, nonlocal_current, poisson_solve
 from pilotwave.errors import PilotwaveError
 from pilotwave.grids import Grid, spectral_divergence
-from pilotwave.operators import load_hamiltonian
+from pilotwave.operators import load_hamiltonian, require_hermitian
 from pilotwave.states import gaussian, ho_eigenstate, superposition
 
 STANDARD_2D = 'dim = 2\nterm [2,0] = "-0.5"\nterm [0,2] = "-0.5"\n'
@@ -132,7 +132,7 @@ def test_nonlocal_current_3d():
     psi = band_limited_state(grid, rng, max_mode=1, envelope_kappa=6.0)
     I = source_term(H, psi)
     assert np.max(np.abs(I)) > 1e-3  # non-degenerate draw
-    j = nonlocal_current(H, psi, check=centered_spec(center))
+    j = nonlocal_current(require_hermitian(H, centered_spec(center)), psi)
     resid = np.max(np.abs(j.divergence() - I))
     assert resid < 1e-8 * np.max(np.abs(I))
 

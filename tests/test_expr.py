@@ -1,4 +1,5 @@
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,11 @@ def test_parse_out_of_range_variable():
         expr.parse("q3", 2)
     with pytest.raises(ExpressionSyntaxError):
         expr.parse("q0", 2)
+
+
+def test_parse_rejects_a_number_that_overflows():
+    with pytest.raises(ExpressionSyntaxError, match=r"number 1e400 is out of range \(line 1, column 6\)"):
+        expr.parse("2*q1*1e400", 1)
 
 
 def test_parse_unknown_identifier():
@@ -190,6 +196,44 @@ def test_overflow_is_a_fault():
     # inf - 2*inf is nan, which no tolerance test rejects: a nonzero term
     # must not be pruned as zero
     assert not expr.is_zero(expr.parse("(1e300*q1)*(1e300*q1) - (1e300*q1)*(1e300*q1)*2", 1))
+
+
+@pytest.mark.parametrize(
+    "text, faulting",
+    [
+        ("1e200*1e200*q1", "1e+200*1e+200"),
+        ("1e200^2*q1", "1e+200^2"),
+        ("1e308+1e308+q1", "1e+308 + 1e+308"),
+        ("-1e308-1e308+q1", "-1e+308 - 1e+308"),
+        ("1e300/1e-300*q1", "1e+300/1e-300"),
+        ("1/0*q1", "1.0/0.0"),
+        ("0^-1*q1", "0.0^-1"),
+        ("exp(1000)*q1", "exp(1000.0)"),
+    ],
+)
+def test_constants_that_fault_stay_unfolded(text, faulting):
+    e = expr.parse(text, 1)
+    assert e.to_string() in (f"{faulting}*q1", f"{faulting} + q1")
+    with pytest.raises(EvaluationDomainError) as err:
+        e.evaluate((1.0,), 0.0)
+    assert err.value.subexpression == faulting
+    with pytest.raises(SamplingError, match=r"\(first fault: .* in '" + re.escape(faulting) + r"'\)$"):
+        expr.approx_equal(e, e)
+
+
+def test_sampling_error_names_the_first_fault():
+    # overflows for q1 > 0.071 in the first term and q1 < -0.071 in the
+    # second; the first faulting draw of seed 2024 is q1 = 0.70, the last -1.86
+    e = expr.parse("exp(10000*q1) + exp(-10000*q1)", 1)
+    with pytest.raises(SamplingError, match=r"\(first fault: overflow .* in 'exp\(10000\.0\*q1\)'\)$"):
+        expr.approx_equal(e, e, seed=2024)
+
+
+def test_finite_constants_still_fold():
+    assert expr.parse("1e200*1e100*2^3/4 - 1 + exp(0)", 1).constant_value() == 2e300
+    assert expr.parse("(0.1+0.2*i)*(0.3-i)/(1+i)^3", 1).constant_value() == (
+        (0.1 + 0.2j) * (0.3 - 1j) / (1 + 1j) ** 3
+    )
 
 
 def reference_approx_equal(a, b, samples=32, seed=2024, tol=1e-9, box_center=None,

@@ -3,20 +3,27 @@ import pytest
 
 from helpers import (
     centered_spec,
+    count_hermiticity_checks,
     inner_product_hermitian,
     random_hermitian_operator,
     visibly_non_hermitian_operator,
 )
 from pilotwave import expr
+from pilotwave.altcurrents import born_jordan_current, second_order_current
+from pilotwave.currents import derive_current_table, eval_current_direct
+from pilotwave.epstein import nonlocal_current
 from pilotwave.errors import (
     DimensionMismatchError,
     GridError,
     HamiltonianFormatError,
+    NonHermitianError,
 )
 from pilotwave.grids import Grid, GridState
 from pilotwave.multiindex import MultiIndex
 from pilotwave.operators import (
     DifferentialOperator,
+    HermitianOperator,
+    SamplingSpec,
     adjoint,
     apply,
     format_hamiltonian,
@@ -24,8 +31,10 @@ from pilotwave.operators import (
     hermitize,
     is_hermitian,
     load_hamiltonian,
+    require_hermitian,
 )
 from pilotwave.states import gaussian, plane_wave
+from pilotwave.trajectories import equivariance_test
 
 
 def op_1d(terms_text: dict[int, str]) -> DifferentialOperator:
@@ -82,6 +91,70 @@ def test_hermiticity_violations_lists_slots():
     assert bad == [MultiIndex((1,))]
     bad_q = hermiticity_violations(op_1d({1: "-i*q1"}))
     assert bad_q == [MultiIndex((0,))]
+
+
+# The six functions that derive a current: the state dimension each needs,
+# and the function called as (H, psi).
+CURRENTS = {
+    "derive_current_table": (1, lambda H, psi: derive_current_table(H)),
+    "eval_current_direct": (1, eval_current_direct),
+    "born_jordan_current": (1, born_jordan_current),
+    "second_order_current": (1, second_order_current),
+    "nonlocal_current": (2, nonlocal_current),
+    "equivariance_test": (1, lambda H, psi: equivariance_test(H, psi, count=50, horizon=0.01, seed=0)),
+}
+FREE = {
+    1: 'dim = 1\nterm [2] = "-0.5"\n',
+    2: 'dim = 2\nterm [2,0] = "-0.5"\nterm [0,2] = "-0.5"\n',
+}
+
+
+def free_particle(dim: int):
+    H = load_hamiltonian(FREE[dim])
+    grid = Grid((20.0,) * dim, (64,) * dim)
+    return H, gaussian(grid, center=[10.0] * dim, width=1.0, wavevector=[1.0] * dim)
+
+
+def test_require_hermitian_returns_a_verified_operator(monkeypatch):
+    H = op_1d({2: "-0.5", 0: "cos(q1)"})
+    calls = count_hermiticity_checks(monkeypatch)
+    verified = require_hermitian(H)
+    assert isinstance(verified, HermitianOperator) and calls == [None]
+    assert verified.terms == H.terms and repr(verified) == repr(H)
+    assert repr(verified).startswith("DifferentialOperator(dim=1, ")
+    assert require_hermitian(verified) is verified and len(calls) == 1
+    spec = SamplingSpec(seed=5)
+    assert isinstance(require_hermitian(verified, spec), HermitianOperator)
+    assert calls == [None, spec]
+    with pytest.raises(NonHermitianError, match=r"violated slots: \[1\]"):
+        require_hermitian(op_1d({1: "1"}))
+
+
+def test_operations_on_a_verified_operator_are_unverified():
+    verified = require_hermitian(op_1d({2: "-0.5"}))
+    assert not isinstance(verified.scaled(1j), HermitianOperator)
+    assert not isinstance(verified + verified, HermitianOperator)
+    assert not isinstance(hermitize(verified), HermitianOperator)
+
+
+@pytest.mark.parametrize("name", CURRENTS)
+def test_currents_refuse_non_hermitian_operators(name):
+    _, current = CURRENTS[name]
+    _, psi = free_particle(1)
+    with pytest.raises(NonHermitianError):
+        current(op_1d({1: "1"}), psi)
+
+
+@pytest.mark.parametrize("name", CURRENTS)
+def test_currents_trust_a_verified_operator(name, monkeypatch):
+    dim, current = CURRENTS[name]
+    H, psi = free_particle(dim)
+    verified = require_hermitian(H)
+    calls = count_hermiticity_checks(monkeypatch)
+    current(verified, psi)
+    assert calls == []
+    current(H, psi)
+    assert calls == [None]
 
 
 def test_hermitize_examples():

@@ -47,6 +47,25 @@ def test_stability_guard():
         check_stability(H, grid, EvolutionSpec(dt=1.0, steps=1))
 
 
+def test_evolve_refuses_an_unstable_step():
+    H = load_hamiltonian(FREE_1D)
+    grid = Grid((40.0,), (512,))
+    with pytest.raises(StabilityError, match="exceeds the RK4 limit"):
+        evolve(H, gaussian(grid, center=[20.0], width=1.0), EvolutionSpec(dt=1.0, steps=1))
+
+
+def test_stability_estimate_follows_time_dependent_coefficients():
+    H = load_hamiltonian(
+        'dim = 2\nterm [2,0] = "-0.5"\nterm [0,1] = "i*cos(t)"\nterm [0,0] = "q1*sin(t)"\n'
+    )
+    grid = Grid((10.0, 20.0), (32, 64))
+    k1, k2 = grid.max_wavenumbers()
+    q1_max = grid.axis_points(0)[-1]
+    for t in (0.0, 1.0, 2.5):
+        expected = 0.5 * k1 ** 2 + abs(np.cos(t)) * k2 + q1_max * abs(np.sin(t))
+        assert stability_estimate(H, grid, t) == pytest.approx(expected, rel=1e-12)
+
+
 def test_free_gaussian_spreading_law():
     H = load_hamiltonian(FREE_1D)
     grid = Grid((40.0,), (512,))

@@ -25,7 +25,7 @@ from .currents import VectorField, _floored_real
 from .errors import DimensionMismatchError, PilotwaveError
 from .grids import DerivativeCache, GridState, spectral_divergence
 from .multiindex import MultiIndex
-from .operators import DifferentialOperator, OperatorApplier, require_hermitian
+from .operators import DifferentialOperator, require_hermitian
 
 
 def momentum_form_coefficients(H: DifferentialOperator) -> dict[MultiIndex, expr.CoefficientExpression]:
@@ -47,16 +47,16 @@ def born_jordan_current(H: DifferentialOperator, state: GridState, t: float | No
         raise DimensionMismatchError("the momentum-derivative current is one-dimensional only")
     at = state.t if t is None else t
     grid = state.grid
-    meshes = grid.meshes()
     dpsi = DerivativeCache(state.values, grid)
     psi_bar = np.conjugate(state.values)
     total = np.zeros(grid.shape, dtype=complex)
     term_scale = 0.0
-    for n, g_coef in momentum_form_coefficients(H).items():
+    h_grids = H.realize(grid).coefficient_grids(at)
+    for n in H.terms:
         order = n.order()
         if order == 0:
             continue
-        weighted = g_coef.evaluate_on(meshes, at) * psi_bar
+        weighted = 1j ** order * h_grids[n] * psi_bar
         dweighted = DerivativeCache(weighted, grid)
         for k in range(1, order + 1):
             left = (-1j) ** (order - k) * dpsi.derivative(MultiIndex((order - k,)))
@@ -94,7 +94,7 @@ def second_order_current(H: DifferentialOperator, state: GridState, t: float | N
     components = []
     for axis in range(1, H.dim + 1):
         v_op = velocity_operator(H, axis)
-        applied = OperatorApplier(v_op, state.grid)(state.values, at)
+        applied = v_op.realize(state.grid)(state.values, at)
         components.append(np.real(psi_bar * applied))
     return VectorField(state.grid, components)
 

@@ -3,8 +3,11 @@
 Subcommands: check, derive, simulate, compare, equivariance.  Exit codes:
 0 success, 1 domain verdict (non-Hermitian input, or an equivariance run
 that truncated more than 10% of its trajectories; the KS distance is
-reported but does not set the exit code), 2 usage or parse error,
-3 numerical failure.
+reported but does not set the exit code), 2 usage or parse error (including
+a numeric flag out of range, refused before any work), 3 numerical failure
+(including a grid above grids.MAX_GRID_POINTS or a run above
+solver.MAX_RK4_STEPS, refused at setup).  A closed standard output, as in
+`pilotwave derive H.ham | head`, ends the command quietly with its own code.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -64,6 +68,33 @@ def _load_operator(args) -> HermitianOperator:
     return require_hermitian(hermitize(H) if args.hermitize else H)
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
+
+
+def _int_at_least(minimum: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text}")
+        return value
+
+    return integer
+
+
+def _emit(text: str) -> None:
+    """Print one piece of a command's output.  A reader that closed stdout
+    early (`| head`) changes no result: the rest goes to devnull and the
+    command still returns its own exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
@@ -97,13 +128,13 @@ def _load_state(args, dim: int):
 
 
 def _auto_spec(args, H: DifferentialOperator, grid: Grid) -> EvolutionSpec:
-    steps = args.steps if args.steps else 1000
-    if args.dt:
+    steps = args.steps if args.steps is not None else 1000
+    if args.dt is not None:
         dt = args.dt
     else:
         radius = stability_estimate(H, grid)
         dt = min(1e-3, 1.0 / radius) if radius > 0 else 1e-3
-    stride = args.stride if args.stride else max(1, steps // 100)
+    stride = args.stride if args.stride is not None else max(1, steps // 100)
     return EvolutionSpec(dt=dt, steps=steps, stride=stride)
 
 
@@ -114,12 +145,12 @@ def cmd_check(args) -> int:
     H = load_hamiltonian(_read(args.hamiltonian))
     violations = hermiticity_violations(H)
     if not violations:
-        print("Hermitian: yes")
+        _emit("Hermitian: yes")
         return EXIT_OK
-    print("Hermitian: no")
+    _emit("Hermitian: no")
     for slot in violations:
-        print(f"  violated coefficient slot n = {slot}")
-    print("hint: rerun derive/simulate with --hermitize to symmetrize the operator")
+        _emit(f"  violated coefficient slot n = {slot}")
+    _emit("hint: rerun derive/simulate with --hermitize to symmetrize the operator")
     return EXIT_VERDICT
 
 
@@ -128,9 +159,9 @@ def cmd_derive(args) -> int:
     text = table.to_latex() if args.format == "latex" else table.to_json()
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
+        _emit(f"wrote {args.out}")
     else:
-        print(text)
+        _emit(text)
     return EXIT_OK
 
 
@@ -208,9 +239,9 @@ def cmd_simulate(args) -> int:
         )
 
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
-    print(f"wrote {out_dir}/ ({len(snapshots)} snapshots; max norm drift {max(drifts):.3e})")
+    _emit(f"wrote {out_dir}/ ({len(snapshots)} snapshots; max norm drift {max(drifts):.3e})")
     if "truncated_fraction" in summary:
-        print(f"truncated fraction: {summary['truncated_fraction']:.4f}")
+        _emit(f"truncated fraction: {summary['truncated_fraction']:.4f}")
     return EXIT_OK
 
 
@@ -253,9 +284,9 @@ def cmd_compare(args) -> int:
     text = json.dumps(report, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {args.out}")
+        _emit(f"wrote {args.out}")
     else:
-        print(text)
+        _emit(text)
     return EXIT_OK
 
 
@@ -263,10 +294,9 @@ def cmd_equivariance(args) -> int:
     H = _load_operator(args)
     psi0, grid = _load_state(args, H.dim)
     spec = None
-    if args.dt and args.steps:
-        spec = EvolutionSpec(
-            dt=args.dt, steps=args.steps, stride=args.stride or max(1, args.steps // 100)
-        )
+    if args.dt is not None and args.steps is not None:
+        stride = args.stride if args.stride is not None else max(1, args.steps // 100)
+        spec = EvolutionSpec(dt=args.dt, steps=args.steps, stride=stride)
     report = equivariance_test(
         H,
         psi0,
@@ -276,7 +306,7 @@ def cmd_equivariance(args) -> int:
         evolution_spec=spec,
         substeps=args.substeps,
     )
-    print(json.dumps(report.to_dict(), indent=2))
+    _emit(json.dumps(report.to_dict(), indent=2))
     return EXIT_OK if report.valid else EXIT_VERDICT
 
 
@@ -288,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conserved currents and guided trajectories for differential-operator Hamiltonians",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    positive_int = _int_at_least(1)
 
     def add_common(p, state=True):
         p.add_argument("hamiltonian", help="Hamiltonian file")
@@ -310,11 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="evolve a state and integrate trajectories")
     add_common(p_sim)
-    p_sim.add_argument("--dt", type=float)
-    p_sim.add_argument("--steps", type=int)
-    p_sim.add_argument("--stride", type=int)
-    p_sim.add_argument("--trajectories", type=int, default=0, metavar="M")
-    p_sim.add_argument("--substeps", type=int, default=4)
+    p_sim.add_argument("--dt", type=_positive_float)
+    p_sim.add_argument("--steps", type=positive_int)
+    p_sim.add_argument("--stride", type=positive_int)
+    p_sim.add_argument("--trajectories", type=_int_at_least(0), default=0, metavar="M")
+    p_sim.add_argument("--substeps", type=positive_int, default=4)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
@@ -327,13 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equivariance", help="sample, integrate, and KS-compare against |psi(T)|^2")
     add_common(p_eq)
-    p_eq.add_argument("--count", type=int, default=5000, metavar="M")
-    p_eq.add_argument("--horizon", type=float, default=1.0, metavar="T")
+    p_eq.add_argument("--count", type=positive_int, default=5000, metavar="M")
+    p_eq.add_argument("--horizon", type=_positive_float, default=1.0, metavar="T")
     p_eq.add_argument("--seed", type=int, default=0)
-    p_eq.add_argument("--dt", type=float)
-    p_eq.add_argument("--steps", type=int)
-    p_eq.add_argument("--stride", type=int)
-    p_eq.add_argument("--substeps", type=int, default=4)
+    p_eq.add_argument("--dt", type=_positive_float)
+    p_eq.add_argument("--steps", type=positive_int)
+    p_eq.add_argument("--stride", type=positive_int)
+    p_eq.add_argument("--substeps", type=positive_int, default=4)
     p_eq.set_defaults(func=cmd_equivariance)
 
     return parser

@@ -231,26 +231,23 @@ def eval_current_direct(H: DifferentialOperator, state: GridState, t: float | No
         raise DimensionMismatchError(f"operator dim {H.dim} != state dim {state.dim}")
     at = state.t if t is None else t
     grid = state.grid
-    meshes = grid.meshes()
+    coef_grids = H.realize(grid).coefficient_grids(at)
     dpsi = DerivativeCache(state.values, grid)
     psi_bar = np.conjugate(state.values)
-    raw: list[np.ndarray] = []
+    raw = [np.zeros(grid.shape, dtype=complex) for _ in range(H.dim)]
     term_scale = 0.0
-    for axis in range(1, H.dim + 1):
-        e_i = MultiIndex.unit(axis, H.dim)
-        comp = np.zeros(grid.shape, dtype=complex)
-        for n, coef in H.terms.items():
+    for n in H.terms:
+        dphi = DerivativeCache(psi_bar * coef_grids[n], grid)
+        for axis, comp in enumerate(raw, start=1):
+            e_i = MultiIndex.unit(axis, H.dim)
             budget = n.try_sub(e_i)
             if budget is None:
                 continue
-            phi = psi_bar * coef.evaluate_on(meshes, at)
-            dphi = DerivativeCache(phi, grid)
             for m in indices_up_to(budget):
                 w = _exchange_weight(n, m, e_i)
                 term = 1j * complex(w) * dphi.derivative(m) * dpsi.derivative(n - m - e_i)
                 term_scale = max(term_scale, float(np.max(np.abs(term))))
                 comp += term
-        raw.append(comp)
     return VectorField(grid, _floored_real(raw, term_scale, "eval_current_direct"))
 
 

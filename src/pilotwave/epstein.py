@@ -17,7 +17,7 @@ import numpy as np
 
 from .currents import VectorField
 from .errors import DimensionMismatchError, PilotwaveError
-from .grids import Grid, GridState, _symbol, spectral_gradient
+from .grids import DerivativeCache, Grid, GridState, _symbol
 from .multiindex import MultiIndex
 from .operators import DifferentialOperator, apply as apply_operator, require_hermitian
 
@@ -51,11 +51,6 @@ class PoissonSolution:
     residual: float
 
 
-def _laplacian_symbol(grid: Grid) -> np.ndarray:
-    units = (MultiIndex.unit(axis, grid.dim) for axis in range(1, grid.dim + 1))
-    return sum(_symbol(grid, e + e) for e in units).real
-
-
 def poisson_solve(source: np.ndarray, grid: Grid) -> PoissonSolution:
     """Spectral inversion of the Laplacian on the periodic grid."""
     source = np.asarray(source, dtype=float)
@@ -71,13 +66,14 @@ def poisson_solve(source: np.ndarray, grid: Grid) -> PoissonSolution:
             "no periodic solution exists"
         )
     spectrum = np.fft.fftn(source)
-    symbol = _laplacian_symbol(grid)
+    units = [MultiIndex.unit(axis, grid.dim) for axis in range(1, grid.dim + 1)]
     flat_spectrum = spectrum.reshape(-1)
-    flat_symbol = symbol.reshape(-1)
+    flat_symbol = sum(_symbol(grid, e + e) for e in units).real.reshape(-1)
     out = np.zeros_like(flat_spectrum)
     out[1:] = flat_spectrum[1:] / flat_symbol[1:]
     phi = np.fft.ifftn(out.reshape(grid.shape)).real
-    lap = np.fft.ifftn(np.fft.fftn(phi) * symbol).real
+    dphi = DerivativeCache(phi, grid)
+    lap = sum(dphi.derivative(e + e) for e in units).real
     residual = float(np.max(np.abs(lap - (source - mean))))
     if residual > RESIDUAL_REL * peak:
         raise PilotwaveError(f"Poisson residual {residual:.3e} exceeds {RESIDUAL_REL:.0e} x max")
@@ -109,5 +105,6 @@ def nonlocal_current(H: DifferentialOperator, state: GridState, t: float | None 
         )
     source = source - mean
     solution = poisson_solve(source, state.grid)
-    grad = spectral_gradient(solution.values.astype(complex), state.grid)
-    return VectorField(state.grid, [g.real for g in grad])
+    dphi = DerivativeCache(solution.values, state.grid)
+    units = (MultiIndex.unit(axis, state.dim) for axis in range(1, state.dim + 1))
+    return VectorField(state.grid, [dphi.derivative(e).real for e in units])

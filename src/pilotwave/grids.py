@@ -7,7 +7,8 @@ three axes; the symbolic layers above it work in any dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +17,8 @@ from .multiindex import MultiIndex
 
 MAX_GRID_DIM = 3
 MAX_POINTS_PER_AXIS = 1024
+# One complex field of 2**24 points is 256 MiB, and RK4 holds about seven.
+MAX_GRID_POINTS = 2**24
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -28,6 +31,7 @@ class Grid:
 
     lengths: tuple[float, ...]
     shape: tuple[int, ...]
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lengths = tuple(float(x) for x in self.lengths)
@@ -45,6 +49,8 @@ class Grid:
                 raise GridError(
                     f"points per axis must be a power of two <= {MAX_POINTS_PER_AXIS}, got {s}"
                 )
+        if math.prod(shape) > MAX_GRID_POINTS:
+            raise GridError(f"{math.prod(shape)} grid points exceed MAX_GRID_POINTS = {MAX_GRID_POINTS}")
 
     @property
     def dim(self) -> int:
@@ -68,6 +74,18 @@ class Grid:
 
     def wavenumbers(self, axis: int) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.shape[axis], d=self.spacings[axis])
+
+    def derivative_factor(self, axis: int, power: int) -> np.ndarray:
+        """Read-only (i k)^power on a 0-based axis, broadcastable over the grid, Nyquist
+        zeroed for odd powers on an even axis; built once per grid, axis and power."""
+        key = (axis, power)
+        if key not in self._factors:
+            factor = (1j * self.wavenumbers(axis)) ** power
+            if power % 2 == 1 and self.shape[axis] % 2 == 0:
+                factor[self.shape[axis] // 2] = 0.0
+            factor.setflags(write=False)
+            self._factors[key] = factor.reshape([-1 if a == axis else 1 for a in range(self.dim)])
+        return self._factors[key]
 
     def max_wavenumbers(self) -> tuple[float, ...]:
         return tuple(np.pi / d for d in self.spacings)
@@ -120,26 +138,9 @@ def _symbol(grid: Grid, n: MultiIndex) -> np.ndarray:
     """Fourier symbol prod_a (i k_a)^{n_a}, Nyquist zeroed for odd powers."""
     out = np.ones(grid.shape, dtype=complex)
     for axis, power in enumerate(n.entries):
-        if power == 0:
-            continue
-        k = grid.wavenumbers(axis)
-        factor = (1j * k) ** power
-        if power % 2 == 1 and grid.shape[axis] % 2 == 0:
-            factor[grid.shape[axis] // 2] = 0.0
-        shape = [1] * grid.dim
-        shape[axis] = grid.shape[axis]
-        out = out * factor.reshape(shape)
+        if power:
+            out = out * grid.derivative_factor(axis, power)
     return out
-
-
-def spectral_derivative(values: np.ndarray, grid: Grid, n: MultiIndex) -> np.ndarray:
-    """Mixed partial D^n of grid samples by trigonometric interpolation."""
-    if n.dim != grid.dim:
-        raise DimensionMismatchError(f"multi-index dim {n.dim} != grid dim {grid.dim}")
-    if n.order() == 0:
-        return np.asarray(values, dtype=complex).copy()
-    spectrum = np.fft.fftn(values)
-    return np.fft.ifftn(spectrum * _symbol(grid, n))
 
 
 class DerivativeCache:
@@ -163,11 +164,13 @@ class DerivativeCache:
         return hit
 
 
-def spectral_gradient(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    return [
-        spectral_derivative(values, grid, MultiIndex.unit(axis, grid.dim))
-        for axis in range(1, grid.dim + 1)
-    ]
+def spectral_derivative(values: np.ndarray, grid: Grid, n: MultiIndex) -> np.ndarray:
+    """Mixed partial D^n of grid samples by trigonometric interpolation."""
+    if n.dim != grid.dim:
+        raise DimensionMismatchError(f"multi-index dim {n.dim} != grid dim {grid.dim}")
+    if n.order() == 0:
+        return np.asarray(values, dtype=complex).copy()
+    return DerivativeCache(values, grid).derivative(n)
 
 
 def spectral_divergence(components, grid: Grid) -> np.ndarray:

@@ -64,6 +64,7 @@ class DifferentialOperator:
                 continue
             clean[n] = coef
         self._terms = dict(sorted(clean.items(), key=lambda kv: kv[0].sort_key()))
+        self._realizations: dict[Grid, OperatorApplier] = {}
 
     @property
     def terms(self) -> dict[MultiIndex, CoefficientExpression]:
@@ -91,6 +92,12 @@ class DifferentialOperator:
 
     def is_time_dependent(self) -> bool:
         return any(expr.contains_time(c) for c in self._terms.values())
+
+    def realize(self, grid: Grid) -> "OperatorApplier":
+        """The operator's one applier on `grid`, shared by the solver and every current."""
+        if grid not in self._realizations:
+            self._realizations[grid] = OperatorApplier(self, grid)
+        return self._realizations[grid]
 
     def __repr__(self) -> str:
         body = ", ".join(f"{n}: {c}" for n, c in self._terms.items())
@@ -141,6 +148,7 @@ class HermitianOperator(DifferentialOperator):
             raise NonHermitianError(f"Hamiltonian is not Hermitian; violated slots: {slots}")
         self.dim = H.dim
         self._terms = H._terms
+        self._realizations = {}
 
 
 def require_hermitian(H: DifferentialOperator, check: SamplingSpec | None = None) -> HermitianOperator:
@@ -166,23 +174,23 @@ class OperatorApplier:
             raise GridError(f"need at least {MIN_POINTS_PER_AXIS} points per axis to apply operators")
         self.grid = grid
         self._meshes = grid.meshes()
-        self._static: list[tuple[MultiIndex, np.ndarray]] = []
+        self._static: dict[MultiIndex, np.ndarray] = {}
         self._dynamic: list[tuple[MultiIndex, CoefficientExpression]] = []
         for n, coef in H.terms.items():
             if expr.contains_time(coef):
                 self._dynamic.append((n, coef))
             else:
-                self._static.append((n, coef.evaluate_on(self._meshes, 0.0)))
+                self._static[n] = coef.evaluate_on(self._meshes, 0.0)
+                self._static[n].setflags(write=False)
 
-    def _coefficient_grids(self, t: float):
-        yield from self._static
-        for n, coef in self._dynamic:
-            yield n, coef.evaluate_on(self._meshes, t)
+    def coefficient_grids(self, t: float) -> dict[MultiIndex, np.ndarray]:
+        """Each h_n on the grid at time t, static first; the one place coefficients become grids."""
+        return self._static | {n: coef.evaluate_on(self._meshes, t) for n, coef in self._dynamic}
 
     def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
         cache = DerivativeCache(values, self.grid)
         out = np.zeros(self.grid.shape, dtype=complex)
-        for n, coef_grid in self._coefficient_grids(t):
+        for n, coef_grid in self.coefficient_grids(t).items():
             out += coef_grid * cache.derivative(n)
         return out
 
@@ -190,7 +198,7 @@ class OperatorApplier:
         """Conservative estimate sum_n max|h_n| prod_a k_max_a^n_a at time t."""
         kmax = self.grid.max_wavenumbers()
         total = 0.0
-        for n, coef_grid in self._coefficient_grids(t):
+        for n, coef_grid in self.coefficient_grids(t).items():
             factor = 1.0
             for k, power in zip(kmax, n.entries):
                 factor *= k ** power
@@ -201,7 +209,7 @@ class OperatorApplier:
 def apply(H: DifferentialOperator, state: GridState, t: float | None = None) -> GridState:
     """Pointwise sum_n h_n(q,t) (D^n psi)(q) with spectral derivatives."""
     at = state.t if t is None else t
-    values = OperatorApplier(H, state.grid)(state.values, at)
+    values = H.realize(state.grid)(state.values, at)
     return GridState(state.grid, values, at)
 
 

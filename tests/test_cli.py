@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 from helpers import count_hermiticity_checks
+from pilotwave import cli
 from pilotwave.cli import ALL_METHODS, main
+from pilotwave.currents import derive_current_table
+from pilotwave.operators import OperatorApplier, load_hamiltonian, require_hermitian
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -350,3 +353,144 @@ def test_traced_derive_records_one_hermiticity_span(ham, tmp_path):
     names = [span["name"] for span in json.loads(spans.read_text())["spans"]]
     assert names.count("currents.derive") == 1
     assert names.count("operators.hermiticity") == 1
+
+
+def _subprocess_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, text, code",
+    [(["derive", "--hermitize"], QP, 0), (["check"], QP, 1)],
+    ids=["derive", "check"],
+)
+def test_closed_stdout_ends_the_command_quietly(argv, text, code, unbuffered, ham):
+    """`pilotwave derive H.ham | head` must not print a traceback, and a
+    verdict must survive the reader going away, however stdout is buffered."""
+    env = _subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pilotwave.cli", *argv, ham("op.ham", text)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == code
+    assert done.stderr == b""
+
+
+BAD_FLAGS = [
+    ("simulate", "--dt", "-1"),
+    ("simulate", "--dt", "0"),
+    ("simulate", "--dt", "nan"),
+    ("simulate", "--steps", "-5"),
+    ("simulate", "--steps", "0"),
+    ("simulate", "--stride", "0"),
+    ("simulate", "--substeps", "0"),
+    ("simulate", "--trajectories", "-1"),
+    ("equivariance", "--count", "0"),
+    ("equivariance", "--horizon", "-1"),
+    ("equivariance", "--horizon", "inf"),
+    ("equivariance", "--dt", "0"),
+    ("equivariance", "--steps", "0"),
+    ("equivariance", "--stride", "0"),
+    ("equivariance", "--substeps", "0"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_FLAGS)
+def test_invalid_numeric_flag_is_a_usage_error(command, flag, value, ham, capsys, monkeypatch):
+    def no_work(text):
+        raise AssertionError("the Hamiltonian was loaded before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_hamiltonian", no_work)
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+STD3D = 'dim = 3\nterm [2,0,0] = "-0.5"\nterm [0,2,0] = "-0.5"\nterm [0,0,2] = "-0.5"\n'
+GAUSS3D = "state = gaussian\ncenter = [5.0, 5.0, 5.0]\nwidth = 1.0\n"
+
+
+def test_grid_above_max_grid_points_exits_3(ham, capsys):
+    argv = ["compare", ham("std3d.ham", STD3D), "--state", ham("g3.st", GAUSS3D), "--grid", "1024"]
+    assert main(argv) == 3
+    assert "1073741824 grid points exceed MAX_GRID_POINTS = 16777216" in capsys.readouterr().err
+
+
+def test_run_above_max_rk4_steps_exits_3(ham, tmp_path, capsys):
+    argv = [
+        "simulate", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), "--grid", "64",
+        "--dt", "1e-9", "--steps", "1000001", "--out", str(tmp_path / "run"),
+    ]
+    assert main(argv) == 3
+    assert "1000001 RK4 steps exceed MAX_RK4_STEPS = 1000000" in capsys.readouterr().err
+
+
+ONE_APPLIER_COMMANDS = {
+    "simulate without --dt": [
+        "simulate", "{free}", "--state", "{gauss}", "--grid", "128", "--steps", "20",
+        "--stride", "10", "--trajectories", "10", "--out", "{out}",
+    ],
+    "equivariance without --dt": [
+        "equivariance", "{free}", "--state", "{gauss}", "--grid", "128", "--count", "50",
+        "--horizon", "0.02",
+    ],
+    "compare": [
+        "compare", "{free}", "--state", "{gauss}", "--grid", "128", "--methods", ",".join(ALL_METHODS),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ONE_APPLIER_COMMANDS)
+def test_each_command_realizes_an_operator_once_per_grid(command, ham, tmp_path, monkeypatch):
+    """Choosing dt and stepping share one applier; compare's velocity
+    operators (second-order method) get one each."""
+    built = []
+    original = OperatorApplier.__init__
+
+    def recording(self, H, grid):
+        built.append((H, grid))
+        original(self, H, grid)
+
+    monkeypatch.setattr(OperatorApplier, "__init__", recording)
+    files = {"free": ham("free.ham", FREE), "gauss": ham("gauss.st", GAUSS), "out": str(tmp_path / "run")}
+    assert main([arg.format(**files) for arg in ONE_APPLIER_COMMANDS[command]]) == 0
+    pairs = [(id(H), grid) for H, grid in built]
+    assert len(set(pairs)) == len(pairs)
+    if command != "compare":
+        assert len(built) == 1
+
+
+def test_traced_equivariance_counts_each_layer(ham, tmp_path):
+    """perfbench/tracing.py measures the wrapped names; work routed around
+    them would read 0 in the per-layer metrics.  The static coefficients are
+    evaluated once for the whole run, and the table entries once per
+    snapshot."""
+    spans = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracing.py"), "--spans", str(spans), "--",
+         "equivariance", ham("ho.ham", HO), "--state", ham("ground.st", GROUND), "--grid", "64",
+         "--domain", "40", "--count", "200", "--horizon", "0.1"],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(spans.read_text())["counts"]
+    H = require_hermitian(load_hamiltonian(HO))
+    entries = sum(len(axis) for axis in derive_current_table(H).axes)
+    steps = counts["solver.rk4_steps"]
+    assert steps == 100  # the step floor: dt from the stability bound needs fewer
+    assert counts["operators.apply.calls"] == 4 * steps
+    snapshots = counts["currents.eval_current.calls"]
+    assert snapshots == steps + 1  # stride 1 below 200 steps
+    assert counts["expr.evaluate_on.calls"] == len(H.terms) + entries * snapshots

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from pilotwave.errors import (
     NonHermitianError,
     PilotwaveError,
 )
+from pilotwave.expr import CoefficientExpression
 from pilotwave.grids import Grid
 from pilotwave.multiindex import MultiIndex, binom_multi, indices_of_max_order, indices_up_to
 from pilotwave.operators import load_hamiltonian, require_hermitian
@@ -368,3 +370,28 @@ def test_vector_field_guards():
     grid = Grid((10.0,), (32,))
     with pytest.raises(DimensionMismatchError):
         VectorField(grid, [np.zeros(32), np.zeros(32)])
+
+
+def test_direct_form_evaluates_each_coefficient_once(monkeypatch):
+    """The [2,2] coefficient feeds both axes; it becomes a grid once, in the
+    operator's shared applier, which a second call reuses."""
+    H = require_hermitian(load_hamiltonian(
+        'dim = 2\nterm [2,0] = "-0.5"\nterm [0,2] = "-0.5"\nterm [2,2] = "0.01"\n'
+        'term [0,0] = "cos(q1)*cos(q2)"\n'
+    ))
+    grid = Grid((20.0, 20.0), (32, 32))
+    psi = gaussian(grid, width=1.5, wavevector=[1.0, 0.5])
+    evaluated = Counter()
+    original = CoefficientExpression.evaluate_on
+
+    def counting(self, meshes, t):
+        evaluated[id(self)] += 1
+        return original(self, meshes, t)
+
+    monkeypatch.setattr(CoefficientExpression, "evaluate_on", counting)
+    first = eval_current_direct(H, psi)
+    assert evaluated == Counter({id(c): 1 for c in H.terms.values()})
+    second = eval_current_direct(H, psi)
+    assert sum(evaluated.values()) == len(H.terms)
+    for a, b in zip(first.components, second.components):
+        assert np.array_equal(a, b)

@@ -143,3 +143,26 @@ def test_nonlocal_requires_two_dimensions():
     psi = gaussian(grid, center=[10.0], width=1.0)
     with pytest.raises(PilotwaveError):
         nonlocal_current(H, psi)
+
+
+
+STANDARD_3D = 'dim = 3\nterm [2,0,0] = "-0.5"\nterm [0,2,0] = "-0.5"\nterm [0,0,2] = "-0.5"\n'
+
+
+@pytest.mark.parametrize("text", [STANDARD_2D, STANDARD_3D], ids=["2d", "3d"])
+def test_nonlocal_current_transforms_each_field_once(text, monkeypatch):
+    """Forward FFTs: psi for H psi, the source and the potential's residual
+    in the Poisson solve, and the potential once for the whole gradient."""
+    H = require_hermitian(load_hamiltonian(text))
+    grid = Grid((10.0,) * H.dim, (16,) * H.dim)
+    psi = gaussian(grid, width=1.0, wavevector=[1.0] + [0.5] * (H.dim - 1))
+    forward = []
+    original = np.fft.fftn
+
+    def counting(a, *args, **kwargs):
+        forward.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting)
+    nonlocal_current(H, psi)
+    assert len(forward) == 4

@@ -1,0 +1,87 @@
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from pilotwave.errors import GridError
+from pilotwave.grids import DerivativeCache, Grid, _symbol, spectral_derivative
+from pilotwave.multiindex import MultiIndex, indices_of_max_order
+
+
+def symbol_rebuilt_per_call(grid: Grid, n: MultiIndex) -> np.ndarray:
+    """Oracle: the symbol as built before the per-axis factors were cached,
+    from fresh wavenumbers on every call."""
+    out = np.ones(grid.shape, dtype=complex)
+    for axis, power in enumerate(n.entries):
+        if power == 0:
+            continue
+        k = grid.wavenumbers(axis)
+        factor = (1j * k) ** power
+        if power % 2 == 1 and grid.shape[axis] % 2 == 0:
+            factor[grid.shape[axis] // 2] = 0.0
+        shape = [1] * grid.dim
+        shape[axis] = grid.shape[axis]
+        out = out * factor.reshape(shape)
+    return out
+
+
+SYMBOL_GRIDS = [
+    Grid((40.0,), (32,)),
+    Grid((1.0,), (1,)),  # a one-point axis has no Nyquist mode
+    Grid((20.0, 7.5), (16, 8)),
+    Grid((3.0, 10.0), (1, 16)),
+    Grid((2 * np.pi, 5.0, 12.0), (8, 4, 16)),
+]
+
+
+@pytest.mark.parametrize("grid", SYMBOL_GRIDS, ids=lambda g: "x".join(map(str, g.shape)))
+def test_symbol_is_bitwise_equal_to_the_per_call_construction(grid):
+    indices = list(indices_of_max_order(grid.dim, 6))
+    assert any(p % 2 == 1 for n in indices for p in n.entries)
+    for n in indices:
+        # twice: the first call fills the factor cache, the second reads it
+        for _ in range(2):
+            got, want = _symbol(grid, n), symbol_rebuilt_per_call(grid, n)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
+
+
+def test_cached_factor_is_read_only_and_shared():
+    grid = Grid((10.0, 10.0), (16, 16))
+    factor = grid.derivative_factor(1, 3)
+    assert factor.shape == (1, 16)
+    assert not factor.flags.writeable
+    with pytest.raises(ValueError):
+        factor[0, 1] = 0.0
+    assert grid.derivative_factor(1, 3) is factor
+    # equal grids compare and hash as before: the cache is not part of a grid's value
+    assert Grid((10.0, 10.0), (16, 16)) == grid
+    assert hash(Grid((10.0, 10.0), (16, 16))) == hash(grid)
+
+
+def test_wavenumbers_are_built_once_per_grid_axis_and_power(monkeypatch):
+    calls = Counter()
+    original = Grid.wavenumbers
+
+    def counting(self, axis):
+        calls[axis] += 1
+        return original(self, axis)
+
+    monkeypatch.setattr(Grid, "wavenumbers", counting)
+    grid = Grid((10.0, 10.0), (16, 16))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        cache = DerivativeCache(rng.normal(size=grid.shape), grid)
+        for n in indices_of_max_order(2, 4):
+            cache.derivative(n)
+            spectral_derivative(cache.values, grid, n)
+    # powers 1..4 on each axis, however many fields and derivatives
+    assert calls == Counter({0: 4, 1: 4})
+
+
+def test_grid_refuses_more_than_max_grid_points():
+    # metadata only: no grid-sized array is allocated either way
+    assert Grid((1.0,) * 3, (256,) * 3).shape == (256,) * 3
+    with pytest.raises(GridError, match=r"^1073741824 grid points exceed MAX_GRID_POINTS = 16777216$"):
+        Grid((1.0,) * 3, (1024,) * 3)
+    with pytest.raises(GridError, match="MAX_GRID_POINTS"):
+        Grid((1.0,) * 3, (512, 256, 256))

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pilotwave.currents import derive_current_table, eval_current
-from pilotwave.errors import NodeError, PilotwaveError, TruncationError
+from pilotwave.errors import NodeError, PilotwaveError, StabilityError, TruncationError
 from pilotwave.grids import Grid, GridState
-from pilotwave.operators import load_hamiltonian
+from pilotwave.operators import OperatorApplier, load_hamiltonian
 from pilotwave.solver import EvolutionSpec, evolve
 from pilotwave.states import gaussian, ho_eigenstate, plane_wave
 from pilotwave.trajectories import (
@@ -252,3 +252,18 @@ def test_equivariance_reproducible():
     a = equivariance_test(H, psi0, count=500, horizon=0.05, seed=8, evolution_spec=spec)
     b = equivariance_test(H, psi0, count=500, horizon=0.05, seed=8, evolution_spec=spec)
     assert a.to_dict() == b.to_dict()
+
+
+QUARTIC_1D = 'dim = 1\nterm [4] = "0.05"\nterm [2] = "-0.5"\nterm [0] = "(q1-20)^2/8"\n'
+
+
+def test_equivariance_refuses_a_run_above_the_step_budget(monkeypatch):
+    """The p^4 operator on 1024 points would need 2,095,129 RK4 steps to
+    T = 1; the run is refused before the first operator application."""
+    applications = []
+    monkeypatch.setattr(OperatorApplier, "__call__", lambda self, values, t: applications.append(t))
+    grid = Grid((40.0,), (1024,))
+    psi0 = gaussian(grid, center=[18.0], width=0.5, wavevector=[1.0])
+    with pytest.raises(StabilityError, match=r"^2095129 RK4 steps exceed MAX_RK4_STEPS = 1000000"):
+        equivariance_test(load_hamiltonian(QUARTIC_1D), psi0, count=100, horizon=1.0, seed=0)
+    assert applications == []

@@ -4,10 +4,13 @@ Subcommands: check, derive, simulate, compare, equivariance.  Exit codes:
 0 success, 1 domain verdict (non-Hermitian input, or an equivariance run
 that truncated more than 10% of its trajectories; the KS distance is
 reported but does not set the exit code), 2 usage or parse error (including
-a numeric flag out of range, refused before any work), 3 numerical failure
-(including a grid above grids.MAX_GRID_POINTS or a run above
-solver.MAX_RK4_STEPS, refused at setup).  A closed standard output, as in
-`pilotwave derive H.ham | head`, ends the command quietly with its own code.
+a numeric flag out of range, a --grid or --domain value that no grid axis
+accepts, and an equivariance --dt, --steps or --stride without both --dt and
+--steps, all refused before any work; and a state file's grid or domain
+entry that no grid axis accepts), 3 numerical failure (including a grid
+above grids.MAX_GRID_POINTS or a run above solver.MAX_RK4_STEPS, refused at
+setup).  A closed standard output, as in `pilotwave derive H.ham | head`,
+ends the command quietly with its own code.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ from .currents import derive_current_table, eval_current
 from .epstein import nonlocal_current
 from .errors import (
     ExpressionSyntaxError,
+    GridError,
     HamiltonianFormatError,
     NonHermitianError,
     PilotwaveError,
 )
-from .grids import Grid
+from .grids import Grid, check_length, check_points
 from .operators import (
     DifferentialOperator,
     HermitianOperator,
@@ -95,17 +99,20 @@ def _emit(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _axis_list(convert, check):
+    """Type of a per-axis flag: a comma list, each value valid for one grid axis."""
+    def values(text: str) -> list:
+        try:
+            return [check(convert(part)) for part in text.split(",") if part.strip()]
+        except (ValueError, GridError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
 
-
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    return values
 
 
 def _resolve_grid(args, dim: int, spec) -> Grid:
-    points = _int_list(args.grid) if args.grid else (spec.grid_points if spec else None)
-    lengths = _float_list(args.domain) if args.domain else (spec.domain_lengths if spec else None)
+    points = args.grid or (spec.grid_points if spec else None)
+    lengths = args.domain or (spec.domain_lengths if spec else None)
     points = points or [DEFAULT_POINTS]
     lengths = lengths or [DEFAULT_LENGTH]
     if len(points) == 1:
@@ -291,10 +298,17 @@ def cmd_compare(args) -> int:
 
 
 def cmd_equivariance(args) -> int:
+    given = [f"--{name}" for name in ("dt", "steps", "stride") if getattr(args, name) is not None]
+    missing = [flag for flag in ("--dt", "--steps") if flag not in given]
+    if given and missing:
+        raise HamiltonianFormatError(
+            f"{', '.join(given)} given without {' and '.join(missing)}; a fixed schedule needs "
+            "both --dt and --steps, or neither to let the program choose"
+        )
     H = _load_operator(args)
     psi0, grid = _load_state(args, H.dim)
     spec = None
-    if args.dt is not None and args.steps is not None:
+    if given:
         stride = args.stride if args.stride is not None else max(1, args.steps // 100)
         spec = EvolutionSpec(dt=args.dt, steps=args.steps, stride=stride)
     report = equivariance_test(
@@ -324,8 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("hamiltonian", help="Hamiltonian file")
         if state:
             p.add_argument("--state", help="state-spec file")
-            p.add_argument("--grid", help="points per axis, e.g. 512 or 64,64")
-            p.add_argument("--domain", help="box lengths per axis, e.g. 40 or 20,20")
+            p.add_argument("--grid", type=_axis_list(int, check_points),
+                           help="points per axis, e.g. 512 or 64,64")
+            p.add_argument("--domain", type=_axis_list(float, check_length),
+                           help="box lengths per axis, e.g. 40 or 20,20")
         p.add_argument("--hermitize", action="store_true", help="symmetrize the operator first")
 
     p_check = sub.add_parser("check", help="report Hermiticity and violated slots")

@@ -192,12 +192,15 @@ def derive_current_table(H: DifferentialOperator) -> CurrentTable:
 
 
 def eval_current(table: CurrentTable, state: GridState, t: float | None = None) -> VectorField:
-    """Evaluate j_i = sum_{n,m} J_{i,nm} D^n(psi) D^m(conj psi) on the grid."""
+    """Evaluate j_i = sum_{n,m} J_{i,nm} D^n(psi) D^m(conj psi) on the grid.
+
+    Each entry J_{i,nm} is evaluated on the grid's broadcast axis vectors and
+    comes back at full grid shape."""
     if table.dim != state.dim:
         raise DimensionMismatchError(f"table dim {table.dim} != state dim {state.dim}")
     at = state.t if t is None else t
     grid = state.grid
-    meshes = grid.meshes()
+    axes = grid.axis_vectors()
     dpsi = DerivativeCache(state.values, grid)
     dpsi_bar = DerivativeCache(np.conjugate(state.values), grid)
     raw: list[np.ndarray] = []
@@ -205,7 +208,7 @@ def eval_current(table: CurrentTable, state: GridState, t: float | None = None) 
     for table_i in table.axes:
         comp = np.zeros(grid.shape, dtype=complex)
         for (n, m), coef in table_i.items():
-            term = coef.evaluate_on(meshes, at) * dpsi.derivative(n) * dpsi_bar.derivative(m)
+            term = coef.evaluate_on(axes, at) * dpsi.derivative(n) * dpsi_bar.derivative(m)
             term_scale = max(term_scale, float(np.max(np.abs(term))))
             comp += term
         raw.append(comp)

@@ -25,6 +25,20 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+def check_length(length: float) -> float:
+    """`length` if it is a valid box length for one axis, else GridError."""
+    if not (math.isfinite(length) and length > 0):
+        raise GridError(f"domain lengths must be positive and finite, got {length}")
+    return length
+
+
+def check_points(points: int) -> int:
+    """`points` if it is a valid point count for one axis, else GridError."""
+    if not _is_power_of_two(points) or points > MAX_POINTS_PER_AXIS:
+        raise GridError(f"points per axis must be a power of two <= {MAX_POINTS_PER_AXIS}, got {points}")
+    return points
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid over the box [0, L1) x ... x [0, LN)."""
@@ -42,13 +56,10 @@ class Grid:
             raise DimensionMismatchError("lengths and shape must have equal rank")
         if not 1 <= len(shape) <= MAX_GRID_DIM:
             raise GridError(f"grid engine supports 1..{MAX_GRID_DIM} axes, got {len(shape)}")
-        if any(length <= 0 for length in lengths):
-            raise GridError("domain lengths must be positive")
+        for length in lengths:
+            check_length(length)
         for s in shape:
-            if not _is_power_of_two(s) or s > MAX_POINTS_PER_AXIS:
-                raise GridError(
-                    f"points per axis must be a power of two <= {MAX_POINTS_PER_AXIS}, got {s}"
-                )
+            check_points(s)
         if math.prod(shape) > MAX_GRID_POINTS:
             raise GridError(f"{math.prod(shape)} grid points exceed MAX_GRID_POINTS = {MAX_GRID_POINTS}")
 
@@ -71,6 +82,12 @@ class Grid:
     def meshes(self) -> list[np.ndarray]:
         """Full coordinate meshes, ij indexing."""
         return list(np.meshgrid(*(self.axis_points(a) for a in range(self.dim)), indexing="ij"))
+
+    def axis_vectors(self) -> list[np.ndarray]:
+        """Sparse ij coordinate vectors that broadcast to the meshes: a coefficient evaluated
+        on them is computed only along the axes it uses, and returned at full grid shape."""
+        points = (self.axis_points(a) for a in range(self.dim))
+        return list(np.meshgrid(*points, indexing="ij", sparse=True))
 
     def wavenumbers(self, axis: int) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.shape[axis], d=self.spacings[axis])

@@ -163,8 +163,9 @@ def require_hermitian(H: DifferentialOperator, check: SamplingSpec | None = None
 class OperatorApplier:
     """Grid realization of an operator, with coefficient grids cached.
 
-    Time-independent coefficients are evaluated once; time-dependent ones are
-    re-evaluated at each requested t.
+    Coefficients are evaluated on the grid's broadcast axis vectors and
+    returned at full grid shape.  Time-independent ones are evaluated once;
+    time-dependent ones are re-evaluated at each requested t.
     """
 
     def __init__(self, H: DifferentialOperator, grid: Grid):
@@ -173,19 +174,19 @@ class OperatorApplier:
         if any(s < MIN_POINTS_PER_AXIS for s in grid.shape):
             raise GridError(f"need at least {MIN_POINTS_PER_AXIS} points per axis to apply operators")
         self.grid = grid
-        self._meshes = grid.meshes()
+        self._axes = grid.axis_vectors()
         self._static: dict[MultiIndex, np.ndarray] = {}
         self._dynamic: list[tuple[MultiIndex, CoefficientExpression]] = []
         for n, coef in H.terms.items():
             if expr.contains_time(coef):
                 self._dynamic.append((n, coef))
             else:
-                self._static[n] = coef.evaluate_on(self._meshes, 0.0)
+                self._static[n] = coef.evaluate_on(self._axes, 0.0)
                 self._static[n].setflags(write=False)
 
     def coefficient_grids(self, t: float) -> dict[MultiIndex, np.ndarray]:
         """Each h_n on the grid at time t, static first; the one place coefficients become grids."""
-        return self._static | {n: coef.evaluate_on(self._meshes, t) for n, coef in self._dynamic}
+        return self._static | {n: coef.evaluate_on(self._axes, t) for n, coef in self._dynamic}
 
     def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
         cache = DerivativeCache(values, self.grid)

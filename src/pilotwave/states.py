@@ -26,8 +26,8 @@ import numpy as np
 from numpy.polynomial import hermite as nph
 
 from . import expr
-from .errors import HamiltonianFormatError
-from .grids import Grid, GridState
+from .errors import GridError, HamiltonianFormatError
+from .grids import Grid, GridState, check_length, check_points
 
 
 def _per_axis(value, dim: int, name: str) -> list[float]:
@@ -164,6 +164,15 @@ def _parse_component(text: str, where: str):
     return coef, kind, params
 
 
+def _axis_values(value: str, where: str, key: str, convert, check) -> list:
+    """The per-axis `grid` or `domain` entries, each valid for one grid axis."""
+    parsed = _parse_value(value, where)
+    try:
+        return [check(convert(v)) for v in (parsed if isinstance(parsed, list) else [parsed])]
+    except (ValueError, OverflowError, GridError) as exc:
+        raise HamiltonianFormatError(f"{where}: {key}: {exc}") from exc
+
+
 def parse_state_spec(text: str) -> StateSpec:
     kind = None
     params: dict = {}
@@ -189,11 +198,9 @@ def parse_state_spec(text: str) -> StateSpec:
         elif key == "component":
             components.append(_parse_component(value, where))
         elif key == "grid":
-            parsed = _parse_value(value, where)
-            grid_points = [int(v) for v in (parsed if isinstance(parsed, list) else [parsed])]
+            grid_points = _axis_values(value, where, key, int, check_points)
         elif key == "domain":
-            parsed = _parse_value(value, where)
-            domain_lengths = list(parsed) if isinstance(parsed, list) else [parsed]
+            domain_lengths = _axis_values(value, where, key, float, check_length)
         else:
             params[key] = _parse_value(value, where)
     if kind is None:

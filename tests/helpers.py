@@ -32,6 +32,23 @@ def count_hermiticity_checks(monkeypatch) -> list:
     return calls
 
 
+def record_function_argument_sizes(monkeypatch) -> list:
+    """Record the element count of the argument of every exp/sin/cos/log/sqrt
+    call that expression evaluation makes."""
+    sizes = []
+
+    def recording(function):
+        def call(arg):
+            sizes.append(np.size(arg))
+            return function(arg)
+
+        return call
+
+    for name, function in list(expr._FUNCTIONS.items()):
+        monkeypatch.setitem(expr._FUNCTIONS, name, recording(function))
+    return sizes
+
+
 def centered_spec(center, samples: int = 48, seed: int = 7, tol: float = 1e-9) -> SamplingSpec:
     return SamplingSpec(samples=samples, seed=seed, tol=tol, box_center=tuple(center))
 

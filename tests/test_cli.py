@@ -403,6 +403,11 @@ BAD_FLAGS = [
     ("equivariance", "--steps", "0"),
     ("equivariance", "--stride", "0"),
     ("equivariance", "--substeps", "0"),
+    ("compare", "--grid", "3"),
+    ("compare", "--grid", "0"),
+    ("compare", "--domain", "-4"),
+    ("simulate", "--grid", "64,abc"),
+    ("equivariance", "--domain", "nan"),
 ]
 
 
@@ -416,6 +421,41 @@ def test_invalid_numeric_flag_is_a_usage_error(command, flag, value, ham, capsys
         main([command, ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), flag, value])
     assert exit_info.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("grid = [3]", "grid: points per axis must be a power of two <= 1024, got 3"),
+        ("grid = [0]", "grid: points per axis must be a power of two <= 1024, got 0"),
+        ("domain = [-4]", "domain: domain lengths must be positive and finite, got -4.0"),
+    ],
+    ids=["grid-3", "grid-0", "domain-minus-4"],
+)
+def test_invalid_state_file_grid_is_a_usage_error(entry, message, ham, capsys):
+    state = ham("bad.st", GAUSS + entry + "\n")
+    assert main(["compare", ham("free.ham", FREE), "--state", state]) == 2
+    assert f"line 5: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--dt", "1e-3"], "--dt given without --steps"),
+        (["--steps", "20"], "--steps given without --dt"),
+        (["--stride", "5"], "--stride given without --dt and --steps"),
+        (["--dt", "1e-3", "--stride", "5"], "--dt, --stride given without --steps"),
+    ],
+    ids=["dt", "steps", "stride", "dt-stride"],
+)
+def test_equivariance_partial_schedule_is_a_usage_error(flags, message, ham, capsys, monkeypatch):
+    def no_work(text):
+        raise AssertionError("the Hamiltonian was loaded before the schedule was checked")
+
+    monkeypatch.setattr(cli, "load_hamiltonian", no_work)
+    argv = ["equivariance", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), *flags]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 STD3D = 'dim = 3\nterm [2,0,0] = "-0.5"\nterm [0,2,0] = "-0.5"\nterm [0,0,2] = "-0.5"\n'

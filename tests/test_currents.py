@@ -5,7 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import band_limited_state, centered_spec, random_hermitian_operator
+from helpers import (
+    band_limited_state,
+    centered_spec,
+    random_hermitian_operator,
+    record_function_argument_sizes,
+)
 from pilotwave import expr
 from pilotwave.currents import (
     CurrentTable,
@@ -27,7 +32,7 @@ from pilotwave.errors import (
 from pilotwave.expr import CoefficientExpression
 from pilotwave.grids import Grid
 from pilotwave.multiindex import MultiIndex, binom_multi, indices_of_max_order, indices_up_to
-from pilotwave.operators import load_hamiltonian, require_hermitian
+from pilotwave.operators import hermitize, load_hamiltonian, require_hermitian
 from pilotwave.solver import EvolutionSpec, evolve
 from pilotwave.states import gaussian, ho_eigenstate, plane_wave, superposition
 
@@ -395,3 +400,16 @@ def test_direct_form_evaluates_each_coefficient_once(monkeypatch):
     assert sum(evaluated.values()) == len(H.terms)
     for a, b in zip(first.components, second.components):
         assert np.array_equal(a, b)
+
+
+def test_eval_current_evaluates_one_axis_entries_on_axis_vectors(monkeypatch):
+    H = require_hermitian(hermitize(load_hamiltonian(
+        'dim = 2\nterm [2,0] = "-0.5*(2+cos(q1))"\nterm [0,2] = "-0.5"\n'
+    )))
+    table = derive_current_table(H)
+    grid = Grid((10.0, 10.0), (64, 64))
+    state = band_limited_state(grid, np.random.default_rng(3))
+    sizes = record_function_argument_sizes(monkeypatch)
+    field = eval_current(table, state)
+    assert field.components[0].shape == grid.shape
+    assert sizes and set(sizes) == {64}  # cos(q1), sin(q1): 64 points, never 64^2

@@ -3,7 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pilotwave.errors import GridError
+from pilotwave import expr
+from pilotwave.errors import EvaluationDomainError, GridError
 from pilotwave.grids import DerivativeCache, Grid, _symbol, spectral_derivative
 from pilotwave.multiindex import MultiIndex, indices_of_max_order
 
@@ -85,3 +86,47 @@ def test_grid_refuses_more_than_max_grid_points():
         Grid((1.0,) * 3, (1024,) * 3)
     with pytest.raises(GridError, match="MAX_GRID_POINTS"):
         Grid((1.0,) * 3, (512, 256, 256))
+
+
+# Axis-vector evaluation: a coefficient computed on the sparse vectors must be
+# the same bytes, at the same full shape, as on the meshes.
+AXIS_GRIDS = [Grid((6.0,), (32,)), Grid((6.0, 4.0), (16, 32)), Grid((6.0, 4.0, 5.0), (8, 16, 4))]
+
+
+def test_axis_vectors_broadcast_to_the_meshes():
+    for grid in AXIS_GRIDS:
+        vectors = grid.axis_vectors()
+        for axis, (vector, mesh) in enumerate(zip(vectors, grid.meshes())):
+            assert vector.shape == tuple(n if a == axis else 1 for a, n in enumerate(grid.shape))
+            assert np.array_equal(np.broadcast_to(vector, grid.shape), mesh)
+
+
+@pytest.mark.parametrize(
+    "text, t",
+    [
+        ("exp(-(q1-2)^2)*cos(q{N}) + 0.3", 0.0),          # static
+        ("0.5*cos(q1)*sin(3*t) + t*q{N}^2", 0.37),        # time-dependent
+        ("q1*q{N} + sqrt(q{N}+1)/(2+sin(q1))", 0.0),      # cross-axis
+        ("-0.5", 0.0),                                    # constant
+    ],
+    ids=["static", "time-dependent", "cross-axis", "constant"],
+)
+@pytest.mark.parametrize("grid", AXIS_GRIDS, ids=["1d", "2d", "3d"])
+def test_axis_vector_evaluation_is_bitwise_the_mesh_evaluation(grid, text, t):
+    coef = expr.parse(text.format(N=grid.dim), grid.dim)
+    on_axes = coef.evaluate_on(grid.axis_vectors(), t)
+    on_meshes = coef.evaluate_on(grid.meshes(), t)
+    assert on_axes.shape == on_meshes.shape == grid.shape
+    assert on_axes.dtype == on_meshes.dtype
+    assert on_axes.tobytes() == on_meshes.tobytes()
+
+
+@pytest.mark.parametrize("grid", AXIS_GRIDS[1:], ids=["2d", "3d"])
+def test_axis_vector_fault_names_the_same_subexpression(grid):
+    coef = expr.parse(f"cos(q{grid.dim}) + 1/q1", grid.dim)  # q1 = 0 is a grid node
+    faults = []
+    for coords in (grid.axis_vectors(), grid.meshes()):
+        with pytest.raises(EvaluationDomainError) as err:
+            coef.evaluate_on(coords, 0.0)
+        faults.append(err.value.subexpression)
+    assert faults[0] == faults[1] == str(expr.parse("1/q1", grid.dim))

@@ -6,6 +6,7 @@ from helpers import (
     count_hermiticity_checks,
     inner_product_hermitian,
     random_hermitian_operator,
+    record_function_argument_sizes,
     visibly_non_hermitian_operator,
 )
 from pilotwave import expr
@@ -23,6 +24,7 @@ from pilotwave.multiindex import MultiIndex
 from pilotwave.operators import (
     DifferentialOperator,
     HermitianOperator,
+    OperatorApplier,
     SamplingSpec,
     adjoint,
     apply,
@@ -383,3 +385,35 @@ def test_load_hamiltonian_roundtrips_conjugates():
 def test_load_hamiltonian_rejects(text):
     with pytest.raises(HamiltonianFormatError):
         load_hamiltonian(text)
+
+
+AXIS_OPERATOR = {(2, 0): "-0.5", (0, 2): "-0.5", (1, 0): "0.3*i*sin(q2)",
+                 (0, 0): "cos(q1) + 0.5*cos(q1)*sin(3*t) + q1*q2"}
+
+
+def axis_operator() -> DifferentialOperator:
+    return DifferentialOperator(2, {MultiIndex(n): expr.parse(text, 2) for n, text in AXIS_OPERATOR.items()})
+
+
+def test_applier_evaluates_one_axis_functions_on_axis_vectors(monkeypatch):
+    H = axis_operator()  # built first: its sampled pruning calls the functions too
+    sizes = record_function_argument_sizes(monkeypatch)
+    applier = OperatorApplier(H, Grid((10.0, 10.0), (64, 64)))
+    assert sizes == [64]  # the static sin(q2)
+    applier.coefficient_grids(0.25)
+    # the dynamic coefficient: cos(q1) twice and the scalar sin(3t), none on 64^2 points
+    assert sorted(sizes) == [1, 64, 64, 64]
+
+
+def test_applier_coefficient_grids_have_full_shape_and_mesh_values():
+    grid = Grid((10.0, 10.0), (32, 16))
+    H = axis_operator()
+    applier = OperatorApplier(H, grid)
+    static = [n for n, coef in H.terms.items() if not expr.contains_time(coef)]
+    for t in (0.0, 0.4):
+        grids = applier.coefficient_grids(t)
+        assert list(grids) == static + [MultiIndex((0, 0))]
+        for n, values in grids.items():
+            assert values.shape == grid.shape
+            assert values.tobytes() == H.coefficient(n).evaluate_on(grid.meshes(), t).tobytes()
+            assert values.flags.writeable == (n not in static)

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .grids import Grid, check_length, check_points
 from .operators import (
+    MIN_POINTS_PER_AXIS,
     DifferentialOperator,
     HermitianOperator,
     hermiticity_violations,
@@ -126,10 +127,10 @@ def _resolve_grid(args, dim: int, spec) -> Grid:
     return Grid(tuple(lengths), tuple(points))
 
 
-def _load_state(args, dim: int):
+def _load_state(args, dim: int, min_points: int = 1):
     if not args.state:
         raise HamiltonianFormatError("this command needs --state <file>")
-    spec = parse_state_spec(_read(args.state))
+    spec = parse_state_spec(_read(args.state), min_points)
     grid = _resolve_grid(args, dim, spec)
     return build_state(spec, grid), grid
 
@@ -174,7 +175,7 @@ def cmd_derive(args) -> int:
 
 def cmd_simulate(args) -> int:
     H = _load_operator(args)
-    psi0, grid = _load_state(args, H.dim)
+    psi0, grid = _load_state(args, H.dim, MIN_POINTS_PER_AXIS)
     spec = _auto_spec(args, H, grid)
     out_dir = Path(args.out or "pilotwave-out")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -306,7 +307,7 @@ def cmd_equivariance(args) -> int:
             "both --dt and --steps, or neither to let the program choose"
         )
     H = _load_operator(args)
-    psi0, grid = _load_state(args, H.dim)
+    psi0, grid = _load_state(args, H.dim, MIN_POINTS_PER_AXIS)
     spec = None
     if given:
         stride = args.stride if args.stride is not None else max(1, args.steps // 100)
@@ -334,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     positive_int = _int_at_least(1)
 
-    def add_common(p, state=True):
+    def add_common(p, min_points=1):
+        """The operator, state and grid arguments; commands that apply H need min_points."""
         p.add_argument("hamiltonian", help="Hamiltonian file")
-        if state:
-            p.add_argument("--state", help="state-spec file")
-            p.add_argument("--grid", type=_axis_list(int, check_points),
-                           help="points per axis, e.g. 512 or 64,64")
-            p.add_argument("--domain", type=_axis_list(float, check_length),
-                           help="box lengths per axis, e.g. 40 or 20,20")
+        p.add_argument("--state", help="state-spec file")
+        p.add_argument("--grid", type=_axis_list(int, lambda points: check_points(points, min_points)),
+                       help="points per axis, e.g. 512 or 64,64")
+        p.add_argument("--domain", type=_axis_list(float, check_length),
+                       help="box lengths per axis, e.g. 40 or 20,20")
         p.add_argument("--hermitize", action="store_true", help="symmetrize the operator first")
 
     p_check = sub.add_parser("check", help="report Hermiticity and violated slots")
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.set_defaults(func=cmd_derive)
 
     p_sim = sub.add_parser("simulate", help="evolve a state and integrate trajectories")
-    add_common(p_sim)
+    add_common(p_sim, MIN_POINTS_PER_AXIS)
     p_sim.add_argument("--dt", type=_positive_float)
     p_sim.add_argument("--steps", type=positive_int)
     p_sim.add_argument("--stride", type=positive_int)
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_eq = sub.add_parser("equivariance", help="sample, integrate, and KS-compare against |psi(T)|^2")
-    add_common(p_eq)
+    add_common(p_eq, MIN_POINTS_PER_AXIS)
     p_eq.add_argument("--count", type=positive_int, default=5000, metavar="M")
     p_eq.add_argument("--horizon", type=_positive_float, default=1.0, metavar="T")
     p_eq.add_argument("--seed", type=int, default=0)

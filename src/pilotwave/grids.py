@@ -32,10 +32,12 @@ def check_length(length: float) -> float:
     return length
 
 
-def check_points(points: int) -> int:
-    """`points` if it is a valid point count for one axis, else GridError."""
+def check_points(points: int, minimum: int = 1) -> int:
+    """`points` if it is a valid point count for one axis and at least `minimum`, else GridError."""
     if not _is_power_of_two(points) or points > MAX_POINTS_PER_AXIS:
         raise GridError(f"points per axis must be a power of two <= {MAX_POINTS_PER_AXIS}, got {points}")
+    if points < minimum:
+        raise GridError(f"need at least {minimum} points per axis to apply operators, got {points}")
     return points
 
 
@@ -169,14 +171,18 @@ class DerivativeCache:
         self._spectrum = None
         self._cache: dict[MultiIndex, np.ndarray] = {}
 
+    def spectrum(self) -> np.ndarray:
+        """The field's FFT, taken on first use and shared by every derivative."""
+        if self._spectrum is None:
+            self._spectrum = np.fft.fftn(self.values)
+        return self._spectrum
+
     def derivative(self, n: MultiIndex) -> np.ndarray:
         if n.order() == 0:
             return self.values
         hit = self._cache.get(n)
         if hit is None:
-            if self._spectrum is None:
-                self._spectrum = np.fft.fftn(self.values)
-            hit = np.fft.ifftn(self._spectrum * _symbol(self.grid, n))
+            hit = np.fft.ifftn(self.spectrum() * _symbol(self.grid, n))
             self._cache[n] = hit
         return hit
 

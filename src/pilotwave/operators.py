@@ -18,12 +18,11 @@ import numpy as np
 from . import expr
 from .errors import (
     DimensionMismatchError,
-    GridError,
     HamiltonianFormatError,
     NonHermitianError,
 )
 from .expr import CoefficientExpression
-from .grids import DerivativeCache, Grid, GridState
+from .grids import DerivativeCache, Grid, GridState, _symbol, check_points
 from .multiindex import MultiIndex, binom_multi, indices_up_to
 
 MIN_POINTS_PER_AXIS = 16
@@ -165,14 +164,16 @@ class OperatorApplier:
 
     Coefficients are evaluated on the grid's broadcast axis vectors and
     returned at full grid shape.  Time-independent ones are evaluated once;
-    time-dependent ones are re-evaluated at each requested t.
+    time-dependent ones are re-evaluated at each requested t.  Derivative
+    terms with a constant coefficient are applied together through one
+    Fourier multiplier sum_n c_n (i k)^n, so they cost one inverse FFT in all.
     """
 
     def __init__(self, H: DifferentialOperator, grid: Grid):
         if H.dim != grid.dim:
             raise DimensionMismatchError(f"operator dim {H.dim} != grid dim {grid.dim}")
-        if any(s < MIN_POINTS_PER_AXIS for s in grid.shape):
-            raise GridError(f"need at least {MIN_POINTS_PER_AXIS} points per axis to apply operators")
+        for s in grid.shape:
+            check_points(s, MIN_POINTS_PER_AXIS)
         self.grid = grid
         self._axes = grid.axis_vectors()
         self._static: dict[MultiIndex, np.ndarray] = {}
@@ -183,6 +184,13 @@ class OperatorApplier:
             else:
                 self._static[n] = coef.evaluate_on(self._axes, 0.0)
                 self._static[n].setflags(write=False)
+        self._folded = {
+            n: coef.constant_value() for n, coef in H.terms.items()
+            if n.order() > 0 and coef.constant_value() is not None
+        }
+        self._multiplier = None
+        if self._folded:
+            self._multiplier = sum(c * _symbol(grid, n) for n, c in self._folded.items())
 
     def coefficient_grids(self, t: float) -> dict[MultiIndex, np.ndarray]:
         """Each h_n on the grid at time t, static first; the one place coefficients become grids."""
@@ -190,9 +198,13 @@ class OperatorApplier:
 
     def __call__(self, values: np.ndarray, t: float) -> np.ndarray:
         cache = DerivativeCache(values, self.grid)
-        out = np.zeros(self.grid.shape, dtype=complex)
+        if self._multiplier is None:
+            out = np.zeros(self.grid.shape, dtype=complex)
+        else:
+            out = np.fft.ifftn(cache.spectrum() * self._multiplier)
         for n, coef_grid in self.coefficient_grids(t).items():
-            out += coef_grid * cache.derivative(n)
+            if n not in self._folded:
+                out += coef_grid * cache.derivative(n)
         return out
 
     def spectral_radius(self, t: float) -> float:

@@ -173,7 +173,14 @@ def _axis_values(value: str, where: str, key: str, convert, check) -> list:
         raise HamiltonianFormatError(f"{where}: {key}: {exc}") from exc
 
 
-def parse_state_spec(text: str) -> StateSpec:
+def _whole(value: float) -> int:
+    if value != int(value):
+        raise ValueError(f"points per axis must be an integer, got {value}")
+    return int(value)
+
+
+def parse_state_spec(text: str, min_points: int = 1) -> StateSpec:
+    """The state spec in `text`; a `grid` entry must have at least `min_points` per axis."""
     kind = None
     params: dict = {}
     components: list = []
@@ -198,7 +205,9 @@ def parse_state_spec(text: str) -> StateSpec:
         elif key == "component":
             components.append(_parse_component(value, where))
         elif key == "grid":
-            grid_points = _axis_values(value, where, key, int, check_points)
+            grid_points = _axis_values(
+                value, where, key, _whole, lambda points: check_points(points, min_points)
+            )
         elif key == "domain":
             domain_lengths = _axis_values(value, where, key, float, check_length)
         else:

@@ -197,3 +197,20 @@ def visibly_non_hermitian_operator(
         if max_slot_deviation_on_probe(H, center) >= floor:
             return H
     raise RuntimeError("could not generate a visibly non-Hermitian operator")
+
+
+def dense_propagator(H: DifferentialOperator, grid: Grid, t: float) -> np.ndarray:
+    """exp(-i M t) for the grid matrix M of H, built column by column from the
+    operator's applier and exponentiated through `eigh`.  M must be Hermitian
+    to rounding, which holds for constant derivative coefficients and any real
+    potential; the propagator acts on flattened grid values."""
+    applier = H.realize(grid)
+    size = int(np.prod(grid.shape))
+    M = np.empty((size, size), dtype=complex)
+    for j in range(size):
+        unit = np.zeros(size, dtype=complex)
+        unit[j] = 1.0
+        M[:, j] = applier(unit.reshape(grid.shape), 0.0).reshape(-1)
+    assert np.linalg.norm(M - M.conj().T) <= 1e-12 * np.linalg.norm(M)
+    energies, vectors = np.linalg.eigh(M)
+    return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T

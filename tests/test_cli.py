@@ -408,6 +408,8 @@ BAD_FLAGS = [
     ("compare", "--domain", "-4"),
     ("simulate", "--grid", "64,abc"),
     ("equivariance", "--domain", "nan"),
+    ("simulate", "--grid", "8"),
+    ("equivariance", "--grid", "64,8"),
 ]
 
 
@@ -429,13 +431,29 @@ def test_invalid_numeric_flag_is_a_usage_error(command, flag, value, ham, capsys
         ("grid = [3]", "grid: points per axis must be a power of two <= 1024, got 3"),
         ("grid = [0]", "grid: points per axis must be a power of two <= 1024, got 0"),
         ("domain = [-4]", "domain: domain lengths must be positive and finite, got -4.0"),
+        ("grid = [64.5]", "grid: points per axis must be an integer, got 64.5"),
     ],
-    ids=["grid-3", "grid-0", "domain-minus-4"],
+    ids=["grid-3", "grid-0", "domain-minus-4", "grid-64.5"],
 )
 def test_invalid_state_file_grid_is_a_usage_error(entry, message, ham, capsys):
     state = ham("bad.st", GAUSS + entry + "\n")
     assert main(["compare", ham("free.ham", FREE), "--state", state]) == 2
     assert f"line 5: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "equivariance"])
+def test_state_file_grid_below_the_operator_floor_is_a_usage_error(command, ham, tmp_path, capsys):
+    state = ham("coarse.st", GAUSS + "grid = [8]\n")
+    out = ["--out", str(tmp_path / "run")] if command == "simulate" else []
+    assert main([command, ham("free.ham", FREE), "--state", state, *out]) == 2
+    assert "line 5: grid: need at least 16 points per axis to apply operators, got 8" in capsys.readouterr().err
+
+
+def test_compare_canonical_accepts_a_grid_below_the_operator_floor(ham, capsys):
+    coarse = ham("coarse.st", GAUSS + "grid = [8]\n")
+    assert main(["compare", ham("free.ham", FREE), "--state", coarse, "--methods", "canonical"]) == 0
+    argv = ["compare", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), "--grid", "8"]
+    assert main(argv) == 0
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from helpers import dense_propagator
 from pilotwave.currents import derive_current_table, eval_current
 from pilotwave.errors import NormDriftError, StabilityError
-from pilotwave.grids import Grid, GridState
-from pilotwave.operators import load_hamiltonian
+from pilotwave.grids import Grid, GridState, spectral_derivative
+from pilotwave.operators import OperatorApplier, load_hamiltonian
 from pilotwave.solver import (
     EvolutionSpec,
+    chebyshev_coefficients,
     check_stability,
     continuity_residual,
     evolve,
@@ -134,7 +138,8 @@ def test_step_reversal_restores_state():
 
 
 def test_norm_drift_abort_on_underresolved_state():
-    H = load_hamiltonian(FREE_1D)
+    # The weak drive makes H time dependent, so the run takes RK4 near its stability limit.
+    H = load_hamiltonian(FREE_1D + 'term [0] = "1e-3*cos(t)"\n')
     grid = Grid((40.0,), (128,))
     rng = np.random.default_rng(8)
     noise = GridState(grid, rng.normal(size=128) + 1j * rng.normal(size=128)).normalized()
@@ -202,3 +207,202 @@ def test_plane_wave_phase_evolution():
     snaps = evolve(H, psi0, EvolutionSpec(dt=1e-3, steps=100, stride=100))
     expected = psi0.values * np.exp(-1j * (k ** 2 / 2) * snaps[-1].t)
     assert np.max(np.abs(snaps[-1].values - expected)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev propagation of time-independent operators
+
+QUARTIC_1D = 'dim = 1\nterm [4] = "0.05"\nterm [2] = "-0.5"\nterm [0] = "(q1-20)^2/8"\n'
+LATTICE_2D = (
+    'dim = 2\nterm [2,0] = "-0.5"\nterm [0,2] = "-0.5"\nterm [1,0] = "0.3*i"\n'
+    'term [0,0] = "0.4*cos(0.6283185307179586*q1) + 0.3*sin(1.2566370614359172*q2)"\n'
+)
+DRIVEN_1D = FREE_1D + 'term [0] = "0.1*cos(0.15707963267948966*q1)*cos(t)"\n'
+
+
+def count_applications(monkeypatch) -> list:
+    calls = []
+    original = OperatorApplier.__call__
+
+    def counting(self, values, t):
+        calls.append(t)
+        return original(self, values, t)
+
+    monkeypatch.setattr(OperatorApplier, "__call__", counting)
+    return calls
+
+
+EQUIV1D_GRID = Grid((40.0,), (256,))
+
+
+def equiv1d_like_spec(H, horizon):
+    """The schedule equivariance_test chooses: dt near 1/R and 100 snapshots."""
+    steps = max(100, math.ceil(horizon * stability_estimate(H, EQUIV1D_GRID)))
+    return EvolutionSpec(dt=horizon / steps, steps=steps, stride=max(1, steps // 100))
+
+
+def relative_error(values, exact):
+    return float(np.linalg.norm(values - exact) / np.linalg.norm(exact))
+
+
+@pytest.mark.parametrize(
+    "text, grid, state",
+    [
+        (QUARTIC_1D, Grid((40.0,), (128,)), {"center": [18.0], "width": 0.8, "wavevector": [1.0]}),
+        (LATTICE_2D, Grid((10.0, 10.0), (16, 16)),
+         {"center": [5.0, 4.0], "width": 1.2, "wavevector": [0.6, -0.6]}),
+    ],
+    ids=["quartic-1d", "lattice-2d"],
+)
+def test_series_matches_the_dense_propagator(text, grid, state):
+    H = load_hamiltonian(text)
+    psi0 = gaussian(grid, **state)
+    # 10 steps of 1/R per snapshot, then a shorter last interval of 4 steps
+    spec = EvolutionSpec(dt=1.0 / stability_estimate(H, grid), steps=10 * 12 + 4, stride=10)
+    snaps = evolve(H, psi0, spec)
+    for snap in (snaps[len(snaps) // 2], snaps[-2], snaps[-1]):
+        exact = dense_propagator(H, grid, snap.t - psi0.t) @ psi0.values.reshape(-1)
+        assert relative_error(snap.values.reshape(-1), exact) <= 1e-11
+
+
+def bessel_series(k: int, a: float) -> float:
+    return sum((-1) ** m * (a / 2) ** (2 * m + k) / (math.factorial(m) * math.factorial(m + k))
+               for m in range(30))
+
+
+@pytest.mark.parametrize("a", [1e-6, 0.21, 1.0, 2.75])
+def test_coefficients_match_the_bessel_power_series(a):
+    c = chebyshev_coefficients(a)
+    expected = [(2 - (k == 0)) * (-1j) ** k * bessel_series(k, a) for k in range(len(c))]
+    assert np.max(np.abs(c - expected)) <= 1e-15
+    assert len(c) - 1 > a
+
+
+@pytest.mark.parametrize("a", [0.21, 1.0, 2.75, 84.0, 550.0])
+def test_coefficients_sum_to_the_exponential(a):
+    c = chebyshev_coefficients(a)
+    x = np.linspace(-1.0, 1.0, 201)
+    series = np.polynomial.chebyshev.chebval(x, c)
+    assert np.max(np.abs(series - np.exp(-1j * a * x))) <= 1e-12
+    assert len(c) - 1 > a
+
+
+def test_time_dependent_operator_steps_rk4(monkeypatch):
+    grid = Grid((40.0,), (128,))
+    H = load_hamiltonian(DRIVEN_1D)
+    calls = count_applications(monkeypatch)
+    spec = EvolutionSpec(dt=1.0 / stability_estimate(H, grid), steps=10 * 12 + 4, stride=10)
+    evolve(H, gaussian(grid, center=[20.0], width=1.0), spec)
+    assert len(calls) == 4 * spec.steps
+
+
+def test_stride_one_steps_rk4(monkeypatch):
+    grid = Grid((40.0,), (128,))
+    H = load_hamiltonian(QUARTIC_1D)
+    calls = count_applications(monkeypatch)
+    spec = EvolutionSpec(dt=1.0 / stability_estimate(H, grid), steps=30, stride=1)
+    evolve(H, gaussian(grid, center=[18.0], width=0.8), spec)
+    assert len(calls) == 4 * spec.steps
+
+
+def test_snapshot_cadence_takes_the_series(monkeypatch):
+    H = load_hamiltonian(QUARTIC_1D)
+    calls = count_applications(monkeypatch)
+    spec = equiv1d_like_spec(H, horizon=0.2)
+    evolve(H, gaussian(EQUIV1D_GRID, center=[18.0], width=0.5, wavevector=[1.0]), spec)
+    radius = stability_estimate(H, EQUIV1D_GRID)
+    full, last = divmod(spec.steps, spec.stride)
+    terms = full * len(chebyshev_coefficients(radius * spec.stride * spec.dt))
+    if last:
+        terms += len(chebyshev_coefficients(radius * last * spec.dt))
+    assert len(calls) == terms - (full + (last > 0))  # T_0 needs no application
+    assert len(calls) < 4 * spec.steps
+
+
+def test_series_snapshot_times_equal_rk4s(monkeypatch):
+    grid = Grid((40.0,), (128,))
+    psi0 = gaussian(grid, center=[18.0], width=0.8).copy(t=0.3)
+    exact_H = load_hamiltonian(QUARTIC_1D)
+    rk4_H = load_hamiltonian(QUARTIC_1D + 'term [1] = "1e-9*i*cos(t)"\n')
+    spec = EvolutionSpec(dt=1.0 / stability_estimate(exact_H, grid), steps=10 * 12 + 4, stride=10)
+    calls = count_applications(monkeypatch)
+    exact = evolve(exact_H, psi0, spec)
+    assert len(calls) < 4 * spec.steps
+    calls.clear()
+    rk4 = evolve(rk4_H, psi0, spec)
+    assert len(calls) == 4 * spec.steps
+    assert [s.t for s in exact] == [s.t for s in rk4]
+    assert len(exact) == 1 + 12 + 1
+    assert max(relative_error(a.values, b.values) for a, b in zip(exact, rk4)) < 1e-6
+
+
+def test_series_norm_is_kept_on_an_underresolved_state():
+    H = load_hamiltonian(FREE_1D)
+    grid = Grid((40.0,), (128,))
+    rng = np.random.default_rng(8)
+    noise = GridState(grid, rng.normal(size=128) + 1j * rng.normal(size=128)).normalized()
+    radius = stability_estimate(H, grid)
+    snaps = evolve(H, noise, EvolutionSpec(dt=2.75 / radius, steps=200, stride=200))
+    assert max(norm_drift(snaps)) <= 1e-12
+
+
+def test_series_with_an_understated_radius_raises(monkeypatch):
+    H = load_hamiltonian(QUARTIC_1D)
+    spec = equiv1d_like_spec(H, horizon=0.2)
+    understated = stability_estimate(H, EQUIV1D_GRID) / 4
+    monkeypatch.setattr(OperatorApplier, "spectral_radius", lambda self, t: understated)
+    calls = count_applications(monkeypatch)
+    with pytest.raises(NormDriftError):
+        evolve(H, gaussian(EQUIV1D_GRID, center=[18.0], width=0.5, wavevector=[1.0]), spec)
+    # whole intervals of the series, stopped at a snapshot long before the end
+    per_interval = len(chebyshev_coefficients(understated * spec.stride * spec.dt)) - 1
+    assert len(calls) % per_interval == 0
+    assert 0 < len(calls) // per_interval < 10
+
+
+def count_ffts(monkeypatch) -> list:
+    calls = []
+    for name in ("fftn", "ifftn"):
+        original = getattr(np.fft, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_constant_terms_share_one_inverse_fft(monkeypatch):
+    grid = Grid((40.0,), (128,))
+    applier = load_hamiltonian(QUARTIC_1D).realize(grid)
+    values = gaussian(grid, center=[18.0], width=0.8, wavevector=[1.0]).values
+    calls = count_ffts(monkeypatch)
+    applier(values, 0.0)
+    assert calls == ["fftn", "ifftn"]
+
+
+@pytest.mark.parametrize("text, shape", [(QUARTIC_1D, (128,)), (LATTICE_2D, (16, 16)),
+                                         (DRIVEN_1D, (128,))])
+def test_folded_applier_equals_the_term_sum(text, shape):
+    H = load_hamiltonian(text)
+    grid = Grid((40.0,) * len(shape), shape)
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    t = 0.7
+    axes = grid.axis_vectors()
+    applier = H.realize(grid)
+    expected = sum(
+        np.broadcast_to(coef.evaluate_on(axes, t), shape) * spectral_derivative(values, grid, n)
+        for n, coef in H.terms.items()
+    )
+    out = applier(values, t)
+    assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
+    grids = applier.coefficient_grids(t)
+    assert set(grids) == set(H.terms)
+    radius = 0.0
+    for n, coef_grid in grids.items():
+        assert np.array_equal(coef_grid, np.broadcast_to(H.terms[n].evaluate_on(axes, t), shape))
+        radius += float(np.max(np.abs(coef_grid))) * math.prod(
+            k ** p for k, p in zip(grid.max_wavenumbers(), n.entries))
+    assert applier.spectral_radius(t) == radius

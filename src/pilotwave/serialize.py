@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -14,14 +15,13 @@ CSV_POINT_LIMIT = 4096  # snapshots above this size get JSON only
 
 
 def snapshot_to_json(state: GridState) -> str:
-    flat = state.values.reshape(-1)
     return json.dumps(
         {
             "dimension": state.dim,
             "lengths": list(state.grid.lengths),
             "shape": list(state.grid.shape),
             "time": state.t,
-            "values": [[float(v.real), float(v.imag)] for v in flat],
+            "values": state.values.reshape(-1).view(float).reshape(-1, 2).tolist(),
         }
     )
 
@@ -39,13 +39,11 @@ def snapshot_from_json(text: str) -> GridState:
 
 def snapshot_to_csv(state: GridState) -> str:
     header = ",".join(f"q{a}" for a in range(1, state.dim + 1)) + ",re,im"
-    meshes = state.grid.meshes()
-    coords = [m.reshape(-1) for m in meshes]
+    axes = [["%.12g" % x for x in state.grid.axis_points(a).tolist()] for a in range(state.dim)]
+    positions = map(",".join, itertools.product(*axes))
     flat = state.values.reshape(-1)
-    lines = [header]
-    for idx in range(flat.size):
-        pos = ",".join(f"{c[idx]:.12g}" for c in coords)
-        lines.append(f"{pos},{flat[idx].real:.15g},{flat[idx].imag:.15g}")
+    rows = zip(positions, flat.real.tolist(), flat.imag.tolist())
+    lines = [header] + ["%s,%.15g,%.15g" % row for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -58,9 +56,10 @@ def trajectory_csv(ensemble: Ensemble) -> str:
     header = "t,particle_id,ADD_AXES,truncated"
     axes = ",".join(f"q{a}" for a in range(1, ensemble.dim + 1))
     lines = [header.replace("ADD_AXES", axes)]
+    row = "%s,%d," + ",".join(["%.12g"] * ensemble.dim) + ",%d"
+    flags = ensemble.truncated.astype(bool).tolist()
     for t, positions in zip(ensemble.times, ensemble.history):
-        for pid in range(ensemble.count):
-            coords = ",".join(f"{x:.12g}" for x in positions[pid])
-            flag = int(bool(ensemble.truncated[pid]))
-            lines.append(f"{t:.12g},{pid},{coords},{flag}")
+        stamp = "%.12g" % t
+        for pid, (coords, flag) in enumerate(zip(positions.tolist(), flags)):
+            lines.append(row % (stamp, pid, *coords, flag))
     return "\n".join(lines) + "\n"

@@ -33,30 +33,38 @@ MAX_TRUNCATED_FRACTION = 0.10
 # ---------------------------------------------------------------------------
 # Multilinear periodic interpolation
 
+def _corners(grid: Grid, points: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Flat row-major indices and multilinear weights of the 2^N cell corners
+    around each point; corner c takes the upper neighbour on axis a when bit a
+    of c is set."""
+    corners = [(0, 1.0)]
+    for axis in range(grid.dim):
+        u = points[:, axis] / grid.spacings[axis]
+        cell = np.floor(u)
+        fraction = u - cell
+        # axis lengths are powers of two (Grid checks), so & (n - 1) is mod n
+        wrap = grid.shape[axis] - 1
+        i0 = cell.astype(int)
+        stride = math.prod(grid.shape[axis + 1 :])
+        lower = (i0 & wrap) * stride
+        upper = ((i0 + 1) & wrap) * stride
+        corners = [(idx + lower, weight * (1.0 - fraction)) for idx, weight in corners] + [
+            (idx + upper, weight * fraction) for idx, weight in corners
+        ]
+    return corners
+
+
 def interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation with periodic wrap; points shape (M, N)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != grid.dim:
         raise DimensionMismatchError(f"points have {points.shape[1]} coords, grid dim {grid.dim}")
-    out = np.zeros(points.shape[0], dtype=values.dtype)
-    fractional = []
-    base = []
-    for axis in range(grid.dim):
-        u = points[:, axis] / grid.spacings[axis]
-        i0 = np.floor(u).astype(int)
-        fractional.append(u - i0)
-        base.append(np.mod(i0, grid.shape[axis]))
-    for corner in range(1 << grid.dim):
-        weight = np.ones(points.shape[0])
-        idx = []
-        for axis in range(grid.dim):
-            if corner >> axis & 1:
-                idx.append(np.mod(base[axis] + 1, grid.shape[axis]))
-                weight = weight * fractional[axis]
-            else:
-                idx.append(base[axis])
-                weight = weight * (1.0 - fractional[axis])
-        out = out + weight * values[tuple(idx)]
+    if np.shape(values) != grid.shape:
+        raise DimensionMismatchError(f"values of shape {np.shape(values)} on a grid of shape {grid.shape}")
+    flat = np.asarray(values).reshape(-1)
+    out = np.zeros(points.shape[0], dtype=flat.dtype)
+    for idx, weight in _corners(grid, points):
+        out = out + weight * flat[idx]
     return out
 
 
@@ -96,6 +104,8 @@ class Ensemble:
 
 def sample_density(rho: np.ndarray, grid: Grid, count: int, seed: int) -> Ensemble:
     """Rejection sampling against the grid maximum, with multilinear density."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     rho = np.asarray(rho, dtype=float)
     if rho.shape != grid.shape:
         raise DimensionMismatchError("density shape does not match grid")
@@ -154,27 +164,28 @@ class _FlowField:
         self.times = np.array([s.t for s in snapshots])
         if np.any(np.diff(self.times) <= 0):
             raise PilotwaveError("snapshots must be strictly time-ordered")
-        self.densities = [s.density() for s in snapshots]
-        self.currents = [eval_current(table, s).components for s in snapshots]
-        self.node_floor = NODE_EPS * max(float(d.max()) for d in self.densities)
+        # fields[snapshot, field, point]: rho, then j_1 .. j_N, flattened row-major
+        self.fields = np.empty((len(snapshots), self.grid.dim + 1, math.prod(self.grid.shape)))
+        for s, snap in enumerate(snapshots):
+            self.fields[s, 0] = snap.density().reshape(-1)
+            for axis, component in enumerate(eval_current(table, snap).components, start=1):
+                self.fields[s, axis] = component.reshape(-1)
+        self.node_floor = NODE_EPS * float(self.fields[:, 0].max())
 
     def velocities(self, points: np.ndarray, t: float, active: np.ndarray):
         """Velocities for the active subset; returns (velocities, node_mask)."""
-        k = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2))
+        k = min(max(int(np.searchsorted(self.times, t, side="right")) - 1, 0), len(self.times) - 2)
         t0, t1 = self.times[k], self.times[k + 1]
-        w = float(np.clip((t - t0) / (t1 - t0), 0.0, 1.0))
+        w = min(max(float((t - t0) / (t1 - t0)), 0.0), 1.0)
         pts = points[active]
-        rho = (1.0 - w) * interpolate(self.grid, self.densities[k], pts) + w * interpolate(
-            self.grid, self.densities[k + 1], pts
-        )
+        bracket = self.fields[k : k + 2]
+        at_points = np.zeros(bracket.shape[:2] + (pts.shape[0],))
+        for idx, weight in _corners(self.grid, pts):
+            at_points = at_points + weight * bracket.take(idx, axis=-1)
+        blended = (1.0 - w) * at_points[0] + w * at_points[1]
+        rho = blended[0]
         nodes = rho < self.node_floor
-        rho_safe = np.where(nodes, 1.0, rho)
-        vel = np.empty_like(pts)
-        for axis in range(self.grid.dim):
-            j = (1.0 - w) * interpolate(self.grid, self.currents[k][axis], pts) + w * interpolate(
-                self.grid, self.currents[k + 1][axis], pts
-            )
-            vel[:, axis] = j / rho_safe
+        vel = (blended[1:] / np.where(nodes, 1.0, rho)).T
         vel[nodes] = 0.0
         return vel, nodes
 
@@ -190,6 +201,8 @@ def integrate_trajectories(
     Particles that enter a node region are truncated: frozen at their last
     position and flagged.  Raises when every particle is truncated.
     """
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
     flow = _FlowField(snapshots, table)
     if ensemble.dim != flow.grid.dim:
         raise DimensionMismatchError("ensemble dimension does not match snapshots")
@@ -204,31 +217,20 @@ def integrate_trajectories(
         dt = (t1 - t0) / substeps
         for sub in range(substeps):
             t = t0 + sub * dt
-            active = ~truncated
-            if not np.any(active):
+            live = np.flatnonzero(~truncated)
+            if live.size == 0:
                 break
-            pts = positions
-
-            def stage(offset_positions, stage_t):
-                vel, nodes = flow.velocities(offset_positions, stage_t, active)
-                full = np.zeros_like(positions)
-                full[active] = vel
-                hit = np.zeros(positions.shape[0], dtype=bool)
-                hit[active] = nodes
-                return full, hit
-
-            k1, h1 = stage(pts, t)
-            k2, h2 = stage(np.mod(pts + 0.5 * dt * k1, lengths), t + 0.5 * dt)
-            k3, h3 = stage(np.mod(pts + 0.5 * dt * k2, lengths), t + 0.5 * dt)
-            k4, h4 = stage(np.mod(pts + dt * k3, lengths), t + dt)
-            stage_trunc = h1 | h2 | h3 | h4
-            move = active & ~stage_trunc
-            positions[move] = np.mod(
-                positions[move]
-                + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)[move],
-                lengths[None, :],
-            )
-            truncated |= stage_trunc
+            # the four stages run on the particles live at the substep's start
+            pts = positions[live]
+            everyone = np.ones(live.size, dtype=bool)
+            k1, h1 = flow.velocities(pts, t, everyone)
+            k2, h2 = flow.velocities(np.mod(pts + 0.5 * dt * k1, lengths), t + 0.5 * dt, everyone)
+            k3, h3 = flow.velocities(np.mod(pts + 0.5 * dt * k2, lengths), t + 0.5 * dt, everyone)
+            k4, h4 = flow.velocities(np.mod(pts + dt * k3, lengths), t + dt, everyone)
+            hit = h1 | h2 | h3 | h4
+            moved = np.mod(pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), lengths)
+            positions[live[~hit]] = moved[~hit]
+            truncated[live[hit]] = True
         times.append(t1)
         history.append(positions.copy())
 
@@ -322,6 +324,10 @@ def equivariance_test(
 ) -> EquivarianceReport:
     """Sample |psi0|^2, integrate guided trajectories to the horizon, and
     compare the empirical distribution against |psi(T)|^2."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
     H = require_hermitian(H)
     if evolution_spec is None:
         radius = stability_estimate(H, psi0.grid, psi0.t)

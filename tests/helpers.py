@@ -8,13 +8,17 @@ checks, pointed at the same center, can distinguish them.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from pilotwave import cli, expr, operators
+from pilotwave.currents import CurrentTable, eval_current
 from pilotwave.expr import CoefficientExpression
 from pilotwave.grids import Grid, GridState
 from pilotwave.multiindex import indices_of_max_order
 from pilotwave.operators import DifferentialOperator, SamplingSpec, hermitize
+from pilotwave.trajectories import NODE_EPS, Ensemble
 
 
 def count_hermiticity_checks(monkeypatch) -> list:
@@ -214,3 +218,142 @@ def dense_propagator(H: DifferentialOperator, grid: Grid, t: float) -> np.ndarra
     assert np.linalg.norm(M - M.conj().T) <= 1e-12 * np.linalg.norm(M)
     energies, vectors = np.linalg.eigh(M)
     return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
+
+
+# ---------------------------------------------------------------------------
+# Per-element references for the guided-trajectory path and the text writers.
+# They interpolate one field at a time through tuple indexing, run the RK4
+# stages on full-size arrays with mask scatters, and format one element at a
+# time; the array versions must match them bit for bit and byte for byte.
+
+
+def reference_interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.zeros(points.shape[0], dtype=values.dtype)
+    fractional = []
+    base = []
+    for axis in range(grid.dim):
+        u = points[:, axis] / grid.spacings[axis]
+        i0 = np.floor(u).astype(int)
+        fractional.append(u - i0)
+        base.append(np.mod(i0, grid.shape[axis]))
+    for corner in range(1 << grid.dim):
+        weight = np.ones(points.shape[0])
+        idx = []
+        for axis in range(grid.dim):
+            if corner >> axis & 1:
+                idx.append(np.mod(base[axis] + 1, grid.shape[axis]))
+                weight = weight * fractional[axis]
+            else:
+                idx.append(base[axis])
+                weight = weight * (1.0 - fractional[axis])
+        out = out + weight * values[tuple(idx)]
+    return out
+
+
+class ReferenceFlowField:
+    """One density and N current grids per snapshot, each interpolated on its own."""
+
+    def __init__(self, snapshots: list[GridState], table: CurrentTable):
+        self.grid = snapshots[0].grid
+        self.times = np.array([s.t for s in snapshots])
+        self.densities = [s.density() for s in snapshots]
+        self.currents = [eval_current(table, s).components for s in snapshots]
+        self.node_floor = NODE_EPS * max(float(d.max()) for d in self.densities)
+
+    def velocities(self, points: np.ndarray, t: float, active: np.ndarray):
+        k = int(np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, len(self.times) - 2))
+        t0, t1 = self.times[k], self.times[k + 1]
+        w = float(np.clip((t - t0) / (t1 - t0), 0.0, 1.0))
+        pts = points[active]
+        rho = (1.0 - w) * reference_interpolate(self.grid, self.densities[k], pts) + w * (
+            reference_interpolate(self.grid, self.densities[k + 1], pts)
+        )
+        nodes = rho < self.node_floor
+        rho_safe = np.where(nodes, 1.0, rho)
+        vel = np.empty_like(pts)
+        for axis in range(self.grid.dim):
+            j = (1.0 - w) * reference_interpolate(self.grid, self.currents[k][axis], pts) + w * (
+                reference_interpolate(self.grid, self.currents[k + 1][axis], pts)
+            )
+            vel[:, axis] = j / rho_safe
+        vel[nodes] = 0.0
+        return vel, nodes
+
+
+def reference_integrate_trajectories(
+    snapshots: list[GridState], table: CurrentTable, ensemble: Ensemble, substeps: int = 4
+) -> Ensemble:
+    flow = ReferenceFlowField(snapshots, table)
+    lengths = np.asarray(flow.grid.lengths)
+    positions = np.mod(ensemble.positions.copy(), lengths)
+    truncated = ensemble.truncated.copy()
+    times = [float(flow.times[0])]
+    history = [positions.copy()]
+    for k in range(len(flow.times) - 1):
+        t0, t1 = float(flow.times[k]), float(flow.times[k + 1])
+        dt = (t1 - t0) / substeps
+        for sub in range(substeps):
+            t = t0 + sub * dt
+            active = ~truncated
+            if not np.any(active):
+                break
+
+            def stage(offset_positions, stage_t):
+                vel, nodes = flow.velocities(offset_positions, stage_t, active)
+                full = np.zeros_like(positions)
+                full[active] = vel
+                hit = np.zeros(positions.shape[0], dtype=bool)
+                hit[active] = nodes
+                return full, hit
+
+            k1, h1 = stage(positions, t)
+            k2, h2 = stage(np.mod(positions + 0.5 * dt * k1, lengths), t + 0.5 * dt)
+            k3, h3 = stage(np.mod(positions + 0.5 * dt * k2, lengths), t + 0.5 * dt)
+            k4, h4 = stage(np.mod(positions + dt * k3, lengths), t + dt)
+            stage_trunc = h1 | h2 | h3 | h4
+            move = active & ~stage_trunc
+            positions[move] = np.mod(
+                positions[move] + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)[move],
+                lengths[None, :],
+            )
+            truncated |= stage_trunc
+        times.append(t1)
+        history.append(positions.copy())
+    return Ensemble(positions, seed=ensemble.seed, source=ensemble.source, times=times,
+                    history=history, truncated=truncated)
+
+
+def reference_snapshot_json(state: GridState) -> str:
+    flat = state.values.reshape(-1)
+    return json.dumps(
+        {
+            "dimension": state.dim,
+            "lengths": list(state.grid.lengths),
+            "shape": list(state.grid.shape),
+            "time": state.t,
+            "values": [[float(v.real), float(v.imag)] for v in flat],
+        }
+    )
+
+
+def reference_snapshot_csv(state: GridState) -> str:
+    header = ",".join(f"q{a}" for a in range(1, state.dim + 1)) + ",re,im"
+    coords = [m.reshape(-1) for m in state.grid.meshes()]
+    flat = state.values.reshape(-1)
+    lines = [header]
+    for idx in range(flat.size):
+        pos = ",".join(f"{c[idx]:.12g}" for c in coords)
+        lines.append(f"{pos},{flat[idx].real:.15g},{flat[idx].imag:.15g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_trajectory_csv(ensemble: Ensemble) -> str:
+    axes = ",".join(f"q{a}" for a in range(1, ensemble.dim + 1))
+    lines = [f"t,particle_id,{axes},truncated"]
+    for t, positions in zip(ensemble.times, ensemble.history):
+        for pid in range(ensemble.count):
+            coords = ",".join(f"{x:.12g}" for x in positions[pid])
+            flag = int(bool(ensemble.truncated[pid]))
+            lines.append(f"{t:.12g},{pid},{coords},{flag}")
+    return "\n".join(lines) + "\n"

@@ -530,11 +530,9 @@ def test_each_command_realizes_an_operator_once_per_grid(command, ham, tmp_path,
         assert len(built) == 1
 
 
-def test_traced_equivariance_counts_each_layer(ham, tmp_path):
-    """perfbench/tracing.py measures the wrapped names; work routed around
-    them would read 0 in the per-layer metrics.  The static coefficients are
-    evaluated once for the whole run, and the table entries once per
-    snapshot."""
+def _traced_equivariance_counts(ham, tmp_path) -> dict:
+    """Counters of perfbench/tracing.py around `equivariance` on the 1D
+    oscillator ground state: 64 points, 200 particles, horizon 0.1."""
     spans = tmp_path / "spans.json"
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracing.py"), "--spans", str(spans), "--",
@@ -543,7 +541,15 @@ def test_traced_equivariance_counts_each_layer(ham, tmp_path):
         env=_subprocess_env(), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    counts = json.loads(spans.read_text())["counts"]
+    return json.loads(spans.read_text())["counts"]
+
+
+def test_traced_equivariance_counts_each_layer(ham, tmp_path):
+    """perfbench/tracing.py measures the wrapped names; work routed around
+    them would read 0 in the per-layer metrics.  The static coefficients are
+    evaluated once for the whole run, and the table entries once per
+    snapshot."""
+    counts = _traced_equivariance_counts(ham, tmp_path)
     H = require_hermitian(load_hamiltonian(HO))
     entries = sum(len(axis) for axis in derive_current_table(H).axes)
     steps = counts["solver.rk4_steps"]
@@ -552,3 +558,12 @@ def test_traced_equivariance_counts_each_layer(ham, tmp_path):
     snapshots = counts["currents.eval_current.calls"]
     assert snapshots == steps + 1  # stride 1 below 200 steps
     assert counts["expr.evaluate_on.calls"] == len(H.terms) + entries * snapshots
+
+
+def test_traced_equivariance_counts_particle_stages(ham, tmp_path):
+    """The tracer counts `active.sum()` in each `_FlowField.velocities(points,
+    t, active)` call: every live particle at every RK4 stage.  The ground
+    state has no node, so 200 particles x 100 snapshot intervals x 4
+    substeps x 4 stages."""
+    counts = _traced_equivariance_counts(ham, tmp_path)
+    assert counts["trajectories.particle_stages"] == 200 * 100 * 4 * 4

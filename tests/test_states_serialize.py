@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import reference_snapshot_csv, reference_snapshot_json, reference_trajectory_csv
 from pilotwave.errors import HamiltonianFormatError
-from pilotwave.grids import Grid
+from pilotwave.grids import Grid, GridState
 from pilotwave.serialize import (
     snapshot_from_json,
     snapshot_to_csv,
@@ -19,7 +20,7 @@ from pilotwave.states import (
     plane_wave,
     superposition,
 )
-from pilotwave.trajectories import sample_density
+from pilotwave.trajectories import Ensemble, sample_density
 
 
 def test_gaussian_moments():
@@ -135,8 +136,6 @@ def test_snapshot_json_roundtrip():
     grid = Grid((12.0, 6.0), (32, 16))
     rng = np.random.default_rng(1)
     values = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    from pilotwave.grids import GridState
-
     state = GridState(grid, values, t=0.75)
     back = snapshot_from_json(snapshot_to_json(state))
     assert back.grid == grid
@@ -168,6 +167,46 @@ def test_trajectory_csv_format():
     assert len(lines) == 1 + 2 * 3
     assert lines[2].split(",")[1] == "1"
     assert lines[2].split(",")[-1] == "1"
+
+
+# Writers against the per-element references (tests/helpers.py), byte for byte
+
+WRITER_GRIDS = {
+    "1d": Grid((4.0,), (16,)),
+    "2d": Grid((12.0, 6.5), (16, 32)),
+    "3d": Grid((1.0, 3.3, 7.0), (2, 4, 8)),
+}
+SPECIAL = np.array([-0.0, 5e-324, -5e-324, 1e17, -1e17, 0.1 + 0.2, 1e-7, 123456789.123456789])
+
+
+def with_specials(values: np.ndarray) -> np.ndarray:
+    flat = values.reshape(-1)
+    flat[: SPECIAL.size] = SPECIAL
+    flat[-SPECIAL.size :] = SPECIAL[::-1]
+    return values
+
+
+@pytest.mark.parametrize("name", WRITER_GRIDS)
+def test_snapshot_writers_are_byte_identical_to_the_reference(name):
+    grid = WRITER_GRIDS[name]
+    rng = np.random.default_rng(4)
+    re = with_specials(rng.normal(size=grid.shape) * 10.0 ** rng.integers(-5, 5, grid.shape))
+    im = with_specials(rng.normal(size=grid.shape))[::-1].copy()
+    state = GridState(grid, re + 1j * im, t=0.1 + 0.2)
+    assert snapshot_to_csv(state) == reference_snapshot_csv(state)
+    assert snapshot_to_json(state) == reference_snapshot_json(state)
+
+
+@pytest.mark.parametrize("name", WRITER_GRIDS)
+def test_trajectory_csv_is_byte_identical_to_the_reference(name):
+    grid = WRITER_GRIDS[name]
+    rng = np.random.default_rng(6)
+    count = 40
+    history = [with_specials(rng.uniform(0.0, 1.0, (count, grid.dim)) * grid.lengths) for _ in range(3)]
+    ensemble = Ensemble(history[-1], seed=6, times=[0.0, 0.1 + 0.2, 1e-7], history=history,
+                        truncated=rng.random(count) < 0.3)
+    assert 0 < ensemble.truncated.sum() < count
+    assert trajectory_csv(ensemble) == reference_trajectory_csv(ensemble)
 
 
 def test_svgplot_writes_polylines(tmp_path):

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from helpers import reference_integrate_trajectories, reference_interpolate
 from pilotwave.currents import derive_current_table, eval_current
-from pilotwave.errors import NodeError, PilotwaveError, StabilityError, TruncationError
+from pilotwave.errors import (
+    DimensionMismatchError,
+    NodeError,
+    PilotwaveError,
+    StabilityError,
+    TruncationError,
+)
 from pilotwave.grids import Grid, GridState
 from pilotwave.operators import OperatorApplier, load_hamiltonian
 from pilotwave.solver import EvolutionSpec, evolve
@@ -266,4 +273,152 @@ def test_equivariance_refuses_a_run_above_the_step_budget(monkeypatch):
     psi0 = gaussian(grid, center=[18.0], width=0.5, wavevector=[1.0])
     with pytest.raises(StabilityError, match=r"^2095129 RK4 steps exceed MAX_RK4_STEPS = 1000000"):
         equivariance_test(load_hamiltonian(QUARTIC_1D), psi0, count=100, horizon=1.0, seed=0)
+    assert applications == []
+
+
+# ---------------------------------------------------------------------------
+# The array path against the per-field reference (tests/helpers.py), bit for bit
+
+GRIDS = {
+    "1d": Grid((10.0,), (64,)),
+    "2d": Grid((8.0, 12.0), (16, 32)),
+    "3d": Grid((6.0, 5.0, 7.0), (16, 16, 16)),
+}
+FREE = {
+    1: FREE_1D,
+    2: 'dim = 2\nterm [2,0] = "-0.5"\nterm [0,2] = "-0.5"\n',
+    3: 'dim = 3\nterm [2,0,0] = "-0.5"\nterm [0,2,0] = "-0.5"\nterm [0,0,2] = "-0.5"\n',
+}
+
+
+def wrap_edge_points(grid: Grid, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Random points plus points on nodes, on the last node, just below L,
+    at exactly L, at -0.0 and one period out."""
+    lengths = np.asarray(grid.lengths)
+    spacings = np.asarray(grid.spacings)
+    edges = np.array([
+        np.zeros(grid.dim),
+        np.full(grid.dim, -0.0),
+        lengths - spacings,
+        lengths - 1e-13,
+        lengths,
+        lengths + 0.5 * spacings,
+        -0.25 * spacings,
+        3 * spacings,
+    ])
+    return np.vstack([edges, rng.uniform(0.0, 1.0, (count, grid.dim)) * lengths])
+
+
+def drifting_state(grid: Grid, t: float = 0.0) -> GridState:
+    """A plane wave under a nonvanishing periodic envelope: every particle
+    moves, and those next to q_a = L_a cross the wrap edge."""
+    values = np.ones(grid.shape, dtype=complex)
+    for axis, mesh in enumerate(grid.meshes()):
+        phase = 2.0 * np.pi * mesh / grid.lengths[axis]
+        values = values * np.exp(1j * (axis + 1) * phase) * (1.5 + np.cos(phase + axis))
+    return GridState(grid, values, t).normalized()
+
+
+def assert_same_ensemble(got: Ensemble, want: Ensemble):
+    assert got.positions.tobytes() == want.positions.tobytes()
+    assert got.times == want.times
+    assert len(got.history) == len(want.history)
+    for a, b in zip(got.history, want.history):
+        assert a.tobytes() == b.tobytes()
+    assert got.truncated.tobytes() == want.truncated.tobytes()
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_interpolate_is_bitwise_the_per_corner_reference(name):
+    grid = GRIDS[name]
+    rng = np.random.default_rng(3)
+    points = wrap_edge_points(grid, rng, 200)
+    real = rng.normal(size=grid.shape)
+    for values in (real, real + 1j * rng.normal(size=grid.shape)):
+        got = interpolate(grid, values, points)
+        assert got.dtype == values.dtype
+        assert got.tobytes() == reference_interpolate(grid, values, points).tobytes()
+
+
+def test_interpolate_refuses_values_off_the_grid_shape():
+    """A field of another grid would be read through this grid's flat indices."""
+    grid = Grid((4.0, 4.0), (32, 32))
+    with pytest.raises(DimensionMismatchError, match=r"\(64, 64\)"):
+        interpolate(grid, np.ones((64, 64)), np.array([[1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_trajectories_are_bitwise_the_per_field_reference(name):
+    grid = GRIDS[name]
+    H = load_hamiltonian(FREE[grid.dim])
+    snaps = evolve(H, drifting_state(grid), EvolutionSpec(dt=0.01, steps=30, stride=10))
+    table = derive_current_table(H)
+    start = wrap_edge_points(grid, np.random.default_rng(5), 100)
+    ensemble = Ensemble(start, seed=5)
+    got = integrate_trajectories(snaps, table, ensemble, substeps=3)
+    assert_same_ensemble(got, reference_integrate_trajectories(snaps, table, ensemble, substeps=3))
+    lengths = np.asarray(grid.lengths)
+    crossed = np.abs(got.history[-1] - got.history[0]) > lengths / 2
+    assert np.any(crossed)  # some particles crossed the wrap edge
+    assert not np.any(got.truncated)
+
+
+def emptying_snapshots(grid: Grid) -> list[GridState]:
+    """Four snapshots of a drifting state whose slab 0.5 L_1 <= q_1 < 0.8 L_1 is
+    empty from the third snapshot on: particles that reach it afterwards are
+    truncated mid-run, the others never are."""
+    snaps = []
+    q1 = grid.meshes()[0]
+    slab = (q1 >= 0.5 * grid.lengths[0]) & (q1 < 0.8 * grid.lengths[0])
+    for s in range(4):
+        values = drifting_state(grid).values.copy()
+        if s >= 2:
+            values[slab] = 0.0
+        snaps.append(GridState(grid, values, 0.2 * s))
+    return snaps
+
+
+@pytest.mark.parametrize("name", ["1d", "2d"])
+def test_partial_truncation_is_bitwise_the_per_field_reference(name):
+    grid = GRIDS[name]
+    H = load_hamiltonian(FREE[grid.dim])
+    snaps = emptying_snapshots(grid)
+    table = derive_current_table(H)
+    start = wrap_edge_points(grid, np.random.default_rng(11), 150)
+    ensemble = Ensemble(start, seed=11)
+    got = integrate_trajectories(snaps, table, ensemble, substeps=4)
+    assert_same_ensemble(got, reference_integrate_trajectories(snaps, table, ensemble, substeps=4))
+    assert 0 < got.truncated.sum() < got.count
+    # truncated particles moved through the first interval, then froze
+    frozen = got.truncated
+    assert np.all(np.any(got.history[1][frozen] != got.history[0][frozen], axis=1))
+    assert np.array_equal(got.history[-1][frozen], got.positions[frozen])
+
+
+@pytest.mark.parametrize("substeps", [0, -1])
+def test_integration_refuses_a_substep_count_below_one(substeps):
+    H, grid, snaps = free_gaussian_snapshots(steps=50)
+    ensemble = Ensemble(np.array([[20.0]]), seed=0)
+    with pytest.raises(ValueError, match="substeps"):
+        integrate_trajectories(snaps, derive_current_table(H), ensemble, substeps=substeps)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sampling_refuses_a_count_below_one(count):
+    grid = Grid((10.0,), (64,))
+    with pytest.raises(ValueError, match="count"):
+        sample_density(np.ones(64), grid, count, seed=1)
+
+
+@pytest.mark.parametrize(
+    "bad", [{"count": 0}, {"substeps": 0}, {"substeps": -1}], ids=["count=0", "substeps=0", "substeps=-1"]
+)
+def test_equivariance_refuses_bad_counts_before_any_work(bad, monkeypatch):
+    applications = []
+    monkeypatch.setattr(OperatorApplier, "__call__", lambda self, values, t: applications.append(t))
+    grid = Grid((40.0,), (128,))
+    psi0 = gaussian(grid, center=[20.0], width=1.0)
+    args = {"count": 100, "substeps": 4, **bad}
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        equivariance_test(load_hamiltonian(FREE_1D), psi0, horizon=0.05, seed=2, **args)
     assert applications == []

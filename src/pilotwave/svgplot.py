@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 WIDTH, HEIGHT = 720, 460
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+
+def escape(text: str) -> str:
+    """Escape &, < and > for XML character data, as xml.sax.saxutils.escape
+    does; importing xml.sax would pull in urllib, http, email and ssl."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _bounds(series):

@@ -9,6 +9,10 @@ checks, pointed at the same center, can distinguish them.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +23,16 @@ from pilotwave.grids import Grid, GridState
 from pilotwave.multiindex import indices_of_max_order
 from pilotwave.operators import DifferentialOperator, SamplingSpec, hermitize
 from pilotwave.trajectories import NODE_EPS, Ensemble
+
+
+def run_fresh_python(script: str) -> subprocess.CompletedProcess:
+    """Run `script` in a new interpreter that imports this checkout's src/,
+    as a CLI call starts: no module imported and the allocator untouched."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
 
 
 def count_hermiticity_checks(monkeypatch) -> list:

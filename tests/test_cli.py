@@ -305,6 +305,20 @@ def test_equivariance_reports_and_repeats(ham, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize(
+    "schedule, horizon",
+    [(["--dt", "1e-3", "--steps", "100"], 100 * 1e-3), (["--horizon", "0.1"], 0.1)],
+    ids=["fixed", "chosen"],
+)
+def test_equivariance_reports_the_horizon_it_reached(schedule, horizon, ham, capsys):
+    """A fixed schedule ends at steps * dt, whatever --horizon (default 1)
+    says; a program-chosen one ends at the requested horizon."""
+    argv = ["equivariance", ham("ho.ham", HO), "--state", ham("ground.st", GROUND), "--grid", "64",
+            "--domain", "40", "--count", "100", *schedule]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["horizon"] == horizon
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["derive"])  # missing positional

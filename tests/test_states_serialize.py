@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import reference_snapshot_csv, reference_snapshot_json, reference_trajectory_csv
+from helpers import (
+    reference_snapshot_csv,
+    reference_snapshot_json,
+    reference_trajectory_csv,
+    run_fresh_python,
+)
 from pilotwave.errors import HamiltonianFormatError
 from pilotwave.grids import Grid, GridState
 from pilotwave.serialize import (
@@ -219,3 +224,23 @@ def test_svgplot_writes_polylines(tmp_path):
     assert text.startswith("<svg")
     assert text.count("<polyline") == 2
     assert "demo" in text
+
+
+@pytest.mark.parametrize(
+    "text", ["", "a & b", "<q1> & <q2>", "1 < 2 > 0", "\"quoted\" 'text'", "ψ(t) — |ψ|² ≥ 0 &amp;"]
+)
+def test_svgplot_escape_is_the_xml_sax_escape(text):
+    from xml.sax.saxutils import escape
+
+    from pilotwave import svgplot
+
+    assert svgplot.escape(text) == escape(text)
+
+
+def test_cli_import_pulls_in_no_network_or_xml_modules():
+    """xml.sax.saxutils alone brought urllib.request, http.client, email and
+    ssl into every CLI call's import."""
+    done = run_fresh_python("import sys, pilotwave.cli; print(' '.join(sorted(sys.modules)))")
+    top_level = {name.split(".")[0] for name in done.stdout.split()}
+    assert "pilotwave" in top_level
+    assert not top_level & {"xml", "http", "email", "ssl", "socket"}

@@ -32,11 +32,11 @@ from .errors import (
     NonHermitianError,
     PilotwaveError,
 )
-from .grids import Grid, check_length, check_points
+from .grids import DEFAULT_LENGTH, Grid, check_length, check_points
 from .operators import (
     MIN_POINTS_PER_AXIS,
     DifferentialOperator,
-    HermitianOperator,
+    SamplingSpec,
     hermiticity_violations,
     hermitize,
     load_hamiltonian,
@@ -56,7 +56,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 DEFAULT_POINTS = 256
-DEFAULT_LENGTH = 40.0
 ALL_METHODS = ("canonical", "epstein", "born-jordan", "second-order")
 
 
@@ -67,10 +66,10 @@ def _read(path: str) -> str:
         raise HamiltonianFormatError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_operator(args) -> HermitianOperator:
-    """The Hamiltonian file, symmetrized on --hermitize, checked once here."""
+def _load_operator(args) -> DifferentialOperator:
+    """The Hamiltonian file, symmetrized on --hermitize; not yet verified."""
     H = load_hamiltonian(_read(args.hamiltonian))
-    return require_hermitian(hermitize(H) if args.hermitize else H)
+    return hermitize(H) if args.hermitize else H
 
 
 def _positive_float(text: str) -> float:
@@ -127,12 +126,16 @@ def _resolve_grid(args, dim: int, spec) -> Grid:
     return Grid(tuple(lengths), tuple(points))
 
 
-def _load_state(args, dim: int, min_points: int = 1):
+def _load_problem(args, min_points: int = 1):
+    """(H, psi, grid): the state and grid are resolved first, then H is
+    verified once, on the grid's box [0, L_1) x ... x [0, L_N)."""
+    H = _load_operator(args)
     if not args.state:
         raise HamiltonianFormatError("this command needs --state <file>")
     spec = parse_state_spec(_read(args.state), min_points)
-    grid = _resolve_grid(args, dim, spec)
-    return build_state(spec, grid), grid
+    grid = _resolve_grid(args, H.dim, spec)
+    psi = build_state(spec, grid)
+    return require_hermitian(H, SamplingSpec(lengths=grid.lengths)), psi, grid
 
 
 def _auto_spec(args, H: DifferentialOperator, grid: Grid) -> EvolutionSpec:
@@ -174,8 +177,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    H = _load_operator(args)
-    psi0, grid = _load_state(args, H.dim, MIN_POINTS_PER_AXIS)
+    H, psi0, grid = _load_problem(args, MIN_POINTS_PER_AXIS)
     spec = _auto_spec(args, H, grid)
     out_dir = Path(args.out or "pilotwave-out")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -260,8 +262,7 @@ def cmd_compare(args) -> int:
     for m in methods:
         if m not in ALL_METHODS:
             raise HamiltonianFormatError(f"unknown method '{m}' (choose from {', '.join(ALL_METHODS)})")
-    H = _load_operator(args)
-    psi, grid = _load_state(args, H.dim)
+    H, psi, _ = _load_problem(args)
 
     fields = {}
     report = {"methods": {}}
@@ -306,8 +307,7 @@ def cmd_equivariance(args) -> int:
             f"{', '.join(given)} given without {' and '.join(missing)}; a fixed schedule needs "
             "both --dt and --steps, or neither to let the program choose"
         )
-    H = _load_operator(args)
-    psi0, grid = _load_state(args, H.dim, MIN_POINTS_PER_AXIS)
+    H, psi0, _ = _load_problem(args, MIN_POINTS_PER_AXIS)
     spec = None
     if given:
         stride = args.stride if args.stride is not None else max(1, args.steps // 100)

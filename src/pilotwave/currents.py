@@ -167,7 +167,10 @@ def _exchange_weight(n: MultiIndex, m: MultiIndex, e_i: MultiIndex) -> Fraction:
 
 
 def derive_current_table(H: DifferentialOperator) -> CurrentTable:
-    """Symbolic current coefficients, completely determined by the Hamiltonian."""
+    """Symbolic current coefficients, completely determined by the Hamiltonian.
+
+    Entries that are exactly 0 at every point of the SamplingSpec that H was
+    verified with are dropped."""
     H = require_hermitian(H)
     dim = H.dim
     axes: list[dict[tuple[MultiIndex, MultiIndex], CoefficientExpression]] = []
@@ -187,7 +190,7 @@ def derive_current_table(H: DifferentialOperator) -> CurrentTable:
                     contrib = expr.const(1j * complex(w), dim) * deriv
                     key = (n, m)
                     table[key] = table[key] + contrib if key in table else contrib
-        axes.append({key: c for key, c in table.items() if not expr.is_zero(c)})
+        axes.append({key: c for key, c in table.items() if not H.sampling.vanishes(c)})
     return CurrentTable(dim, axes, provenance=repr(H))
 
 

@@ -10,9 +10,13 @@ One tree walker, `_eval`, computes values: over grid meshes, at a single
 point and over a batch of sample points alike, always on complex numpy
 arrays.  A fault is a divide-by-zero, invalid or overflow floating-point
 error; it raises EvaluationDomainError naming the innermost subexpression
-whose operation faulted.  The sampled equality checks draw all their points
-in one call to the random generator, bit-identical to drawing them point by
-point.
+whose operation faulted.
+
+The sampled checks, `approx_equal` and the exact-zero test `vanishes`, draw
+q uniformly from the periodic box [0, L_1) x ... x [0, L_N) of a grid (by
+default [0, DEFAULT_LENGTH) per axis, the CLI's default domain) and t from
+[0, 1).  They draw all their points in one call to the random generator,
+bit-identical to drawing them point by point.
 
 Grammar (whitespace-insensitive, ^ binds tightest, then unary minus, then
 * and /, then + and -)::
@@ -41,6 +45,7 @@ from .errors import (
     ExpressionSyntaxError,
     SamplingError,
 )
+from .grids import DEFAULT_LENGTH, check_length
 from .multiindex import MultiIndex
 
 # ---------------------------------------------------------------------------
@@ -707,24 +712,21 @@ def call(func: str, arg: CoefficientExpression) -> CoefficientExpression:
     return CoefficientExpression(_call(func, arg.node), arg.dim)
 
 
-SAMPLE_HALF_WIDTH = 2.0  # randomized checks sample q from [-2, 2]^N, t from [0, 1]
-
-
 def approx_equal(
     a: CoefficientExpression,
     b: CoefficientExpression,
     samples: int = 32,
     seed: int = 2024,
     tol: float = 1e-9,
-    box_center=None,
-    box_half_width: float = SAMPLE_HALF_WIDTH,
+    lengths=None,
 ) -> bool:
     """Numerical expression equality on reproducible random sample points.
 
-    True iff |a-b| <= tol*(1+|a|+|b|) at `samples` points drawn from the
-    sampling box (centered on `box_center`, default the origin) x [0,1] in t.
-    Points where either side faults are skipped: a divide, invalid or
-    overflow error, which `evaluate` reports with the faulting
+    True iff |a-b| <= tol*(1+|a|+|b|) at `samples` points drawn uniformly
+    from the periodic box [0, L_1) x ... x [0, L_N) that `Grid` uses, with
+    L_a = `lengths[a]` (default DEFAULT_LENGTH on every axis), and from
+    [0, 1) in t.  Points where either side faults are skipped: a divide,
+    invalid or overflow error, which `evaluate` reports with the faulting
     subexpression.  A 10x oversampling budget is drawn; fewer than `samples`
     valid points in it raise SamplingError unless they already show a
     mismatch.
@@ -736,15 +738,7 @@ def approx_equal(
     and the first `samples` rows where neither side faults are compared.
     """
     a._check_dim(b)
-    dim = a.dim
-    center = np.zeros(dim) if box_center is None else np.asarray(box_center, dtype=float)
-    if center.shape != (dim,):
-        raise DimensionMismatchError(f"box center must have {dim} entries")
-    budget = 10 * samples
-    u = np.random.default_rng(seed).random((budget, dim + 1))
-    low, high = -box_half_width, box_half_width
-    q = center + (low + (high - low) * u[:, :dim])
-    t = u[:, dim]
+    q, t = _draw(a.dim, 10 * samples, seed, lengths)
     va, faults_a, fault_a = _sample(a, q, t)
     vb, faults_b, fault_b = _sample(b, q, t)
     valid = np.flatnonzero(~(faults_a | faults_b))[:samples]
@@ -753,10 +747,28 @@ def approx_equal(
         return False
     if valid.size < samples:
         raise SamplingError(
-            f"only {valid.size}/{samples} valid sample points after {budget} draws "
+            f"only {valid.size}/{samples} valid sample points after {q.shape[0]} draws "
             f"(first fault: {fault_a or fault_b})"
         )
     return True
+
+
+def vanishes(e: CoefficientExpression, samples: int = 32, seed: int = 2024, lengths=None) -> bool:
+    """True iff `e` is exactly 0 at the first `samples` points that
+    `approx_equal` draws with the same arguments.  A point where `e` faults
+    counts as nonzero, so pruning by this test drops only genuine zeros."""
+    values, faults, _ = _sample(e, *_draw(e.dim, samples, seed, lengths))
+    return not (faults.any() or values.any())
+
+
+def _draw(dim: int, count: int, seed: int, lengths):
+    """`count` points of the box [0, L_1) x ... x [0, L_N) x [0, 1): q as rows
+    and t.  A malformed box is refused before anything is drawn."""
+    box = [DEFAULT_LENGTH] * dim if lengths is None else [check_length(float(L)) for L in lengths]
+    if len(box) != dim:
+        raise DimensionMismatchError(f"sampling box has {len(box)} lengths for dimension {dim}")
+    u = np.random.default_rng(seed).random((count, dim + 1))
+    return np.asarray(box) * u[:, :dim], u[:, dim]
 
 
 def _sample(e: CoefficientExpression, q: np.ndarray, t: np.ndarray):
@@ -797,28 +809,3 @@ def contains_time(e: CoefficientExpression) -> bool:
         return False
 
     return walk(e.node)
-
-
-def is_zero(e: CoefficientExpression, samples: int = 16, seed: int = 99, tol: float = 1e-12) -> bool:
-    """Zero test used for pruning: structural fold, then sampled probes.
-
-    Probes several nested box scales so that functions localized away from
-    the origin (e.g. coefficients centered mid-domain on a grid) are not
-    mistaken for zero.  A scale where evaluation keeps faulting counts as
-    "not provably zero": pruning must only ever drop genuine zeros.
-    """
-    if e.is_structural_zero:
-        return True
-    if isinstance(e.node, Const):
-        return e.node.value == 0
-    zero = const(0, e.dim)
-    for scale in (1.0, 8.0, 32.0):
-        try:
-            if not approx_equal(
-                e, zero, samples=samples, seed=seed, tol=tol,
-                box_half_width=scale * SAMPLE_HALF_WIDTH,
-            ):
-                return False
-        except SamplingError:
-            return False
-    return True

@@ -19,6 +19,9 @@ MAX_GRID_DIM = 3
 MAX_POINTS_PER_AXIS = 1024
 # One complex field of 2**24 points is 256 MiB, and RK4 holds about seven.
 MAX_GRID_POINTS = 2**24
+# Box length per axis when none is given: the CLI's default domain, and the
+# box [0, 40)^N on which sampled expression checks draw their points.
+DEFAULT_LENGTH = 40.0
 
 
 def _is_power_of_two(n: int) -> bool:

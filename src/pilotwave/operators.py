@@ -30,22 +30,24 @@ MIN_POINTS_PER_AXIS = 16
 
 @dataclass(frozen=True)
 class SamplingSpec:
-    """Controls the randomized expression-equality checks.
-
-    `box_center` shifts the q sampling box (half-width 2 per axis) so that
-    coefficients localized away from the origin — e.g. centered mid-domain
-    on a grid — are still distinguishable.
+    """The points of the randomized expression checks: `samples` points drawn
+    with `seed` from the box [0, L_1) x ... x [0, L_N) that a grid with these
+    `lengths` covers (default grids.DEFAULT_LENGTH per axis), and t from
+    [0, 1).  A check refuses, before drawing, lengths that are not positive
+    and finite or whose count is not the expression's dimension.
     """
 
     samples: int = 32
     seed: int = 2024
     tol: float = 1e-9
-    box_center: tuple[float, ...] | None = None
+    lengths: tuple[float, ...] | None = None
 
     def equal(self, a: CoefficientExpression, b: CoefficientExpression) -> bool:
-        return expr.approx_equal(
-            a, b, samples=self.samples, seed=self.seed, tol=self.tol, box_center=self.box_center
-        )
+        return expr.approx_equal(a, b, self.samples, self.seed, self.tol, self.lengths)
+
+    def vanishes(self, e: CoefficientExpression) -> bool:
+        """True iff `e` is exactly 0 at every sample point; a fault counts as nonzero."""
+        return expr.vanishes(e, self.samples, self.seed, self.lengths)
 
 
 class DifferentialOperator:
@@ -59,9 +61,8 @@ class DifferentialOperator:
                 raise DimensionMismatchError(
                     f"term {n} or its coefficient does not match dimension {self.dim}"
                 )
-            if expr.is_zero(coef):
-                continue
-            clean[n] = coef
+            if not coef.is_structural_zero:
+                clean[n] = coef
         self._terms = dict(sorted(clean.items(), key=lambda kv: kv[0].sort_key()))
         self._realizations: dict[Grid, OperatorApplier] = {}
 
@@ -137,16 +138,19 @@ def hermitize(H: DifferentialOperator) -> DifferentialOperator:
 
 class HermitianOperator(DifferentialOperator):
     """An operator that passed the sampled Hermiticity check when it was built;
-    get one from `require_hermitian`.  It shares the checked operator's pruned
-    terms and its repr, which is the provenance of a derived current table."""
+    get one from `require_hermitian`.  `sampling` is the SamplingSpec it was
+    verified with.  It keeps the checked operator's terms except those that
+    are exactly 0 at every sample point of `sampling`, and its repr is the
+    provenance of a derived current table."""
 
     def __init__(self, H: DifferentialOperator, check: SamplingSpec | None = None):
         bad = hermiticity_violations(H, check)
         if bad:
             slots = ", ".join(str(n) for n in bad)
             raise NonHermitianError(f"Hamiltonian is not Hermitian; violated slots: {slots}")
+        self.sampling = check or SamplingSpec()
         self.dim = H.dim
-        self._terms = H._terms
+        self._terms = {n: c for n, c in H._terms.items() if not self.sampling.vanishes(c)}
         self._realizations = {}
 
 

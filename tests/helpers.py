@@ -3,7 +3,7 @@
 Random operators use polynomial-times-Gaussian coefficients centered
 mid-domain, so that (a) grid states concentrated at the domain center see
 the coefficients at full strength, and (b) the randomized symbolic equality
-checks, pointed at the same center, can distinguish them.
+checks, drawing from the same grid box, can distinguish them.
 """
 
 from __future__ import annotations
@@ -68,7 +68,9 @@ def record_function_argument_sizes(monkeypatch) -> list:
 
 
 def centered_spec(center, samples: int = 48, seed: int = 7, tol: float = 1e-9) -> SamplingSpec:
-    return SamplingSpec(samples=samples, seed=seed, tol=tol, box_center=tuple(center))
+    """Checks on the box [0, 2 c) centred on `center`: the grid's box when
+    `center` is the grid's centre."""
+    return SamplingSpec(samples=samples, seed=seed, tol=tol, lengths=tuple(2.0 * c for c in center))
 
 
 def poly_gauss_coefficient(

@@ -52,6 +52,16 @@ def test_check_first_derivative_slot(ham, capsys):
     assert "[1]" in capsys.readouterr().out
 
 
+def test_check_samples_the_default_box(ham, capsys):
+    # exp(-(q1-20)^2) is about 1e-141 at the origin; a real first-order
+    # coefficient is never Hermitian, and [0, 40) sees it at full strength
+    path = ham("bump.ham", 'dim = 1\nterm [2] = "-0.5"\nterm [1] = "exp(-(q1-20)^2)"\n')
+    assert main(["check", path]) == 1
+    out = capsys.readouterr().out
+    assert "Hermitian: no" in out
+    assert "slot n = [0]" in out and "slot n = [1]" in out
+
+
 def test_check_malformed_exits_2(ham, capsys):
     assert main(["check", ham("bad.ham", "dim = \n")]) == 2
     assert main(["check", str("no-such-file.ham")]) == 2
@@ -210,6 +220,30 @@ def test_simulate_non_hermitian_exits_1(ham, tmp_path):
         ]
     )
     assert code == 1
+
+
+BUMP80 = 'dim = 1\nterm [2] = "-0.5"\nterm [1] = "exp(-(q1-80)^2)"\n'
+GAUSS80 = "state = gaussian\ncenter = [80.0]\nwidth = 1.0\nwavevector = [1.0]\n"
+
+
+def test_compare_verifies_on_the_grid_box(ham, capsys):
+    argv = ["compare", ham("bump80.ham", BUMP80), "--state", ham("g80.st", GAUSS80),
+            "--grid", "256", "--domain", "100", "--methods", "canonical"]
+    assert main(argv) == 1
+    assert "violated slots: [0], [1]" in capsys.readouterr().err
+    assert main(argv + ["--hermitize"]) == 0
+    # Known limit: check has no grid, so it answers for [0, 40), where the
+    # bump at 80 is below the smallest double
+    capsys.readouterr()
+    assert main(["check", ham("bump80.ham", BUMP80)]) == 0
+    assert "Hermitian: yes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "equivariance"])
+def test_state_errors_come_before_the_verdict(command, ham, capsys):
+    # QP is not Hermitian; the missing state file is reported first
+    assert main([command, ham("qp.ham", QP), "--state", "no-such-file.st"]) == 2
+    assert "cannot read no-such-file.st" in capsys.readouterr().err
 
 
 def test_compare_methods_2d(ham, capsys):

@@ -206,10 +206,11 @@ def test_form_equivalence_random_ensemble():
 
 def test_reality_of_table_entries():
     rng = np.random.default_rng(505)
-    spec = centered_spec((0.0,) * 2, tol=1e-9)
+    center = (2.0, 2.0)  # the box [0, 4)^2, the old [-2, 2)^2 translated with the operators
+    spec = centered_spec(center, tol=1e-9)
     for _ in range(8):
-        H = random_hermitian_operator(rng, 2, 4, (0.0, 0.0))
-        table = derive_current_table(require_hermitian(H, centered_spec((0.0, 0.0))))
+        H = random_hermitian_operator(rng, 2, 4, center)
+        table = derive_current_table(require_hermitian(H, centered_spec(center)))
         for axis in (1, 2):
             entries = table.entries(axis)
             for (n, m), coef in entries.items():

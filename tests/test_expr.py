@@ -10,6 +10,7 @@ from pilotwave.errors import (
     ExpressionSyntaxError,
     SamplingError,
 )
+from pilotwave.grids import DEFAULT_LENGTH
 from pilotwave.multiindex import MultiIndex
 
 
@@ -195,7 +196,7 @@ def test_overflow_is_a_fault():
         expr.approx_equal(square, square + 1)
     # inf - 2*inf is nan, which no tolerance test rejects: a nonzero term
     # must not be pruned as zero
-    assert not expr.is_zero(expr.parse("(1e300*q1)*(1e300*q1) - (1e300*q1)*(1e300*q1)*2", 1))
+    assert not expr.vanishes(expr.parse("(1e300*q1)*(1e300*q1) - (1e300*q1)*(1e300*q1)*2", 1))
 
 
 @pytest.mark.parametrize(
@@ -236,18 +237,17 @@ def test_finite_constants_still_fold():
     )
 
 
-def reference_approx_equal(a, b, samples=32, seed=2024, tol=1e-9, box_center=None,
-                           box_half_width=expr.SAMPLE_HALF_WIDTH):
+def reference_approx_equal(a, b, samples=32, seed=2024, tol=1e-9, lengths=None):
     """approx_equal as a per-point loop: q and t drawn with rng.uniform per
     attempt, one evaluate call per side and point, a redraw on a fault."""
-    center = np.zeros(a.dim) if box_center is None else np.asarray(box_center, dtype=float)
+    box = np.full(a.dim, DEFAULT_LENGTH) if lengths is None else np.asarray(lengths, dtype=float)
     rng = np.random.default_rng(seed)
     valid = attempts = 0
     while valid < samples:
         if attempts >= 10 * samples:
             raise SamplingError(f"only {valid}/{samples} valid sample points")
         attempts += 1
-        q = center + rng.uniform(-box_half_width, box_half_width, a.dim)
+        q = rng.uniform(0.0, box, a.dim)
         t = rng.uniform(0.0, 1.0)
         try:
             va = a.evaluate(q, t)
@@ -270,24 +270,25 @@ def verdict(check, a, b, **kwargs):
 def test_batched_approx_equal_matches_per_point_loop():
     # A narrow bump at c is seen only if a drawn point lands near c, so
     # these verdicts depend on exactly which points are drawn and kept.
-    # exp(800*q1) overflows for q1 > 0.89 and exp(10000*(q1+1.8)) for
-    # q1 > -1.73, so those pairs skip many points or run out of them.
+    # On the box [0, 4), exp(800*(q1-2)) overflows for q1 > 2.89 and
+    # exp(10000*(q1-0.2)) for q1 > 0.27, so those pairs skip many points or
+    # run out of them.
     pairs = [
         (expr.parse("log(q1^2)", 1), expr.parse("2*log(sqrt(q1^2))", 1), {}),
         (expr.parse("1/(q1-q1)", 1), expr.parse("1/(q1-q1)", 1), {}),
     ]
-    for c in np.linspace(-2.2, 2.2, 23):
+    for c in np.linspace(-0.2, 4.2, 23):
         bump = f"1e-3*exp(-5000*(q1 - {float(c)!r})^2)"
         for base, kwargs in (
             ("q1", {"samples": 8}),
-            ("exp(800*q1)", {"samples": 8}),
-            ("exp(10000*(q1+1.8))", {"samples": 32}),
+            ("exp(800*(q1-2))", {"samples": 8}),
+            ("exp(10000*(q1-0.2))", {"samples": 32}),
         ):
             a = expr.parse(base, 1)
             b = expr.parse(f"({base})*(1 + {bump})", 1)
-            pairs.append((a, b, kwargs))
-        shifted = expr.parse(f"q1*q2 + {bump}*exp(-(q2 + 3)^2)", 2)
-        pairs.append((expr.parse("q1*q2", 2), shifted, {"samples": 8, "box_center": (0.0, -3.0)}))
+            pairs.append((a, b, {"lengths": (4.0,), **kwargs}))
+        shifted = expr.parse(f"q1*q2 + {bump}*exp(-(q2 - 2)^2)", 2)
+        pairs.append((expr.parse("q1*q2", 2), shifted, {"samples": 8, "lengths": (4.0, 4.0)}))
     seen = []
     for seed in (2024, 5):
         for a, b, kwargs in pairs:

@@ -18,6 +18,7 @@ from pilotwave.errors import (
     GridError,
     HamiltonianFormatError,
     NonHermitianError,
+    StabilityError,
 )
 from pilotwave.grids import Grid, GridState
 from pilotwave.multiindex import MultiIndex
@@ -35,6 +36,7 @@ from pilotwave.operators import (
     load_hamiltonian,
     require_hermitian,
 )
+from pilotwave.solver import EvolutionSpec, chebyshev_coefficients, evolve, stability_estimate
 from pilotwave.states import gaussian, plane_wave
 from pilotwave.trajectories import equivariance_test
 
@@ -69,7 +71,7 @@ def test_adjoint_of_q_times_derivative():
 def test_adjoint_is_involution():
     rng = np.random.default_rng(41)
     for dim in (1, 2):
-        center = (0.0,) * dim
+        center = (2.0,) * dim  # the box [0, 4), the old [-2, 2) translated with the operators
         spec = centered_spec(center)
         for _ in range(5):
             H = random_hermitian_operator(rng, dim, 3, center)
@@ -157,6 +159,49 @@ def test_currents_trust_a_verified_operator(name, monkeypatch):
     assert calls == []
     current(H, psi)
     assert calls == [None]
+
+
+def test_pruning_keeps_a_bump_away_from_the_origin():
+    # coefficients centred at (10, 10) are far below 1e-12 near the origin
+    H = random_hermitian_operator(np.random.default_rng(1), 2, 6, (10, 10))
+    assert len(H.terms) == 4
+    assert require_hermitian(H, SamplingSpec(lengths=(20.0, 20.0))).terms == H.terms
+
+
+def test_pruning_keeps_a_small_drive():
+    H = load_hamiltonian('dim = 1\nterm [2] = "-0.5"\nterm [0] = "1e-12*cos(t)"\n')
+    assert len(H.terms) == 2 and H.is_time_dependent()
+    verified = require_hermitian(H)
+    assert verified.terms == H.terms and verified.is_time_dependent()
+    # a time-independent H would take the Chebyshev path on this schedule;
+    # the driven one takes RK4, whose stability limit dt * R = 3 exceeds
+    grid = Grid((20.0,), (64,))
+    psi = gaussian(grid, center=[10.0], width=1.0, wavevector=[1.0])
+    spec = EvolutionSpec(dt=3.0 / stability_estimate(H, grid), steps=100, stride=100)
+    assert len(chebyshev_coefficients(3.0 * spec.stride)) < 4 * spec.stride
+    evolve(load_hamiltonian(FREE[1]), psi, spec)
+    with pytest.raises(StabilityError, match="exceeds the RK4 limit"):
+        evolve(verified, psi, spec)
+
+
+def test_pruning_drops_exact_cancellations():
+    sym = hermitize(load_hamiltonian('dim = 1\nterm [2] = "-0.5"\nterm [1] = "q1"\n'))
+    assert MultiIndex((1,)) in sym.terms  # q1 - q1 is not folded structurally
+    verified = require_hermitian(sym)
+    assert {n: c.constant_value() for n, c in verified.terms.items()} == {
+        MultiIndex((0,)): -0.5, MultiIndex((2,)): -0.5
+    }
+
+
+@pytest.mark.parametrize("lengths, error", [
+    ((0.0,), GridError), ((float("nan"),), GridError), ((20.0, 20.0), DimensionMismatchError),
+])
+def test_malformed_sampling_box_is_refused(lengths, error):
+    H = op_1d({2: "-0.5"})
+    with pytest.raises(error):
+        require_hermitian(H, SamplingSpec(lengths=lengths))
+    with pytest.raises(error):
+        expr.approx_equal(H.coefficient(MultiIndex((2,))), expr.parse("q1", 1), lengths=lengths)
 
 
 def test_hermitize_examples():
@@ -356,7 +401,7 @@ def test_load_hamiltonian_roundtrip():
     again = load_hamiltonian(format_hamiltonian(H))
     for slot in H.terms:
         assert expr.approx_equal(
-            H.coefficient(slot), again.coefficient(slot), box_center=(5.0,)
+            H.coefficient(slot), again.coefficient(slot), lengths=(10.0,)
         )
 
 

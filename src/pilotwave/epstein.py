@@ -47,7 +47,6 @@ class PoissonSolution:
 
     grid: Grid
     values: np.ndarray
-    method: str
     residual: float
 
 
@@ -59,7 +58,7 @@ def poisson_solve(source: np.ndarray, grid: Grid) -> PoissonSolution:
     peak = float(np.max(np.abs(source)))
     mean = float(np.mean(source))
     if peak == 0.0:
-        return PoissonSolution(grid, np.zeros(grid.shape), "spectral", 0.0)
+        return PoissonSolution(grid, np.zeros(grid.shape), 0.0)
     if abs(mean) > SOURCE_MEAN_REL * peak:
         raise PilotwaveError(
             f"source mean {mean:.3e} is not negligible against max {peak:.3e}; "
@@ -77,7 +76,7 @@ def poisson_solve(source: np.ndarray, grid: Grid) -> PoissonSolution:
     residual = float(np.max(np.abs(lap - (source - mean))))
     if residual > RESIDUAL_REL * peak:
         raise PilotwaveError(f"Poisson residual {residual:.3e} exceeds {RESIDUAL_REL:.0e} x max")
-    return PoissonSolution(grid, phi, "spectral", residual)
+    return PoissonSolution(grid, phi, residual)
 
 
 def nonlocal_current(H: DifferentialOperator, state: GridState, t: float | None = None) -> VectorField:

@@ -1,9 +1,14 @@
 """Symbolic coefficient expressions: parsing, differentiation, evaluation.
 
 Coefficient functions of the configuration variables q1..qN and time t are
-held as small immutable ASTs.  The algebra deliberately stops far short of a
-CAS: smart constructors fold constants and drop additive/multiplicative
-zeros so Leibniz expansions stay compact, and expression equality is decided
+held as small immutable ASTs of seven node kinds: Const, Coord (q_a),
+TimeVar (t), Binary (+ - * /), Pow (integer exponent), Neg and Call (exp,
+sin, cos, log, sqrt and conj).  Two tables drive every walker: `_BINARY`
+maps an operator to its arithmetic and `_FUNCTIONS` a function name to its
+numpy ufunc, for evaluation and constant folding alike.  The algebra
+deliberately stops far short of a CAS: smart constructors (`_BUILD` maps an
+operator to its own) fold constants and drop additive/multiplicative zeros
+so Leibniz expansions stay compact, and expression equality is decided
 numerically on random sample points rather than by canonicalization.
 
 One tree walker, `_eval`, computes values: over grid meshes, at a single
@@ -16,7 +21,8 @@ The sampled checks, `approx_equal` and the exact-zero test `vanishes`, draw
 q uniformly from the periodic box [0, L_1) x ... x [0, L_N) of a grid (by
 default [0, DEFAULT_LENGTH) per axis, the CLI's default domain) and t from
 [0, 1).  They draw all their points in one call to the random generator,
-bit-identical to drawing them point by point.
+bit-identical to drawing them point by point.  They refuse fewer than one
+sample, and `approx_equal` a tolerance that is negative or not finite.
 
 Grammar (whitespace-insensitive, ^ binds tightest, then unary minus, then
 * and /, then + and -)::
@@ -29,10 +35,12 @@ Grammar (whitespace-insensitive, ^ binds tightest, then unary minus, then
 
 `conj` is accepted on input so that serialized adjoint/hermitized output
 round-trips; it is never required in hand-written Hamiltonian files.
+`call("conj", e)` is `e.conjugate()`.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -67,25 +75,8 @@ class TimeVar:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Div:
+class Binary:
+    op: str  # a key of _BINARY
     left: "Node"
     right: "Node"
 
@@ -103,18 +94,16 @@ class Neg:
 
 @dataclass(frozen=True)
 class Call:
-    func: str
+    func: str  # a key of _FUNCTIONS
     arg: "Node"
 
 
-@dataclass(frozen=True)
-class Conj:
-    arg: "Node"
+Node = Union[Const, Coord, TimeVar, Binary, Pow, Neg, Call]
 
-
-Node = Union[Const, Coord, TimeVar, Add, Sub, Mul, Div, Pow, Neg, Call, Conj]
-
-_FUNCTIONS = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "log": np.log, "sqrt": np.sqrt}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_FUNCTIONS = {
+    "exp": np.exp, "sin": np.sin, "cos": np.cos, "log": np.log, "sqrt": np.sqrt, "conj": np.conjugate,
+}
 
 _ZERO = Const(0j)
 _ONE = Const(1 + 0j)
@@ -142,14 +131,19 @@ def _fold(node: Node, compute) -> Node:
     return Const(value) if np.isfinite(value) else node
 
 
+def _binary(op: str, a: Node, b: Node) -> Node:
+    """Binary(op, a, b), folded to a constant when both sides are constants."""
+    if isinstance(a, Const) and isinstance(b, Const):
+        return _fold(Binary(op, a, b), lambda: _BINARY[op](a.value, b.value))
+    return Binary(op, a, b)
+
+
 def _add(a: Node, b: Node) -> Node:
     if _is_const(a, 0):
         return b
     if _is_const(b, 0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _fold(Add(a, b), lambda: a.value + b.value)
-    return Add(a, b)
+    return _binary("+", a, b)
 
 
 def _sub(a: Node, b: Node) -> Node:
@@ -157,11 +151,9 @@ def _sub(a: Node, b: Node) -> Node:
         return a
     if _is_const(a, 0):
         return _neg(b)
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _fold(Sub(a, b), lambda: a.value - b.value)
-    if a == b:
+    if a == b and not isinstance(a, Const):
         return _ZERO
-    return Sub(a, b)
+    return _binary("-", a, b)
 
 
 def _mul(a: Node, b: Node) -> Node:
@@ -171,9 +163,7 @@ def _mul(a: Node, b: Node) -> Node:
         return b
     if _is_const(b, 1):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _fold(Mul(a, b), lambda: a.value * b.value)
-    return Mul(a, b)
+    return _binary("*", a, b)
 
 
 def _div(a: Node, b: Node) -> Node:
@@ -181,9 +171,10 @@ def _div(a: Node, b: Node) -> Node:
         return _ZERO
     if _is_const(b, 1):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return _fold(Div(a, b), lambda: a.value / b.value)
-    return Div(a, b)
+    return _binary("/", a, b)
+
+
+_BUILD = {"+": _add, "-": _sub, "*": _mul, "/": _div}
 
 
 def _neg(a: Node) -> Node:
@@ -205,6 +196,8 @@ def _pow(base: Node, exponent: int) -> Node:
 
 
 def _call(func: str, arg: Node) -> Node:
+    if func == "conj":
+        return _conj(arg)
     if isinstance(arg, Const):
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             return _fold(Call(func, arg), lambda: _FUNCTIONS[func](arg.value))
@@ -214,30 +207,22 @@ def _call(func: str, arg: Node) -> Node:
 def _conj(a: Node) -> Node:
     """Pointwise complex conjugate; q and t are real so conjugation commutes
     with every operation except log/sqrt on their branch cut, which stay
-    wrapped in an explicit Conj node."""
+    wrapped in an explicit conj call."""
     if isinstance(a, Const):
         return Const(a.value.conjugate())
     if isinstance(a, (Coord, TimeVar)):
         return a
-    if isinstance(a, Conj):
-        return a.arg
-    if isinstance(a, Add):
-        return _add(_conj(a.left), _conj(a.right))
-    if isinstance(a, Sub):
-        return _sub(_conj(a.left), _conj(a.right))
-    if isinstance(a, Mul):
-        return _mul(_conj(a.left), _conj(a.right))
-    if isinstance(a, Div):
-        return _div(_conj(a.left), _conj(a.right))
+    if isinstance(a, Binary):
+        return _BUILD[a.op](_conj(a.left), _conj(a.right))
     if isinstance(a, Neg):
         return _neg(_conj(a.arg))
     if isinstance(a, Pow):
         return _pow(_conj(a.base), a.exponent)
-    if isinstance(a, Call):
-        if a.func in ("exp", "sin", "cos"):
-            return _call(a.func, _conj(a.arg))
-        return Conj(a)
-    raise TypeError(f"unknown node {a!r}")
+    if a.func == "conj":
+        return a.arg
+    if a.func in ("exp", "sin", "cos"):
+        return _call(a.func, _conj(a.arg))
+    return Call("conj", a)
 
 
 # ---------------------------------------------------------------------------
@@ -248,44 +233,31 @@ def _diff(node: Node, axis: int) -> Node:
         return _ZERO
     if isinstance(node, Coord):
         return _ONE if node.axis == axis else _ZERO
-    if isinstance(node, Add):
-        return _add(_diff(node.left, axis), _diff(node.right, axis))
-    if isinstance(node, Sub):
-        return _sub(_diff(node.left, axis), _diff(node.right, axis))
-    if isinstance(node, Mul):
-        return _add(
-            _mul(_diff(node.left, axis), node.right),
-            _mul(node.left, _diff(node.right, axis)),
-        )
-    if isinstance(node, Div):
-        num = _sub(
-            _mul(_diff(node.left, axis), node.right),
-            _mul(node.left, _diff(node.right, axis)),
-        )
-        return _div(num, _pow(node.right, 2))
+    if isinstance(node, Binary):
+        left, right = node.left, node.right
+        if node.op in ("+", "-"):
+            return _BUILD[node.op](_diff(left, axis), _diff(right, axis))
+        if node.op == "*":
+            return _add(_mul(_diff(left, axis), right), _mul(left, _diff(right, axis)))
+        num = _sub(_mul(_diff(left, axis), right), _mul(left, _diff(right, axis)))
+        return _div(num, _pow(right, 2))
     if isinstance(node, Neg):
         return _neg(_diff(node.arg, axis))
     if isinstance(node, Pow):
         inner = _diff(node.base, axis)
-        return _mul(
-            _mul(Const(complex(node.exponent)), _pow(node.base, node.exponent - 1)),
-            inner,
-        )
-    if isinstance(node, Conj):
-        return _conj(_diff(node.arg, axis))
-    if isinstance(node, Call):
-        inner = _diff(node.arg, axis)
-        if node.func == "exp":
-            return _mul(_call("exp", node.arg), inner)
-        if node.func == "sin":
-            return _mul(_call("cos", node.arg), inner)
-        if node.func == "cos":
-            return _neg(_mul(_call("sin", node.arg), inner))
-        if node.func == "log":
-            return _div(inner, node.arg)
-        if node.func == "sqrt":
-            return _div(inner, _mul(Const(2 + 0j), _call("sqrt", node.arg)))
-    raise TypeError(f"unknown node {node!r}")
+        return _mul(_mul(Const(complex(node.exponent)), _pow(node.base, node.exponent - 1)), inner)
+    inner = _diff(node.arg, axis)
+    if node.func == "conj":
+        return _conj(inner)
+    if node.func == "exp":
+        return _mul(_call("exp", node.arg), inner)
+    if node.func == "sin":
+        return _mul(_call("cos", node.arg), inner)
+    if node.func == "cos":
+        return _neg(_mul(_call("sin", node.arg), inner))
+    if node.func == "log":
+        return _div(inner, node.arg)
+    return _div(inner, _mul(Const(2 + 0j), _call("sqrt", node.arg)))  # sqrt
 
 
 # ---------------------------------------------------------------------------
@@ -313,31 +285,30 @@ def _walk(node: Node, coords, t):
     # A fault in a child is converted by the child, so this names the
     # innermost node whose own operation faulted.
     try:
-        if isinstance(node, Add):
-            return _walk(node.left, coords, t) + _walk(node.right, coords, t)
-        if isinstance(node, Sub):
-            return _walk(node.left, coords, t) - _walk(node.right, coords, t)
-        if isinstance(node, Mul):
-            return _walk(node.left, coords, t) * _walk(node.right, coords, t)
-        if isinstance(node, Div):
-            return _walk(node.left, coords, t) / _walk(node.right, coords, t)
+        if isinstance(node, Binary):
+            return _BINARY[node.op](_walk(node.left, coords, t), _walk(node.right, coords, t))
         if isinstance(node, Neg):
             return -_walk(node.arg, coords, t)
         if isinstance(node, Pow):
             return _walk(node.base, coords, t) ** node.exponent
-        if isinstance(node, Conj):
-            return np.conjugate(_walk(node.arg, coords, t))
-        if isinstance(node, Call):
-            return _FUNCTIONS[node.func](_walk(node.arg, coords, t))
+        return _FUNCTIONS[node.func](_walk(node.arg, coords, t))  # Call
     except ArithmeticError as exc:
         raise EvaluationDomainError(str(exc), _render(node)[0]) from exc
-    raise TypeError(f"unknown node {node!r}")
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+# op -> (separator, precedence, least precedence of an unwrapped right operand);
+# the left operand is unwrapped down to the operator's own precedence.
+_INFIX = {
+    "+": (" + ", _PREC_ADD, _PREC_ADD),
+    "-": (" - ", _PREC_ADD, _PREC_ADD + 1),
+    "*": ("*", _PREC_MUL, _PREC_MUL),
+    "/": ("/", _PREC_MUL, _PREC_MUL + 1),
+}
 
 
 def _fmt_float(x: float) -> str:
@@ -373,26 +344,18 @@ def _render(node: Node) -> tuple[str, int]:
         return f"q{node.axis}", _PREC_ATOM
     if isinstance(node, TimeVar):
         return "t", _PREC_ATOM
-    if isinstance(node, Add):
-        return f"{_wrap(node.left, _PREC_ADD)} + {_wrap(node.right, _PREC_ADD)}", _PREC_ADD
-    if isinstance(node, Sub):
-        return f"{_wrap(node.left, _PREC_ADD)} - {_wrap(node.right, _PREC_ADD + 1)}", _PREC_ADD
-    if isinstance(node, Mul):
-        return f"{_wrap(node.left, _PREC_MUL)}*{_wrap(node.right, _PREC_MUL)}", _PREC_MUL
-    if isinstance(node, Div):
-        return f"{_wrap(node.left, _PREC_MUL)}/{_wrap(node.right, _PREC_MUL + 1)}", _PREC_MUL
+    if isinstance(node, Binary):
+        separator, prec, right_prec = _INFIX[node.op]
+        return f"{_wrap(node.left, prec)}{separator}{_wrap(node.right, right_prec)}", prec
     if isinstance(node, Neg):
         return f"-{_wrap(node.arg, _PREC_UNARY)}", _PREC_UNARY
     if isinstance(node, Pow):
         return f"{_wrap(node.base, _PREC_ATOM)}^{node.exponent}", _PREC_POW
-    if isinstance(node, Call):
-        return f"{node.func}({_render(node.arg)[0]})", _PREC_ATOM
-    if isinstance(node, Conj):
-        return f"conj({_render(node.arg)[0]})", _PREC_ATOM
-    raise TypeError(f"unknown node {node!r}")
+    return f"{node.func}({_render(node.arg)[0]})", _PREC_ATOM
 
 
 _LATEX_FUNC = {"exp": r"\exp", "sin": r"\sin", "cos": r"\cos", "log": r"\log"}
+_LATEX_INFIX = {"+": " + ", "-": " - ", "*": " \\, "}  # "/" is a \frac
 
 
 def _latex_const(value: complex) -> tuple[str, int]:
@@ -419,25 +382,20 @@ def _latex(node: Node) -> tuple[str, int]:
         return f"q_{{{node.axis}}}", _PREC_ATOM
     if isinstance(node, TimeVar):
         return "t", _PREC_ATOM
-    if isinstance(node, Add):
-        return f"{_lwrap(node.left, _PREC_ADD)} + {_lwrap(node.right, _PREC_ADD)}", _PREC_ADD
-    if isinstance(node, Sub):
-        return f"{_lwrap(node.left, _PREC_ADD)} - {_lwrap(node.right, _PREC_ADD + 1)}", _PREC_ADD
-    if isinstance(node, Mul):
-        return f"{_lwrap(node.left, _PREC_MUL)} \\, {_lwrap(node.right, _PREC_MUL)}", _PREC_MUL
-    if isinstance(node, Div):
-        return f"\\frac{{{_latex(node.left)[0]}}}{{{_latex(node.right)[0]}}}", _PREC_ATOM
+    if isinstance(node, Binary):
+        if node.op == "/":
+            return f"\\frac{{{_latex(node.left)[0]}}}{{{_latex(node.right)[0]}}}", _PREC_ATOM
+        _, prec, right_prec = _INFIX[node.op]
+        return f"{_lwrap(node.left, prec)}{_LATEX_INFIX[node.op]}{_lwrap(node.right, right_prec)}", prec
     if isinstance(node, Neg):
         return f"-{_lwrap(node.arg, _PREC_UNARY)}", _PREC_UNARY
     if isinstance(node, Pow):
         return f"{_lwrap(node.base, _PREC_ATOM)}^{{{node.exponent}}}", _PREC_POW
-    if isinstance(node, Call):
-        if node.func == "sqrt":
-            return f"\\sqrt{{{_latex(node.arg)[0]}}}", _PREC_ATOM
-        return f"{_LATEX_FUNC[node.func]}\\left({_latex(node.arg)[0]}\\right)", _PREC_ATOM
-    if isinstance(node, Conj):
+    if node.func == "sqrt":
+        return f"\\sqrt{{{_latex(node.arg)[0]}}}", _PREC_ATOM
+    if node.func == "conj":
         return f"\\overline{{{_latex(node.arg)[0]}}}", _PREC_ATOM
-    raise TypeError(f"unknown node {node!r}")
+    return f"{_LATEX_FUNC[node.func]}\\left({_latex(node.arg)[0]}\\right)", _PREC_ATOM
 
 
 def _lwrap(child: Node, min_prec: int) -> str:
@@ -514,7 +472,7 @@ class _Parser:
             if kind == "op" and value in "+-":
                 self._advance()
                 rhs = self._term()
-                node = _add(node, rhs) if value == "+" else _sub(node, rhs)
+                node = _BUILD[value](node, rhs)
             else:
                 return node
 
@@ -525,7 +483,7 @@ class _Parser:
             if kind == "op" and value in "*/":
                 self._advance()
                 rhs = self._factor()
-                node = _mul(node, rhs) if value == "*" else _div(node, rhs)
+                node = _BUILD[value](node, rhs)
             else:
                 return node
 
@@ -576,11 +534,11 @@ class _Parser:
                         f"variable q{axis} out of range for dimension {self.dim}", line, col
                     )
                 return Coord(axis)
-            if value in _FUNCTIONS or value == "conj":
+            if value in _FUNCTIONS:
                 self._expect_op("(")
                 arg = self._expr()
                 self._expect_op(")")
-                return _conj(arg) if value == "conj" else _call(value, arg)
+                return _call(value, arg)
             raise ExpressionSyntaxError(f"unknown identifier '{value}'", line, col)
         raise ExpressionSyntaxError(f"unexpected token '{value or 'end of input'}'", line, col)
 
@@ -600,28 +558,25 @@ class CoefficientExpression:
             raise DimensionMismatchError(f"expression dimensions differ: {self.dim} vs {other.dim}")
 
     # -- algebra ------------------------------------------------------------
-    def __add__(self, other):
+    def _combine(self, op: str, other) -> "CoefficientExpression":
         other = _coerce(other, self.dim)
         self._check_dim(other)
-        return CoefficientExpression(_add(self.node, other.node), self.dim)
+        return CoefficientExpression(_BUILD[op](self.node, other.node), self.dim)
+
+    def __add__(self, other):
+        return self._combine("+", other)
 
     def __sub__(self, other):
-        other = _coerce(other, self.dim)
-        self._check_dim(other)
-        return CoefficientExpression(_sub(self.node, other.node), self.dim)
+        return self._combine("-", other)
 
     def __mul__(self, other):
-        other = _coerce(other, self.dim)
-        self._check_dim(other)
-        return CoefficientExpression(_mul(self.node, other.node), self.dim)
+        return self._combine("*", other)
 
     def __rmul__(self, other):
         return _coerce(other, self.dim) * self
 
     def __truediv__(self, other):
-        other = _coerce(other, self.dim)
-        self._check_dim(other)
-        return CoefficientExpression(_div(self.node, other.node), self.dim)
+        return self._combine("/", other)
 
     def __neg__(self):
         return CoefficientExpression(_neg(self.node), self.dim)
@@ -737,8 +692,10 @@ def approx_equal(
     in one call of the same walker that `evaluate` and `evaluate_on` use,
     and the first `samples` rows where neither side faults are compared.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
     a._check_dim(b)
-    q, t = _draw(a.dim, 10 * samples, seed, lengths)
+    q, t = _draw(a.dim, samples, seed, lengths, budget=10)
     va, faults_a, fault_a = _sample(a, q, t)
     vb, faults_b, fault_b = _sample(b, q, t)
     valid = np.flatnonzero(~(faults_a | faults_b))[:samples]
@@ -761,13 +718,16 @@ def vanishes(e: CoefficientExpression, samples: int = 32, seed: int = 2024, leng
     return not (faults.any() or values.any())
 
 
-def _draw(dim: int, count: int, seed: int, lengths):
-    """`count` points of the box [0, L_1) x ... x [0, L_N) x [0, 1): q as rows
-    and t.  A malformed box is refused before anything is drawn."""
+def _draw(dim: int, samples: int, seed: int, lengths, budget: int = 1):
+    """`budget * samples` points of the box [0, L_1) x ... x [0, L_N) x [0, 1):
+    q as rows and t.  Fewer than one sample or a malformed box is refused
+    before anything is drawn."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     box = [DEFAULT_LENGTH] * dim if lengths is None else [check_length(float(L)) for L in lengths]
     if len(box) != dim:
         raise DimensionMismatchError(f"sampling box has {len(box)} lengths for dimension {dim}")
-    u = np.random.default_rng(seed).random((count, dim + 1))
+    u = np.random.default_rng(seed).random((budget * samples, dim + 1))
     return np.asarray(box) * u[:, :dim], u[:, dim]
 
 
@@ -800,9 +760,9 @@ def contains_time(e: CoefficientExpression) -> bool:
     def walk(node: Node) -> bool:
         if isinstance(node, TimeVar):
             return True
-        if isinstance(node, (Add, Sub, Mul, Div)):
+        if isinstance(node, Binary):
             return walk(node.left) or walk(node.right)
-        if isinstance(node, (Neg, Conj, Call)):
+        if isinstance(node, (Neg, Call)):
             return walk(node.arg)
         if isinstance(node, Pow):
             return walk(node.base)

@@ -43,8 +43,8 @@ class EvolutionSpec:
     stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < float("inf"):
+            raise ValueError("dt must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.stride < 1:
@@ -164,12 +164,7 @@ def norm_drift(snapshots: list[GridState]) -> list[float]:
     return [abs(s.norm_sq() - norm0) / norm0 for s in snapshots]
 
 
-def continuity_residual(
-    H: DifferentialOperator,
-    snapshots: list[GridState],
-    current_provider,
-    normalized: bool = True,
-) -> float:
+def continuity_residual(snapshots: list[GridState], current_provider, normalized: bool = True) -> float:
     """Defect of d/dt |psi|^2 + div j at the middle snapshot.
 
     The time derivative is a centered difference of the neighbouring

@@ -77,7 +77,6 @@ class Ensemble:
 
     positions: np.ndarray  # (M, N)
     seed: int
-    source: str = "density"
     times: list[float] = field(default_factory=list)
     history: list[np.ndarray] = field(default_factory=list)
     truncated: np.ndarray | None = None
@@ -133,7 +132,7 @@ def sample_density(rho: np.ndarray, grid: Grid, count: int, seed: int) -> Ensemb
         keep = acceptance < interpolate(grid, rho, proposals)
         accepted = np.vstack([accepted, proposals[keep]])
     positions = accepted[:count]
-    return Ensemble(positions, seed=seed, source="density", times=[], history=[])
+    return Ensemble(positions, seed=seed, times=[], history=[])
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +256,7 @@ def integrate_trajectories(
 
     if np.all(truncated):
         raise TruncationError("every trajectory hit a node; no usable ensemble remains")
-    return Ensemble(
-        positions,
-        seed=ensemble.seed,
-        source=ensemble.source,
-        times=times,
-        history=history,
-        truncated=truncated,
-    )
+    return Ensemble(positions, seed=ensemble.seed, times=times, history=history, truncated=truncated)
 
 
 # ---------------------------------------------------------------------------

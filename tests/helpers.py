@@ -51,8 +51,9 @@ def count_hermiticity_checks(monkeypatch) -> list:
 
 
 def record_function_argument_sizes(monkeypatch) -> list:
-    """Record the element count of the argument of every exp/sin/cos/log/sqrt
-    call that expression evaluation makes."""
+    """Record the element count of the argument of every exp/sin/cos/log/sqrt/
+    conj call that expression evaluation makes (every entry of
+    `expr._FUNCTIONS`, which the walker looks up at call time)."""
     sizes = []
 
     def recording(function):
@@ -336,8 +337,7 @@ def reference_integrate_trajectories(
             truncated |= stage_trunc
         times.append(t1)
         history.append(positions.copy())
-    return Ensemble(positions, seed=ensemble.seed, source=ensemble.source, times=times,
-                    history=history, truncated=truncated)
+    return Ensemble(positions, seed=ensemble.seed, times=times, history=history, truncated=truncated)
 
 
 def reference_snapshot_json(state: GridState) -> str:

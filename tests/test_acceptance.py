@@ -211,13 +211,13 @@ def test_criterion_06_continuity():
     psi0 = gaussian(grid, center=[19.0], width=0.6, wavevector=[1.0])
     snaps = evolve(H_free, psi0, EvolutionSpec(dt=1e-3, steps=20, stride=10))
     table = derive_current_table(H_free)
-    res_std = continuity_residual(H_free, snaps, lambda s: eval_current(table, s))
+    res_std = continuity_residual(snaps, lambda s: eval_current(table, s))
     H4 = load_hamiltonian(P4_1D)
     grid4 = Grid((40.0,), (128,))
     psi4 = gaussian(grid4, center=[20.0], width=1.5, wavevector=[0.5])
     snaps4 = evolve(H4, psi4, EvolutionSpec(dt=1e-4, steps=20, stride=10))
     table4 = derive_current_table(H4)
-    res_p4 = continuity_residual(H4, snaps4, lambda s: eval_current(table4, s))
+    res_p4 = continuity_residual(snaps4, lambda s: eval_current(table4, s))
     report(
         6,
         "continuity",

@@ -403,6 +403,79 @@ def test_traced_derive_records_one_hermiticity_span(ham, tmp_path):
     assert names.count("operators.hermiticity") == 1
 
 
+# An operator whose hermitized table prints every node kind (conj, \overline
+# and \frac appear in the output).  A change to how nodes are built, walked
+# or printed must keep both outputs byte for byte.
+GUARD = (
+    'dim = 1\nterm [2] = "-0.5*sqrt(2+sin(q1))"\nterm [1] = "i*log(2+cos(q1))/(1+q1^2)"\n'
+    'term [0] = "-(q1-20)^2/(3-cos(q1))"\n'
+)
+GUARD_JSON = """{
+  "dimension": 1,
+  "provenance": "DifferentialOperator(dim=1, {[0]: 0.5*(-(q1 - 20.0)^2/(3.0 - cos(q1)) + -(q1 - 20.0)^2/(3.0 - cos(q1)) + -1.0*(-i*-sin(q1)/(2.0 + cos(q1))*(1.0 + q1^2) - -i*conj(log(2.0 + cos(q1)))*2.0*q1)/(1.0 + q1^2)^2 + -0.5*(-sin(q1)*2.0*conj(sqrt(2.0 + sin(q1))) - cos(q1)*2.0*cos(q1)/(2.0*conj(sqrt(2.0 + sin(q1)))))/(2.0*conj(sqrt(2.0 + sin(q1))))^2), [1]: 0.5*(i*log(2.0 + cos(q1))/(1.0 + q1^2) + -1.0*-i*conj(log(2.0 + cos(q1)))/(1.0 + q1^2) + 2.0*-0.5*cos(q1)/(2.0*conj(sqrt(2.0 + sin(q1))))), [2]: 0.5*(-0.5*sqrt(2.0 + sin(q1)) + -0.5*conj(sqrt(2.0 + sin(q1))))})",
+  "axes": [
+    {
+      "axis": 1,
+      "entries": [
+        {
+          "n": [
+            0
+          ],
+          "m": [
+            0
+          ],
+          "expression": "i*0.5*(i*log(2.0 + cos(q1))/(1.0 + q1^2) + -1.0*-i*conj(log(2.0 + cos(q1)))/(1.0 + q1^2) + 2.0*-0.5*cos(q1)/(2.0*conj(sqrt(2.0 + sin(q1))))) + -i*0.5*(-0.5*cos(q1)/(2.0*sqrt(2.0 + sin(q1))) + -0.5*cos(q1)/(2.0*conj(sqrt(2.0 + sin(q1)))))"
+        },
+        {
+          "n": [
+            0
+          ],
+          "m": [
+            1
+          ],
+          "expression": "-i*0.5*(-0.5*sqrt(2.0 + sin(q1)) + -0.5*conj(sqrt(2.0 + sin(q1))))"
+        },
+        {
+          "n": [
+            1
+          ],
+          "m": [
+            0
+          ],
+          "expression": "i*0.5*(-0.5*sqrt(2.0 + sin(q1)) + -0.5*conj(sqrt(2.0 + sin(q1))))"
+        }
+      ]
+    }
+  ]
+}
+"""
+GUARD_LATEX = r"""j_{1} = \left[\mathrm{i} \, 0.5 \, \left(\frac{\mathrm{i} \, \log\left(2.0 + \cos\left(q_{1}\right)\right)}{1.0 + q_{1}^{2}} + -1.0 \, \frac{-\mathrm{i} \, \overline{\log\left(2.0 + \cos\left(q_{1}\right)\right)}}{1.0 + q_{1}^{2}} + 2.0 \, -0.5 \, \frac{\cos\left(q_{1}\right)}{2.0 \, \overline{\sqrt{2.0 + \sin\left(q_{1}\right)}}}\right) + -\mathrm{i} \, 0.5 \, \left(-0.5 \, \frac{\cos\left(q_{1}\right)}{2.0 \, \sqrt{2.0 + \sin\left(q_{1}\right)}} + -0.5 \, \frac{\cos\left(q_{1}\right)}{2.0 \, \overline{\sqrt{2.0 + \sin\left(q_{1}\right)}}}\right)\right] \psi \, \bar\psi + \left[-\mathrm{i} \, 0.5 \, \left(-0.5 \, \sqrt{2.0 + \sin\left(q_{1}\right)} + -0.5 \, \overline{\sqrt{2.0 + \sin\left(q_{1}\right)}}\right)\right] \psi \, \partial_{q_1}^{1}\bar\psi + \left[\mathrm{i} \, 0.5 \, \left(-0.5 \, \sqrt{2.0 + \sin\left(q_{1}\right)} + -0.5 \, \overline{\sqrt{2.0 + \sin\left(q_{1}\right)}}\right)\right] \partial_{q_1}^{1}\psi \, \bar\psi
+"""
+
+
+def test_derive_hermitize_output_is_pinned(ham, capsys):
+    path = ham("guard.ham", GUARD)
+    assert main(["derive", "--hermitize", path]) == 0
+    assert capsys.readouterr().out == GUARD_JSON
+    assert main(["derive", "--hermitize", "--format", "latex", path]) == 0
+    assert capsys.readouterr().out == GUARD_LATEX
+
+
+def test_traced_derive_counts_expression_nodes(ham, tmp_path):
+    """perfbench/tracing.py counts distinct node objects by walking the
+    dataclass fields of each node; children kept anywhere else would read
+    one node per root."""
+    spans = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracing.py"), "--spans", str(spans),
+         "--", "derive", "--hermitize", ham("guard.ham", GUARD), "--out", str(tmp_path / "t.json")],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    record = json.loads(spans.read_text())
+    assert (record["h_nodes"], record["table_nodes"], record["table_entries"]) == (106, 71, 3)
+
+
 def _subprocess_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -402,3 +402,73 @@ def test_dimension_mismatch():
         expr.parse("q1", 1).evaluate((1.0, 2.0), 0.0)
     with pytest.raises(DimensionMismatchError):
         expr.parse("q1", 1).differentiate(MultiIndex((1, 0)))
+
+
+# (text, to_string, to_latex, conjugate, d/dq1, d^2/dq1 dq2) in dimension 2.
+# The texts cover every node kind and the precedence edges of both printers;
+# a change to how nodes are built, walked or printed must keep every string.
+PINNED = [
+    ('q1 - (q2 - t)', 'q1 - (q2 - t)', 'q_{1} - \\left(q_{2} - t\\right)', 'q1 - (q2 - t)', '1.0', '0.0'),
+    ('q1 - q2 - t', 'q1 - q2 - t', 'q_{1} - q_{2} - t', 'q1 - q2 - t', '1.0', '0.0'),
+    ('q1/(q2*t)', 'q1/(q2*t)', '\\frac{q_{1}}{q_{2} \\, t}', 'q1/(q2*t)', 'q2*t/(q2*t)^2', '(t*(q2*t)^2 - q2*t*2.0*q2*t*t)/((q2*t)^2)^2'),
+    ('q1/(q2/t)', 'q1/(q2/t)', '\\frac{q_{1}}{\\frac{q_{2}}{t}}', 'q1/(q2/t)', 'q2/t/(q2/t)^2', '(t/t^2*(q2/t)^2 - q2/t*2.0*q2/t*t/t^2)/((q2/t)^2)^2'),
+    ('q1*q2/t', 'q1*q2/t', '\\frac{q_{1} \\, q_{2}}{t}', 'q1*q2/t', 'q2*t/t^2', 't*t^2/(t^2)^2'),
+    ('(q1 + q2)*(q1 - t)', '(q1 + q2)*(q1 - t)', '\\left(q_{1} + q_{2}\\right) \\, \\left(q_{1} - t\\right)', '(q1 + q2)*(q1 - t)', 'q1 - t + q1 + q2', '1.0'),
+    ('(-q1)^2', '(-q1)^2', '\\left(-q_{1}\\right)^{2}', '(-q1)^2', '2.0*-q1*-1.0', '0.0'),
+    ('-q1^2', '-q1^2', '-q_{1}^{2}', '-q1^2', '-(2.0*q1)', '-0.0'),
+    ('q1^-2', 'q1^-2', 'q_{1}^{-2}', 'q1^-2', '-2.0*q1^-3', '0.0'),
+    ('(q1 + t)^3', '(q1 + t)^3', '\\left(q_{1} + t\\right)^{3}', '(q1 + t)^3', '3.0*(q1 + t)^2', '0.0'),
+    ('i', 'i', '\\mathrm{i}', '-i', '0.0', '0.0'),
+    ('-i', '-i', '-\\mathrm{i}', 'i', '0.0', '0.0'),
+    ('2*i', '2.0*i', '2.0\\,\\mathrm{i}', '-2.0*i', '0.0', '0.0'),
+    ('(1+2*i)', '(1.0+2.0*i)', '\\left(1.0 + 2.0\\,\\mathrm{i}\\right)', '(1.0-2.0*i)', '0.0', '0.0'),
+    ('(1-2*i)*q1', '(1.0-2.0*i)*q1', '\\left(1.0 - 2.0\\,\\mathrm{i}\\right) \\, q_{1}', '(1.0+2.0*i)*q1', '(1.0-2.0*i)', '0.0'),
+    ('-2.5*q2', '-2.5*q2', '-2.5 \\, q_{2}', '-2.5*q2', '0.0', '0.0'),
+    ('i*q1 - i*q2', 'i*q1 - i*q2', '\\mathrm{i} \\, q_{1} - \\mathrm{i} \\, q_{2}', '-i*q1 - -i*q2', 'i', '0.0'),
+    ('exp(sin(q1)*cos(q2))', 'exp(sin(q1)*cos(q2))', '\\exp\\left(\\sin\\left(q_{1}\\right) \\, \\cos\\left(q_{2}\\right)\\right)', 'exp(sin(q1)*cos(q2))', 'exp(sin(q1)*cos(q2))*cos(q1)*cos(q2)', 'exp(sin(q1)*cos(q2))*sin(q1)*-sin(q2)*cos(q1)*cos(q2) + exp(sin(q1)*cos(q2))*cos(q1)*-sin(q2)'),
+    ('-(q1 + q2)*t', '-(q1 + q2)*t', '-\\left(q_{1} + q_{2}\\right) \\, t', '-(q1 + q2)*t', '-1.0*t', '0.0'),
+    ('conj(log(2 + q1))', 'conj(log(2.0 + q1))', '\\overline{\\log\\left(2.0 + q_{1}\\right)}', 'log(2.0 + q1)', '1.0/(2.0 + q1)', '0.0'),
+    ('conj(sqrt(1 + q1^2))', 'conj(sqrt(1.0 + q1^2))', '\\overline{\\sqrt{1.0 + q_{1}^{2}}}', 'sqrt(1.0 + q1^2)', '2.0*q1/(2.0*conj(sqrt(1.0 + q1^2)))', '0.0'),
+    ('conj(exp(i*q1)) + conj(conj(log(q2)))', 'exp(-i*q1) + log(q2)', '\\exp\\left(-\\mathrm{i} \\, q_{1}\\right) + \\log\\left(q_{2}\\right)', 'exp(i*q1) + conj(log(q2))', 'exp(-i*q1)*-i', '0.0'),
+    ('sqrt(q1)/log(q2)', 'sqrt(q1)/log(q2)', '\\frac{\\sqrt{q_{1}}}{\\log\\left(q_{2}\\right)}', 'conj(sqrt(q1))/conj(log(q2))', '1.0/(2.0*sqrt(q1))*log(q2)/log(q2)^2', '(1.0/(2.0*sqrt(q1))*1.0/q2*log(q2)^2 - 1.0/(2.0*sqrt(q1))*log(q2)*2.0*log(q2)*1.0/q2)/(log(q2)^2)^2'),
+]
+
+
+@pytest.mark.parametrize("row", PINNED, ids=[row[0] for row in PINNED])
+def test_printers_and_derivatives_are_pinned(row):
+    text, plain, latex, conjugate, d1, d11 = row
+    e = expr.parse(text, 2)
+    assert e.to_string() == plain
+    assert e.to_latex() == latex
+    assert e.conjugate().to_string() == conjugate
+    assert e.differentiate(MultiIndex((1, 0))).to_string() == d1
+    assert e.differentiate(MultiIndex((1, 1))).to_string() == d11
+
+
+@pytest.mark.parametrize("text", ["log(2 + q1)", "sqrt(q1)*exp(i*q2)", "conj(log(q1))", "(1+2*i)*t"])
+def test_call_conj_is_conjugate(text):
+    e = expr.parse(text, 2)
+    assert expr.call("conj", e) == e.conjugate()
+    assert expr.parse(f"conj({text})", 2) == e.conjugate()
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_sampled_checks_refuse_fewer_than_one_sample(samples):
+    a, b = expr.parse("q1", 1), expr.parse("q1 + 1", 1)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        expr.approx_equal(a, b, samples=samples)
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        expr.vanishes(b, samples=samples)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_approx_equal_refuses_a_tolerance_that_is_negative_or_not_finite(tol):
+    with pytest.raises(ValueError, match="tol must be non-negative and finite"):
+        expr.approx_equal(expr.parse("q1", 1), expr.parse("q1 + 1", 1), tol=tol)
+
+
+def test_approx_equal_with_zero_tolerance_asks_for_exact_agreement():
+    e, near = expr.parse("exp(q1)*q2", 2), expr.parse("exp(q1)*q2 + 1e-12", 2)
+    assert expr.approx_equal(e, e, tol=0.0)
+    assert expr.approx_equal(e, near)
+    assert not expr.approx_equal(e, near, tol=0.0)

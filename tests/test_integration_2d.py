@@ -98,7 +98,7 @@ def test_time_dependent_potential_keeps_continuity():
     table = derive_current_table(H)
     from pilotwave.solver import continuity_residual
 
-    res = continuity_residual(H, snaps, lambda s: eval_current(table, s))
+    res = continuity_residual(snaps, lambda s: eval_current(table, s))
     assert res < 1e-3
 
 

@@ -204,6 +204,26 @@ def test_malformed_sampling_box_is_refused(lengths, error):
         expr.approx_equal(H.coefficient(MultiIndex((2,))), expr.parse("q1", 1), lengths=lengths)
 
 
+@pytest.mark.parametrize("spec, name", [
+    (SamplingSpec(samples=0), "samples"), (SamplingSpec(samples=-1), "samples"),
+    (SamplingSpec(tol=float("nan")), "tol"), (SamplingSpec(tol=float("inf")), "tol"),
+    (SamplingSpec(tol=-1e-9), "tol"),
+])
+def test_vacuous_sampling_is_refused(spec, name):
+    """Zero points or an unbounded tolerance would call -i*q1 d/dq1 Hermitian,
+    and pruning at zero points would drop every term."""
+    qp = op_1d({1: "-i*q1"})
+    with pytest.raises(ValueError, match=name):
+        is_hermitian(qp, spec)
+    with pytest.raises(ValueError, match=name):
+        require_hermitian(qp, spec)
+
+
+def test_exact_sampling_tolerance_is_legal():
+    assert is_hermitian(op_1d({2: "-0.5", 0: "q1^2"}), SamplingSpec(tol=0.0))
+    assert not is_hermitian(op_1d({1: "-i*q1"}), SamplingSpec(tol=0.0))
+
+
 def test_hermitize_examples():
     assert hermitize(op_1d({1: "1"})).terms == {}
     fixed = hermitize(op_1d({2: "-0.5"}))

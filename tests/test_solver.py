@@ -33,6 +33,12 @@ def density_moments(state):
     return mean, var
 
 
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf")])
+def test_spec_refuses_non_finite_dt(dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        EvolutionSpec(dt=dt, steps=10, stride=5)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         EvolutionSpec(dt=0.0, steps=10)
@@ -155,7 +161,7 @@ def test_continuity_residual_free_gaussian():
     psi0 = gaussian(grid, center=[19.0], width=0.6, wavevector=[1.0])
     snaps = evolve(H, psi0, EvolutionSpec(dt=1e-3, steps=20, stride=10))
     table = derive_current_table(H)
-    res = continuity_residual(H, snaps, lambda s: eval_current(table, s))
+    res = continuity_residual(snaps, lambda s: eval_current(table, s))
     assert res < 1e-3
 
 
@@ -165,7 +171,7 @@ def test_continuity_residual_stationary_absolute():
     psi0 = ho_eigenstate(grid, [0], center=[20.0])
     snaps = evolve(H, psi0, EvolutionSpec(dt=1e-3, steps=20, stride=10))
     table = derive_current_table(H)
-    res = continuity_residual(H, snaps, lambda s: eval_current(table, s), normalized=False)
+    res = continuity_residual(snaps, lambda s: eval_current(table, s), normalized=False)
     assert res < 1e-8
 
 
@@ -175,7 +181,7 @@ def test_continuity_residual_p4_packet():
     psi0 = gaussian(grid, center=[20.0], width=1.5, wavevector=[0.5])
     snaps = evolve(H, psi0, EvolutionSpec(dt=1e-4, steps=20, stride=10))
     table = derive_current_table(H)
-    res = continuity_residual(H, snaps, lambda s: eval_current(table, s))
+    res = continuity_residual(snaps, lambda s: eval_current(table, s))
     assert res < 1e-3
 
 
@@ -186,7 +192,7 @@ def test_continuity_residual_needs_three_snapshots():
     snaps = evolve(H, psi0, EvolutionSpec(dt=1e-3, steps=1, stride=1))
     table = derive_current_table(H)
     with pytest.raises(ValueError):
-        continuity_residual(H, snaps, lambda s: eval_current(table, s))
+        continuity_residual(snaps, lambda s: eval_current(table, s))
 
 
 def test_snapshots_carry_times_and_copies():

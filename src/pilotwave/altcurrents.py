@@ -16,7 +16,7 @@ validity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,18 +40,17 @@ def momentum_form_coefficients(H: DifferentialOperator) -> dict[MultiIndex, expr
     return out
 
 
-def born_jordan_current(H: DifferentialOperator, state: GridState, t: float | None = None) -> VectorField:
-    """One-dimensional momentum-derivative current of a Hermitian operator."""
+def born_jordan_current(H: DifferentialOperator, state: GridState) -> VectorField:
+    """One-dimensional momentum-derivative current of a Hermitian operator at the state's time."""
     H = require_hermitian(H)
     if H.dim != 1 or state.dim != 1:
         raise DimensionMismatchError("the momentum-derivative current is one-dimensional only")
-    at = state.t if t is None else t
     grid = state.grid
     dpsi = DerivativeCache(state.values, grid)
     psi_bar = np.conjugate(state.values)
     total = np.zeros(grid.shape, dtype=complex)
     term_scale = 0.0
-    h_grids = H.realize(grid).coefficient_grids(at)
+    h_grids = H.realize(grid).coefficient_grids(state.t)
     for n in H.terms:
         order = n.order()
         if order == 0:
@@ -80,8 +79,8 @@ def velocity_operator(H: DifferentialOperator, axis: int) -> DifferentialOperato
     return DifferentialOperator(H.dim, terms)
 
 
-def second_order_current(H: DifferentialOperator, state: GridState, t: float | None = None) -> VectorField:
-    """Velocity-operator current Re(conj(psi) v_i psi) for order <= 2 operators."""
+def second_order_current(H: DifferentialOperator, state: GridState) -> VectorField:
+    """Velocity-operator current Re(conj(psi) v_i psi) at the state's time, for order <= 2 operators."""
     H = require_hermitian(H)
     if H.dim != state.dim:
         raise DimensionMismatchError(f"operator dim {H.dim} != state dim {state.dim}")
@@ -89,12 +88,11 @@ def second_order_current(H: DifferentialOperator, state: GridState, t: float | N
         raise PilotwaveError(
             "the velocity-operator current is not valid beyond second order in the momenta"
         )
-    at = state.t if t is None else t
     psi_bar = np.conjugate(state.values)
     components = []
     for axis in range(1, H.dim + 1):
         v_op = velocity_operator(H, axis)
-        applied = v_op.realize(state.grid)(state.values, at)
+        applied = v_op.realize(state.grid)(state.values, state.t)
         components.append(np.real(psi_bar * applied))
     return VectorField(state.grid, components)
 
@@ -105,7 +103,7 @@ class FieldComparison:
     max_div_diff: float
 
     def to_dict(self) -> dict:
-        return {"max_abs_diff": self.max_abs_diff, "max_div_diff": self.max_div_diff}
+        return asdict(self)
 
 
 def compare_fields(a: VectorField, b: VectorField) -> FieldComparison:

@@ -89,14 +89,6 @@ class CurrentTable:
         """Entries for a 1-based axis."""
         return dict(self.axes[axis - 1])
 
-    def derivative_indices(self) -> list[MultiIndex]:
-        seen: set[MultiIndex] = set()
-        for table in self.axes:
-            for n, m in table:
-                seen.add(n)
-                seen.add(m)
-        return sorted(seen, key=lambda n: n.sort_key())
-
     # -- serialization ------------------------------------------------------
     def to_json(self) -> str:
         doc = {
@@ -194,14 +186,13 @@ def derive_current_table(H: DifferentialOperator) -> CurrentTable:
     return CurrentTable(dim, axes, provenance=repr(H))
 
 
-def eval_current(table: CurrentTable, state: GridState, t: float | None = None) -> VectorField:
-    """Evaluate j_i = sum_{n,m} J_{i,nm} D^n(psi) D^m(conj psi) on the grid.
+def eval_current(table: CurrentTable, state: GridState) -> VectorField:
+    """Evaluate j_i = sum_{n,m} J_{i,nm} D^n(psi) D^m(conj psi) on the grid at the state's time.
 
     Each entry J_{i,nm} is evaluated on the grid's broadcast axis vectors and
     comes back at full grid shape."""
     if table.dim != state.dim:
         raise DimensionMismatchError(f"table dim {table.dim} != state dim {state.dim}")
-    at = state.t if t is None else t
     grid = state.grid
     axes = grid.axis_vectors()
     dpsi = DerivativeCache(state.values, grid)
@@ -211,7 +202,7 @@ def eval_current(table: CurrentTable, state: GridState, t: float | None = None) 
     for table_i in table.axes:
         comp = np.zeros(grid.shape, dtype=complex)
         for (n, m), coef in table_i.items():
-            term = coef.evaluate_on(axes, at) * dpsi.derivative(n) * dpsi_bar.derivative(m)
+            term = coef.evaluate_on(axes, state.t) * dpsi.derivative(n) * dpsi_bar.derivative(m)
             term_scale = max(term_scale, float(np.max(np.abs(term))))
             comp += term
         raw.append(comp)
@@ -230,14 +221,13 @@ def _floored_real(raw: list[np.ndarray], term_scale: float, what: str) -> list[n
     return [c.real.copy() for c in raw]
 
 
-def eval_current_direct(H: DifferentialOperator, state: GridState, t: float | None = None) -> VectorField:
-    """Evaluate the nested-sum current form without building a table."""
+def eval_current_direct(H: DifferentialOperator, state: GridState) -> VectorField:
+    """Evaluate the nested-sum current form at the state's time, without building a table."""
     H = require_hermitian(H)
     if H.dim != state.dim:
         raise DimensionMismatchError(f"operator dim {H.dim} != state dim {state.dim}")
-    at = state.t if t is None else t
     grid = state.grid
-    coef_grids = H.realize(grid).coefficient_grids(at)
+    coef_grids = H.realize(grid).coefficient_grids(state.t)
     dpsi = DerivativeCache(state.values, grid)
     psi_bar = np.conjugate(state.values)
     raw = [np.zeros(grid.shape, dtype=complex) for _ in range(H.dim)]
@@ -257,9 +247,9 @@ def eval_current_direct(H: DifferentialOperator, state: GridState, t: float | No
     return VectorField(grid, _floored_real(raw, term_scale, "eval_current_direct"))
 
 
-def source_term(H: DifferentialOperator, state: GridState, t: float | None = None) -> np.ndarray:
-    """I = 2 Re(i conj(psi) H psi); equals -d/dt |psi|^2 and div j."""
-    applied = apply_operator(H, state, t)
+def source_term(H: DifferentialOperator, state: GridState) -> np.ndarray:
+    """I = 2 Re(i conj(psi) H psi) at the state's time; equals -d/dt |psi|^2 and div j."""
+    applied = apply_operator(H, state)
     return (2.0 * np.real(1j * np.conjugate(state.values) * applied.values))
 
 

@@ -79,8 +79,8 @@ def poisson_solve(source: np.ndarray, grid: Grid) -> PoissonSolution:
     return PoissonSolution(grid, phi, residual)
 
 
-def nonlocal_current(H: DifferentialOperator, state: GridState, t: float | None = None) -> VectorField:
-    """Gradient of the inverse Laplacian of the source term.
+def nonlocal_current(H: DifferentialOperator, state: GridState) -> VectorField:
+    """Gradient of the inverse Laplacian of the source term at the state's time.
 
     Satisfies the same continuity equation as the local bilinear current
     (div j = I), but generally differs from it pointwise: currents are fixed
@@ -89,7 +89,7 @@ def nonlocal_current(H: DifferentialOperator, state: GridState, t: float | None 
     H = require_hermitian(H)
     if state.dim < 2:
         raise PilotwaveError("the nonlocal construction needs dimension >= 2")
-    applied = apply_operator(H, state, t)
+    applied = apply_operator(H, state)
     bilinear = np.conjugate(state.values) * applied.values
     source = 2.0 * np.real(1j * bilinear)
     # conservation makes the mean vanish up to discretization; judge it

@@ -8,7 +8,8 @@ three axes; the symbolic layers above it work in any dimension.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +27,14 @@ DEFAULT_LENGTH = 40.0
 
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
+
+
+def check_integer(value, name: str) -> int:
+    """`value` as an int if it is an integer (numpy integers included), else ValueError naming `name`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_length(length: float) -> float:
@@ -149,8 +158,9 @@ class GridState:
             raise GridError("cannot normalize the zero state")
         return GridState(self.grid, self.values / np.sqrt(n2), self.t)
 
-    def copy(self, t: float | None = None) -> "GridState":
-        return GridState(self.grid, self.values.copy(), self.t if t is None else t)
+    def copy(self, **changes) -> "GridState":
+        """A copy with its own values; `copy(t=...)` stamps it with another time."""
+        return replace(self, values=self.values.copy(), **changes)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import (
     NonHermitianError,
 )
 from .expr import CoefficientExpression
-from .grids import DerivativeCache, Grid, GridState, _symbol, check_points
+from .grids import DerivativeCache, Grid, GridState, _symbol, check_integer, check_points
 from .multiindex import MultiIndex, binom_multi, indices_up_to
 
 MIN_POINTS_PER_AXIS = 16
@@ -33,14 +33,18 @@ class SamplingSpec:
     """The points of the randomized expression checks: `samples` points drawn
     with `seed` from the box [0, L_1) x ... x [0, L_N) that a grid with these
     `lengths` covers (default grids.DEFAULT_LENGTH per axis), and t from
-    [0, 1).  A check refuses, before drawing, lengths that are not positive
-    and finite or whose count is not the expression's dimension.
+    [0, 1).  A `samples` that is not an integer is refused here; a check
+    refuses, before drawing, fewer than one sample, and lengths that are not
+    positive and finite or whose count is not the expression's dimension.
     """
 
     samples: int = 32
     seed: int = 2024
     tol: float = 1e-9
     lengths: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        check_integer(self.samples, "samples")
 
     def equal(self, a: CoefficientExpression, b: CoefficientExpression) -> bool:
         return expr.approx_equal(a, b, self.samples, self.seed, self.tol, self.lengths)
@@ -223,11 +227,9 @@ class OperatorApplier:
         return total
 
 
-def apply(H: DifferentialOperator, state: GridState, t: float | None = None) -> GridState:
-    """Pointwise sum_n h_n(q,t) (D^n psi)(q) with spectral derivatives."""
-    at = state.t if t is None else t
-    values = H.realize(state.grid)(state.values, at)
-    return GridState(state.grid, values, at)
+def apply(H: DifferentialOperator, state: GridState) -> GridState:
+    """Pointwise sum_n h_n(q,t) (D^n psi)(q) with spectral derivatives, at the state's time t."""
+    return GridState(state.grid, H.realize(state.grid)(state.values, state.t), state.t)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormDriftError, StabilityError
-from .grids import Grid, GridState
+from .grids import GridState, check_integer
 from .operators import DifferentialOperator
 
 # |dt * lambda| limit on the imaginary axis for classical RK4 (2*sqrt(2)).
@@ -45,19 +45,10 @@ class EvolutionSpec:
     def __post_init__(self):
         if not 0 < self.dt < float("inf"):
             raise ValueError("dt must be positive and finite")
-        if self.steps < 1:
+        if check_integer(self.steps, "steps") < 1:
             raise ValueError("steps must be >= 1")
-        if self.stride < 1:
+        if check_integer(self.stride, "stride") < 1:
             raise ValueError("stride must be >= 1")
-
-
-def stability_estimate(H: DifferentialOperator, grid: Grid, t: float = 0.0) -> float:
-    """Conservative spectral-radius estimate sum_n max|h_n| prod_a k_max_a^n_a."""
-    return H.realize(grid).spectral_radius(t)
-
-
-def check_stability(H: DifferentialOperator, grid: Grid, spec: EvolutionSpec, t: float = 0.0) -> float:
-    return _check_dt(spec.dt, stability_estimate(H, grid, t))
 
 
 def _check_dt(dt: float, radius: float) -> float:

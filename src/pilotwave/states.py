@@ -111,7 +111,14 @@ def superposition(components: list[tuple[complex, GridState]]) -> GridState:
 # ---------------------------------------------------------------------------
 # State-spec files
 
-_KINDS = ("gaussian", "plane-wave", "ho-eigenstate", "superposition")
+# Each preset kind and the keys it takes, beside a file's state, component,
+# grid and domain lines; any other key is refused.
+_KINDS = {
+    "gaussian": ("center", "width", "wavevector"),
+    "plane-wave": ("wavevector",),
+    "ho-eigenstate": ("levels", "center", "frequency", "mass"),
+    "superposition": (),
+}
 
 
 @dataclass
@@ -141,6 +148,12 @@ def _parse_value(text: str, where: str):
         raise HamiltonianFormatError(f"{where}: bad numeric value '{text}'") from exc
 
 
+def _check_key(kind: str, key: str, where: str) -> None:
+    if key not in _KINDS[kind]:
+        takes = ", ".join(_KINDS[kind]) or "only component lines"
+        raise HamiltonianFormatError(f"{where}: unknown key '{key}' for {kind} (it takes {takes})")
+
+
 def _parse_component(text: str, where: str):
     if "|" not in text:
         raise HamiltonianFormatError(f"{where}: component must be 'coeff | kind key=value ...'")
@@ -160,6 +173,7 @@ def _parse_component(text: str, where: str):
         if "=" not in item:
             raise HamiltonianFormatError(f"{where}: expected key=value, got '{item}'")
         key, _, value = item.partition("=")
+        _check_key(kind, key.strip(), where)
         params[key.strip()] = _parse_value(value, where)
     return coef, kind, params
 
@@ -186,6 +200,7 @@ def parse_state_spec(text: str, min_points: int = 1) -> StateSpec:
     components: list = []
     grid_points = None
     domain_lengths = None
+    key_lines: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -212,8 +227,11 @@ def parse_state_spec(text: str, min_points: int = 1) -> StateSpec:
             domain_lengths = _axis_values(value, where, key, float, check_length)
         else:
             params[key] = _parse_value(value, where)
+            key_lines[key] = where
     if kind is None:
         raise HamiltonianFormatError("missing 'state = <kind>' declaration")
+    for key, where in key_lines.items():
+        _check_key(kind, key, where)
     if kind == "superposition" and not components:
         raise HamiltonianFormatError("superposition state lists no components")
     if kind != "superposition" and components:
@@ -249,7 +267,3 @@ def build_state(spec: StateSpec, grid: Grid) -> GridState:
         parts = [(coef, _build_simple(kind, params, grid)) for coef, kind, params in spec.components]
         return superposition(parts)
     return _build_simple(spec.kind, spec.params, grid)
-
-
-def load_state(text: str, grid: Grid) -> GridState:
-    return build_state(parse_state_spec(text), grid)

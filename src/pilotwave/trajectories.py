@@ -11,7 +11,7 @@ capping would quietly break equivariance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .grids import Grid, GridState
 from .operators import DifferentialOperator, require_hermitian
-from .solver import EvolutionSpec, evolve, stability_estimate
+from .solver import EvolutionSpec, evolve
 
 NODE_EPS = 1e-10
 MAX_TRUNCATED_FRACTION = 0.10
@@ -76,7 +76,6 @@ class Ensemble:
     """Configuration-space points with their recorded trajectory history."""
 
     positions: np.ndarray  # (M, N)
-    seed: int
     times: list[float] = field(default_factory=list)
     history: list[np.ndarray] = field(default_factory=list)
     truncated: np.ndarray | None = None
@@ -132,7 +131,7 @@ def sample_density(rho: np.ndarray, grid: Grid, count: int, seed: int) -> Ensemb
         keep = acceptance < interpolate(grid, rho, proposals)
         accepted = np.vstack([accepted, proposals[keep]])
     positions = accepted[:count]
-    return Ensemble(positions, seed=seed, times=[], history=[])
+    return Ensemble(positions)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +255,7 @@ def integrate_trajectories(
 
     if np.all(truncated):
         raise TruncationError("every trajectory hit a node; no usable ensemble remains")
-    return Ensemble(positions, seed=ensemble.seed, times=times, history=history, truncated=truncated)
+    return Ensemble(positions, times=times, history=history, truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +314,7 @@ class EquivarianceReport:
     valid: bool
 
     def to_dict(self) -> dict:
-        return {
-            "ks_distance": self.ks_distance,
-            "truncated_fraction": self.truncated_fraction,
-            "baseline_ks": self.baseline_ks,
-            "count": self.count,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "valid": self.valid,
-        }
+        return asdict(self)
 
 
 def equivariance_test(
@@ -346,7 +337,7 @@ def equivariance_test(
         raise ValueError("substeps must be >= 1")
     H = require_hermitian(H)
     if evolution_spec is None:
-        radius = stability_estimate(H, psi0.grid, psi0.t)
+        radius = H.realize(psi0.grid).spectral_radius(psi0.t)
         dt_max = 1.0 / radius if radius > 0 else horizon / 100.0
         steps = max(100, int(math.ceil(horizon / dt_max)))
         evolution_spec = EvolutionSpec(

@@ -175,8 +175,8 @@ def inner_product_hermitian(
     for _ in range(states):
         phi = band_limited_state(grid, rng, envelope_kappa=envelope_kappa)
         psi = band_limited_state(grid, rng, envelope_kappa=envelope_kappa)
-        h_psi = apply_operator(H, psi, 0.0)
-        h_phi = apply_operator(H, phi, 0.0)
+        h_psi = apply_operator(H, psi)
+        h_phi = apply_operator(H, phi)
         lhs = braket(phi, h_psi)
         rhs = braket(h_phi, psi)
         scale = (
@@ -337,7 +337,7 @@ def reference_integrate_trajectories(
             truncated |= stage_trunc
         times.append(t1)
         history.append(positions.copy())
-    return Ensemble(positions, seed=ensemble.seed, times=times, history=history, truncated=truncated)
+    return Ensemble(positions, times=times, history=history, truncated=truncated)
 
 
 def reference_snapshot_json(state: GridState) -> str:

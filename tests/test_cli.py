@@ -1,3 +1,5 @@
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -8,7 +10,7 @@ import pytest
 
 from helpers import count_hermiticity_checks
 from pilotwave import cli
-from pilotwave.cli import ALL_METHODS, main
+from pilotwave.cli import METHODS, main
 from pilotwave.currents import derive_current_table
 from pilotwave.operators import OperatorApplier, load_hamiltonian, require_hermitian
 
@@ -368,7 +370,7 @@ ONE_CHECK_COMMANDS = {
         "--steps", "20", "--stride", "10", "--trajectories", "10", "--out", "{out}",
     ],
     "compare": [
-        "compare", "{free}", "--state", "{gauss}", "--grid", "128", "--methods", ",".join(ALL_METHODS),
+        "compare", "{free}", "--state", "{gauss}", "--grid", "128", "--methods", ",".join(METHODS),
     ],
     "equivariance": [
         "equivariance", "{free}", "--state", "{gauss}", "--grid", "128", "--count", "50",
@@ -401,6 +403,24 @@ def test_traced_derive_records_one_hermiticity_span(ham, tmp_path):
     names = [span["name"] for span in json.loads(spans.read_text())["spans"]]
     assert names.count("currents.derive") == 1
     assert names.count("operators.hermiticity") == 1
+
+
+def test_traced_names_resolve_in_the_package():
+    """perfbench/tracing.py wraps each name in its SPANS table, and counts
+    particle stages through `_FlowField.velocities(points, t, active)`.  A
+    deleted or renamed one breaks only the traced benchmark runs, so each is
+    looked up here."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr in tracing.SPANS:
+        target = importlib.import_module(module_name)
+        for part in attr.split("."):
+            target = getattr(target, part)
+        assert callable(target), f"{module_name}.{attr}"
+    from pilotwave.trajectories import _FlowField
+
+    assert list(inspect.signature(_FlowField.velocities).parameters) == ["self", "points", "t", "active"]
 
 
 # An operator whose hermitized table prints every node kind (conj, \overline
@@ -553,8 +573,9 @@ def test_invalid_numeric_flag_is_a_usage_error(command, flag, value, ham, capsys
         ("grid = [0]", "grid: points per axis must be a power of two <= 1024, got 0"),
         ("domain = [-4]", "domain: domain lengths must be positive and finite, got -4.0"),
         ("grid = [64.5]", "grid: points per axis must be an integer, got 64.5"),
+        ("widht = 0.2", "unknown key 'widht' for gaussian (it takes center, width, wavevector)"),
     ],
-    ids=["grid-3", "grid-0", "domain-minus-4", "grid-64.5"],
+    ids=["grid-3", "grid-0", "domain-minus-4", "grid-64.5", "typo-widht"],
 )
 def test_invalid_state_file_grid_is_a_usage_error(entry, message, ham, capsys):
     state = ham("bad.st", GAUSS + entry + "\n")
@@ -626,7 +647,7 @@ ONE_APPLIER_COMMANDS = {
         "--horizon", "0.02",
     ],
     "compare": [
-        "compare", "{free}", "--state", "{gauss}", "--grid", "128", "--methods", ",".join(ALL_METHODS),
+        "compare", "{free}", "--state", "{gauss}", "--grid", "128", "--methods", ",".join(METHODS),
     ],
 }
 

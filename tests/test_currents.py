@@ -244,7 +244,7 @@ def test_source_term_matches_density_time_derivative():
     )
     snaps = evolve(H, psi0, EvolutionSpec(dt=1e-3, steps=2, stride=1))
     drho_dt = (snaps[2].density() - snaps[0].density()) / (snaps[2].t - snaps[0].t)
-    I = source_term(H, snaps[1], snaps[1].t)
+    I = source_term(H, snaps[1])
     scale = np.max(np.abs(drho_dt))
     assert np.max(np.abs(I - (-drho_dt))) < 1e-3 * scale
 

@@ -83,7 +83,7 @@ def test_time_dependent_current_table():
     grid = Grid((20.0,), (128,))
     psi = gaussian(grid, center=[10.0], width=1.0, wavevector=[0.7])
     for t in (0.0, 0.4, 1.3):
-        j = eval_current(table, psi, t)
+        j = eval_current(table, psi.copy(t=t))
         expected = (1.0 + np.sin(t) / 2.0) * psi.density()
         assert np.max(np.abs(j.components[0] - expected)) < 1e-12
 

@@ -75,13 +75,3 @@ def test_cli_grid_precedence_flags_beat_state_file():
     grid2 = _resolve_grid(args2, 1, spec)
     assert grid2.shape == (64,)
     assert grid2.lengths == (10.0,)
-
-
-def test_current_table_derivative_indices():
-    table = derive_current_table(load_hamiltonian('dim = 1\nterm [4] = "1"\n'))
-    assert table.derivative_indices() == [
-        MultiIndex((0,)),
-        MultiIndex((1,)),
-        MultiIndex((2,)),
-        MultiIndex((3,)),
-    ]

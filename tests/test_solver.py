@@ -10,12 +10,11 @@ from pilotwave.grids import Grid, GridState, spectral_derivative
 from pilotwave.operators import OperatorApplier, load_hamiltonian
 from pilotwave.solver import (
     EvolutionSpec,
+    _check_dt,
     chebyshev_coefficients,
-    check_stability,
     continuity_residual,
     evolve,
     norm_drift,
-    stability_estimate,
 )
 from pilotwave.states import gaussian, ho_eigenstate, plane_wave
 
@@ -46,15 +45,21 @@ def test_spec_validation():
         EvolutionSpec(dt=1e-3, steps=0)
     with pytest.raises(ValueError):
         EvolutionSpec(dt=1e-3, steps=10, stride=0)
+    for fields, name in [({"steps": 2.5}, "steps"), ({"steps": float("nan")}, "steps"),
+                         ({"steps": 10, "stride": float("nan")}, "stride")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EvolutionSpec(dt=1e-3, **fields)
+    assert EvolutionSpec(dt=1e-3, steps=np.int64(10), stride=np.int32(5)).steps == 10
 
 
 def test_stability_guard():
     H = load_hamiltonian(FREE_1D)
     grid = Grid((40.0,), (512,))
-    assert stability_estimate(H, grid) > 0
-    check_stability(H, grid, EvolutionSpec(dt=1e-3, steps=1))
+    radius = H.realize(grid).spectral_radius(0.0)
+    assert radius > 0
+    _check_dt(1e-3, radius)
     with pytest.raises(StabilityError):
-        check_stability(H, grid, EvolutionSpec(dt=1.0, steps=1))
+        _check_dt(1.0, radius)
 
 
 def test_evolve_refuses_an_unstable_step():
@@ -73,7 +78,7 @@ def test_stability_estimate_follows_time_dependent_coefficients():
     q1_max = grid.axis_points(0)[-1]
     for t in (0.0, 1.0, 2.5):
         expected = 0.5 * k1 ** 2 + abs(np.cos(t)) * k2 + q1_max * abs(np.sin(t))
-        assert stability_estimate(H, grid, t) == pytest.approx(expected, rel=1e-12)
+        assert H.realize(grid).spectral_radius(t) == pytest.approx(expected, rel=1e-12)
 
 
 def test_free_gaussian_spreading_law():
@@ -149,7 +154,7 @@ def test_norm_drift_abort_on_underresolved_state():
     grid = Grid((40.0,), (128,))
     rng = np.random.default_rng(8)
     noise = GridState(grid, rng.normal(size=128) + 1j * rng.normal(size=128)).normalized()
-    radius = stability_estimate(H, grid)
+    radius = H.realize(grid).spectral_radius(0.0)
     spec = EvolutionSpec(dt=2.75 / radius, steps=200, stride=200)
     with pytest.raises(NormDriftError):
         evolve(H, noise, spec)
@@ -243,7 +248,7 @@ EQUIV1D_GRID = Grid((40.0,), (256,))
 
 def equiv1d_like_spec(H, horizon):
     """The schedule equivariance_test chooses: dt near 1/R and 100 snapshots."""
-    steps = max(100, math.ceil(horizon * stability_estimate(H, EQUIV1D_GRID)))
+    steps = max(100, math.ceil(horizon * H.realize(EQUIV1D_GRID).spectral_radius(0.0)))
     return EvolutionSpec(dt=horizon / steps, steps=steps, stride=max(1, steps // 100))
 
 
@@ -264,7 +269,7 @@ def test_series_matches_the_dense_propagator(text, grid, state):
     H = load_hamiltonian(text)
     psi0 = gaussian(grid, **state)
     # 10 steps of 1/R per snapshot, then a shorter last interval of 4 steps
-    spec = EvolutionSpec(dt=1.0 / stability_estimate(H, grid), steps=10 * 12 + 4, stride=10)
+    spec = EvolutionSpec(dt=1.0 / H.realize(grid).spectral_radius(0.0), steps=10 * 12 + 4, stride=10)
     snaps = evolve(H, psi0, spec)
     for snap in (snaps[len(snaps) // 2], snaps[-2], snaps[-1]):
         exact = dense_propagator(H, grid, snap.t - psi0.t) @ psi0.values.reshape(-1)
@@ -297,7 +302,7 @@ def test_time_dependent_operator_steps_rk4(monkeypatch):
     grid = Grid((40.0,), (128,))
     H = load_hamiltonian(DRIVEN_1D)
     calls = count_applications(monkeypatch)
-    spec = EvolutionSpec(dt=1.0 / stability_estimate(H, grid), steps=10 * 12 + 4, stride=10)
+    spec = EvolutionSpec(dt=1.0 / H.realize(grid).spectral_radius(0.0), steps=10 * 12 + 4, stride=10)
     evolve(H, gaussian(grid, center=[20.0], width=1.0), spec)
     assert len(calls) == 4 * spec.steps
 
@@ -306,7 +311,7 @@ def test_stride_one_steps_rk4(monkeypatch):
     grid = Grid((40.0,), (128,))
     H = load_hamiltonian(QUARTIC_1D)
     calls = count_applications(monkeypatch)
-    spec = EvolutionSpec(dt=1.0 / stability_estimate(H, grid), steps=30, stride=1)
+    spec = EvolutionSpec(dt=1.0 / H.realize(grid).spectral_radius(0.0), steps=30, stride=1)
     evolve(H, gaussian(grid, center=[18.0], width=0.8), spec)
     assert len(calls) == 4 * spec.steps
 
@@ -316,7 +321,7 @@ def test_snapshot_cadence_takes_the_series(monkeypatch):
     calls = count_applications(monkeypatch)
     spec = equiv1d_like_spec(H, horizon=0.2)
     evolve(H, gaussian(EQUIV1D_GRID, center=[18.0], width=0.5, wavevector=[1.0]), spec)
-    radius = stability_estimate(H, EQUIV1D_GRID)
+    radius = H.realize(EQUIV1D_GRID).spectral_radius(0.0)
     full, last = divmod(spec.steps, spec.stride)
     terms = full * len(chebyshev_coefficients(radius * spec.stride * spec.dt))
     if last:
@@ -330,7 +335,7 @@ def test_series_snapshot_times_equal_rk4s(monkeypatch):
     psi0 = gaussian(grid, center=[18.0], width=0.8).copy(t=0.3)
     exact_H = load_hamiltonian(QUARTIC_1D)
     rk4_H = load_hamiltonian(QUARTIC_1D + 'term [1] = "1e-9*i*cos(t)"\n')
-    spec = EvolutionSpec(dt=1.0 / stability_estimate(exact_H, grid), steps=10 * 12 + 4, stride=10)
+    spec = EvolutionSpec(dt=1.0 / exact_H.realize(grid).spectral_radius(0.0), steps=10 * 12 + 4, stride=10)
     calls = count_applications(monkeypatch)
     exact = evolve(exact_H, psi0, spec)
     assert len(calls) < 4 * spec.steps
@@ -347,7 +352,7 @@ def test_series_norm_is_kept_on_an_underresolved_state():
     grid = Grid((40.0,), (128,))
     rng = np.random.default_rng(8)
     noise = GridState(grid, rng.normal(size=128) + 1j * rng.normal(size=128)).normalized()
-    radius = stability_estimate(H, grid)
+    radius = H.realize(grid).spectral_radius(0.0)
     snaps = evolve(H, noise, EvolutionSpec(dt=2.75 / radius, steps=200, stride=200))
     assert max(norm_drift(snaps)) <= 1e-12
 
@@ -355,7 +360,7 @@ def test_series_norm_is_kept_on_an_underresolved_state():
 def test_series_with_an_understated_radius_raises(monkeypatch):
     H = load_hamiltonian(QUARTIC_1D)
     spec = equiv1d_like_spec(H, horizon=0.2)
-    understated = stability_estimate(H, EQUIV1D_GRID) / 4
+    understated = H.realize(EQUIV1D_GRID).spectral_radius(0.0) / 4
     monkeypatch.setattr(OperatorApplier, "spectral_radius", lambda self, t: understated)
     calls = count_applications(monkeypatch)
     with pytest.raises(NormDriftError):

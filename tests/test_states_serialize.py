@@ -20,7 +20,6 @@ from pilotwave.states import (
     commensurate_wavevector,
     gaussian,
     ho_eigenstate,
-    load_state,
     parse_state_spec,
     plane_wave,
     superposition,
@@ -72,7 +71,7 @@ def test_ho_eigenstate_2d_energy():
         'dim = 2\nterm [2,0] = "-0.5"\nterm [0,2] = "-0.5"\n'
         'term [0,0] = "((q1-10)^2 + (q2-10)^2)/2"\n'
     )
-    out = apply(H, psi, 0.0)
+    out = apply(H, psi)
     energy = 1.5 + 2.5
     assert np.max(np.abs(out.values - energy * psi.values)) < 1e-6
 
@@ -115,7 +114,7 @@ def test_superposition_state_file():
         "component = (0.5+0.5*i) | gaussian center=[22] width=0.5 wavevector=[1]\n"
     )
     grid = Grid((40.0,), (256,))
-    psi = load_state(text, grid)
+    psi = build_state(parse_state_spec(text), grid)
     assert psi.norm_sq() == pytest.approx(1.0)
 
 
@@ -129,12 +128,15 @@ def test_superposition_state_file():
         "state = superposition\ncomponent = q1 | gaussian",  # non-constant coefficient
         "state = plane-wave",  # missing wavevector
         "state = gaussian\nwidth = [0.5, 0.7]",  # wrong arity for 1D grid
+        "wavevector = [1.0]\nstate = plane-wave\nlevels = [0]",  # key of another kind
+        "state = superposition\ncenter = [20]\ncomponent = 1 | gaussian",  # superposition takes no keys
+        "state = superposition\ncomponent = 1 | ho-eigenstate level=[1]",  # misspelt component key
     ],
 )
 def test_state_spec_rejects(text):
     grid = Grid((40.0,), (64,))
     with pytest.raises(HamiltonianFormatError):
-        load_state(text, grid)
+        build_state(parse_state_spec(text), grid)
 
 
 def test_snapshot_json_roundtrip():
@@ -208,7 +210,7 @@ def test_trajectory_csv_is_byte_identical_to_the_reference(name):
     rng = np.random.default_rng(6)
     count = 40
     history = [with_specials(rng.uniform(0.0, 1.0, (count, grid.dim)) * grid.lengths) for _ in range(3)]
-    ensemble = Ensemble(history[-1], seed=6, times=[0.0, 0.1 + 0.2, 1e-7], history=history,
+    ensemble = Ensemble(history[-1], times=[0.0, 0.1 + 0.2, 1e-7], history=history,
                         truncated=rng.random(count) < 0.3)
     assert 0 < ensemble.truncated.sum() < count
     assert trajectory_csv(ensemble) == reference_trajectory_csv(ensemble)

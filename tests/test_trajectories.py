@@ -138,7 +138,7 @@ def test_trajectories_follow_gaussian_scaling_law():
     H, grid, snaps = free_gaussian_snapshots(sigma0=sigma0)
     table = derive_current_table(H)
     starts = np.array([[18.5], [19.2], [20.0], [20.6], [21.5]])
-    ensemble = Ensemble(starts, seed=0)
+    ensemble = Ensemble(starts)
     final = integrate_trajectories(snaps, table, ensemble, substeps=4)
     T = snaps[-1].t
     scale = np.sqrt(1.0 + (T / (2 * sigma0 ** 2)) ** 2)
@@ -157,7 +157,7 @@ def test_trajectories_static_for_stationary_ground_state():
     snaps = evolve(H, psi0, EvolutionSpec(dt=1e-3, steps=200, stride=50))
     table = derive_current_table(H)
     starts = np.array([[19.0], [20.0], [21.3]])
-    final = integrate_trajectories(snaps, table, Ensemble(starts, seed=0))
+    final = integrate_trajectories(snaps, table, Ensemble(starts))
     assert np.max(np.abs(final.positions - starts)) < 1e-10
     assert not final.truncated.any()
 
@@ -167,7 +167,7 @@ def test_trajectories_mean_displacement_under_drift():
     H, grid, snaps = free_gaussian_snapshots(sigma0=3.0, wavevector=1.0, steps=500)
     table = derive_current_table(H)
     starts = 20.0 + np.linspace(-4.0, 4.0, 9).reshape(-1, 1)
-    final = integrate_trajectories(snaps, table, Ensemble(starts, seed=0))
+    final = integrate_trajectories(snaps, table, Ensemble(starts))
     T = snaps[-1].t
     displacement = final.positions - starts
     assert np.max(np.abs(displacement - 1.0 * T)) < 1e-2
@@ -178,7 +178,7 @@ def test_no_crossing_in_1d():
     table = derive_current_table(H)
     rng = np.random.default_rng(33)
     starts = np.sort(rng.uniform(18.0, 22.0, 64)).reshape(-1, 1)
-    final = integrate_trajectories(snaps, table, Ensemble(starts, seed=0))
+    final = integrate_trajectories(snaps, table, Ensemble(starts))
     for positions in final.history:
         order = positions[:, 0]
         assert np.all(np.diff(order) > -1e-12)
@@ -201,7 +201,7 @@ def test_all_truncated_raises():
     psi0 = GridState(grid, (x - 20.0) * np.exp(-((x - 20.0) ** 2) / 2) + 0j).normalized()
     snaps = evolve(H, psi0, EvolutionSpec(dt=1e-3, steps=10, stride=5))
     table = derive_current_table(H)
-    at_node = Ensemble(np.array([[20.0]]), seed=0)
+    at_node = Ensemble(np.array([[20.0]]))
     with pytest.raises(TruncationError):
         integrate_trajectories(snaps, table, at_node)
 
@@ -209,7 +209,7 @@ def test_all_truncated_raises():
 def test_history_cadence_matches_snapshots():
     H, grid, snaps = free_gaussian_snapshots(steps=100, stride=25)
     table = derive_current_table(H)
-    final = integrate_trajectories(snaps, table, Ensemble(np.array([[20.0]]), seed=0))
+    final = integrate_trajectories(snaps, table, Ensemble(np.array([[20.0]])))
     assert final.times == [s.t for s in snaps]
     assert len(final.history) == len(snaps)
 
@@ -359,7 +359,7 @@ def test_trajectories_are_bitwise_the_per_field_reference(name):
     snaps = evolve(H, drifting_state(grid), EvolutionSpec(dt=0.01, steps=30, stride=10))
     table = derive_current_table(H)
     start = wrap_edge_points(grid, np.random.default_rng(5), 100)
-    ensemble = Ensemble(start, seed=5)
+    ensemble = Ensemble(start)
     got = integrate_trajectories(snaps, table, ensemble, substeps=3)
     assert_same_ensemble(got, reference_integrate_trajectories(snaps, table, ensemble, substeps=3))
     lengths = np.asarray(grid.lengths)
@@ -390,7 +390,7 @@ def test_partial_truncation_is_bitwise_the_per_field_reference(name):
     snaps = emptying_snapshots(grid)
     table = derive_current_table(H)
     start = wrap_edge_points(grid, np.random.default_rng(11), 150)
-    ensemble = Ensemble(start, seed=11)
+    ensemble = Ensemble(start)
     got = integrate_trajectories(snaps, table, ensemble, substeps=4)
     assert_same_ensemble(got, reference_integrate_trajectories(snaps, table, ensemble, substeps=4))
     assert 0 < got.truncated.sum() < got.count
@@ -408,7 +408,7 @@ def test_large_1d_ensemble_is_bitwise_the_per_field_reference():
     H = load_hamiltonian(FREE_1D)
     snaps = evolve(H, drifting_state(grid), EvolutionSpec(dt=0.01, steps=30, stride=10))
     table = derive_current_table(H)
-    ensemble = Ensemble(wrap_edge_points(grid, np.random.default_rng(7), 5000), seed=7)
+    ensemble = Ensemble(wrap_edge_points(grid, np.random.default_rng(7), 5000))
     got = integrate_trajectories(snaps, table, ensemble, substeps=3)
     assert_same_ensemble(got, reference_integrate_trajectories(snaps, table, ensemble, substeps=3))
 
@@ -417,7 +417,7 @@ def test_work_buffers_are_resized_only_when_truncation_shrinks_the_live_set(monk
     grid = GRIDS["1d"]
     snaps = emptying_snapshots(grid)
     table = derive_current_table(load_hamiltonian(FREE_1D))
-    ensemble = Ensemble(wrap_edge_points(grid, np.random.default_rng(13), 5000), seed=13)
+    ensemble = Ensemble(wrap_edge_points(grid, np.random.default_rng(13), 5000))
     buffers = []
     velocities = _FlowField.velocities
 
@@ -486,7 +486,7 @@ psi = GridState(grid, np.exp(1j * phase) * (1.5 + np.cos(phase)), 0.0).normalize
 H = load_hamiltonian('dim = 1\nterm [2] = "-0.5"\n')
 snaps = evolve(H, psi, EvolutionSpec(dt=0.01, steps=20, stride=2))
 table = derive_current_table(H)
-ensemble = Ensemble(np.random.default_rng(0).uniform(0.0, 10.0, (5000, 1)), seed=0)
+ensemble = Ensemble(np.random.default_rng(0).uniform(0.0, 10.0, (5000, 1)))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 integrate_trajectories(snaps, table, ensemble)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, (len(snaps) - 1) * 4 * 4)
@@ -508,7 +508,7 @@ def test_integration_without_history_ends_where_the_recording_run_does():
     grid = GRIDS["1d"]
     snaps = emptying_snapshots(grid)
     table = derive_current_table(load_hamiltonian(FREE_1D))
-    ensemble = Ensemble(wrap_edge_points(grid, np.random.default_rng(17), 300), seed=17)
+    ensemble = Ensemble(wrap_edge_points(grid, np.random.default_rng(17), 300))
     recorded = integrate_trajectories(snaps, table, ensemble)
     bare = integrate_trajectories(snaps, table, ensemble, record_history=False)
     assert 0 < bare.truncated.sum() < bare.count
@@ -546,7 +546,7 @@ def test_equivariance_report_is_the_same_with_recorded_history(monkeypatch):
 @pytest.mark.parametrize("substeps", [0, -1])
 def test_integration_refuses_a_substep_count_below_one(substeps):
     H, grid, snaps = free_gaussian_snapshots(steps=50)
-    ensemble = Ensemble(np.array([[20.0]]), seed=0)
+    ensemble = Ensemble(np.array([[20.0]]))
     with pytest.raises(ValueError, match="substeps"):
         integrate_trajectories(snaps, derive_current_table(H), ensemble, substeps=substeps)
 

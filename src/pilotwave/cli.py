@@ -267,9 +267,11 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in (args.methods or "").split(",") if m.strip()]
     if not methods:
         raise HamiltonianFormatError("--methods must list at least one method")
-    for m in methods:
+    for k, m in enumerate(methods):
         if m not in METHODS:
             raise HamiltonianFormatError(f"unknown method '{m}' (choose from {', '.join(METHODS)})")
+        if m in methods[:k]:
+            raise HamiltonianFormatError(f"--methods lists '{m}' twice")
     H, psi, _ = _load_problem(args)
 
     fields = {}

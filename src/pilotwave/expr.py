@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -291,9 +291,48 @@ def _walk(node: Node, coords, t):
             return -_walk(node.arg, coords, t)
         if isinstance(node, Pow):
             return _walk(node.base, coords, t) ** node.exponent
-        return _FUNCTIONS[node.func](_walk(node.arg, coords, t))  # Call
+        if isinstance(node, Call):
+            return _FUNCTIONS[node.func](_walk(node.arg, coords, t))
     except ArithmeticError as exc:
         raise EvaluationDomainError(str(exc), _render(node)[0]) from exc
+    return node.value  # _Held
+
+
+@dataclass(frozen=True, eq=False)
+class _Held:
+    """A t-free subtree evaluated once on one set of coordinates, printed as the subtree."""
+
+    node: Node
+    value: object
+
+
+def _has_time(node) -> bool:
+    if isinstance(node, TimeVar):
+        return True
+    if isinstance(node, Binary):
+        return _has_time(node.left) or _has_time(node.right)
+    if isinstance(node, (Neg, Call)):
+        return _has_time(node.arg)
+    if isinstance(node, Pow):
+        return _has_time(node.base)
+    return False
+
+
+def _hold(node: Node, coords):
+    """`node` with each maximal t-free non-leaf subtree held at its value on
+    `coords`; a subtree that faults there stays, so that it faults as before."""
+    if isinstance(node, (Const, Coord, TimeVar)):
+        return node
+    if not _has_time(node):
+        try:
+            return _Held(node, _eval(node, coords, 0.0))
+        except EvaluationDomainError:
+            return node
+    if isinstance(node, Binary):
+        return Binary(node.op, _hold(node.left, coords), _hold(node.right, coords))
+    if isinstance(node, Pow):
+        return Pow(_hold(node.base, coords), node.exponent)
+    return replace(node, arg=_hold(node.arg, coords))  # Neg, Call
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +390,8 @@ def _render(node: Node) -> tuple[str, int]:
         return f"-{_wrap(node.arg, _PREC_UNARY)}", _PREC_UNARY
     if isinstance(node, Pow):
         return f"{_wrap(node.base, _PREC_ATOM)}^{node.exponent}", _PREC_POW
+    if isinstance(node, _Held):
+        return _render(node.node)
     return f"{node.func}({_render(node.arg)[0]})", _PREC_ATOM
 
 
@@ -600,6 +641,12 @@ class CoefficientExpression:
             raise DimensionMismatchError(f"point dimension {len(q)} != expression dimension {self.dim}")
         return complex(np.ravel(_eval(self.node, np.reshape(q, (self.dim, 1)), t))[0])
 
+    def held_on(self, meshes) -> "CoefficientExpression":
+        """This expression with every maximal t-free subtree evaluated once on
+        `meshes`.  Its `evaluate_on(meshes, t)` is bitwise this one's and walks
+        only the nodes that contain t; it is valid on those meshes only."""
+        return CoefficientExpression(_hold(self.node, meshes), self.dim)
+
     def evaluate_on(self, meshes, t) -> np.ndarray:
         """Evaluate over coordinate meshes (list of N broadcastable arrays).
 
@@ -756,16 +803,4 @@ def _sample(e: CoefficientExpression, q: np.ndarray, t: np.ndarray):
 
 def contains_time(e: CoefficientExpression) -> bool:
     """True when the expression references t anywhere."""
-
-    def walk(node: Node) -> bool:
-        if isinstance(node, TimeVar):
-            return True
-        if isinstance(node, Binary):
-            return walk(node.left) or walk(node.right)
-        if isinstance(node, (Neg, Call)):
-            return walk(node.arg)
-        if isinstance(node, Pow):
-            return walk(node.base)
-        return False
-
-    return walk(e.node)
+    return _has_time(e.node)

@@ -176,26 +176,42 @@ def _symbol(grid: Grid, n: MultiIndex) -> np.ndarray:
 
 
 class DerivativeCache:
-    """Caches the FFT of one field and the inverse transforms per multi-index."""
+    """Caches one field's transforms and its derivatives per multi-index.
+
+    Derivatives transform along one axis at a time: D^n is the last axis a
+    that n uses, applied to the cached D^m where m is n with entry a set to
+    0.  The field's spectrum along each axis is kept; the spectra of
+    intermediate derivatives are not.
+    """
 
     def __init__(self, values: np.ndarray, grid: Grid):
         self.grid = grid
         self.values = np.asarray(values, dtype=complex)
-        self._spectrum = None
+        self._spectra: dict[tuple[int, ...], np.ndarray] = {}
         self._cache: dict[MultiIndex, np.ndarray] = {}
 
+    def _transform(self, axes: tuple[int, ...]) -> np.ndarray:
+        if axes not in self._spectra:
+            self._spectra[axes] = np.fft.fftn(self.values, axes=axes)
+        return self._spectra[axes]
+
     def spectrum(self) -> np.ndarray:
-        """The field's FFT, taken on first use and shared by every derivative."""
-        if self._spectrum is None:
-            self._spectrum = np.fft.fftn(self.values)
-        return self._spectrum
+        """The field's FFT over all axes, taken once (in 1D, also the derivatives' one)."""
+        return self._transform(tuple(range(self.grid.dim)))
 
     def derivative(self, n: MultiIndex) -> np.ndarray:
         if n.order() == 0:
             return self.values
         hit = self._cache.get(n)
         if hit is None:
-            hit = np.fft.ifftn(self.spectrum() * _symbol(self.grid, n))
+            entries = n.entries
+            axis = max(a for a, power in enumerate(entries) if power)
+            if any(entries[:axis]):
+                rest = MultiIndex(entries[:axis] + (0,) * (len(entries) - axis))
+                spectrum = np.fft.fftn(self.derivative(rest), axes=(axis,))
+            else:
+                spectrum = self._transform((axis,))
+            hit = np.fft.ifftn(spectrum * self.grid.derivative_factor(axis, entries[axis]), axes=(axis,))
             self._cache[n] = hit
         return hit
 

@@ -33,9 +33,10 @@ class SamplingSpec:
     """The points of the randomized expression checks: `samples` points drawn
     with `seed` from the box [0, L_1) x ... x [0, L_N) that a grid with these
     `lengths` covers (default grids.DEFAULT_LENGTH per axis), and t from
-    [0, 1).  A `samples` that is not an integer is refused here; a check
-    refuses, before drawing, fewer than one sample, and lengths that are not
-    positive and finite or whose count is not the expression's dimension.
+    [0, 1).  A `samples` that is not an integer, or a `seed` that is not a
+    non-negative integer, is refused here; a check refuses, before drawing,
+    fewer than one sample, and lengths that are not positive and finite or
+    whose count is not the expression's dimension.
     """
 
     samples: int = 32
@@ -45,6 +46,8 @@ class SamplingSpec:
 
     def __post_init__(self):
         check_integer(self.samples, "samples")
+        if check_integer(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def equal(self, a: CoefficientExpression, b: CoefficientExpression) -> bool:
         return expr.approx_equal(a, b, self.samples, self.seed, self.tol, self.lengths)
@@ -172,7 +175,8 @@ class OperatorApplier:
 
     Coefficients are evaluated on the grid's broadcast axis vectors and
     returned at full grid shape.  Time-independent ones are evaluated once;
-    time-dependent ones are re-evaluated at each requested t.  Derivative
+    time-dependent ones hold their t-free parts from construction, and only
+    the nodes that contain t are evaluated at each requested t.  Derivative
     terms with a constant coefficient are applied together through one
     Fourier multiplier sum_n c_n (i k)^n, so they cost one inverse FFT in all.
     """
@@ -188,7 +192,7 @@ class OperatorApplier:
         self._dynamic: list[tuple[MultiIndex, CoefficientExpression]] = []
         for n, coef in H.terms.items():
             if expr.contains_time(coef):
-                self._dynamic.append((n, coef))
+                self._dynamic.append((n, coef.held_on(self._axes)))
             else:
                 self._static[n] = coef.evaluate_on(self._axes, 0.0)
                 self._static[n].setflags(write=False)

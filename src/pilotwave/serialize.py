@@ -48,18 +48,17 @@ def snapshot_to_csv(state: GridState) -> str:
 
 
 def trajectory_csv(ensemble: Ensemble) -> str:
-    """One row per particle per recorded time.
+    """One row per particle per recorded time, built one time block at a time.
 
     The `truncated` flag marks particles whose trajectory hit a node at some
     point of the run (they are frozen from there on).
     """
-    header = "t,particle_id,ADD_AXES,truncated"
     axes = ",".join(f"q{a}" for a in range(1, ensemble.dim + 1))
-    lines = [header.replace("ADD_AXES", axes)]
-    row = "%s,%d," + ",".join(["%.12g"] * ensemble.dim) + ",%d"
+    blocks = [f"t,particle_id,{axes},truncated\n"]
+    row = "%s,%d," + ",".join(["%.12g"] * ensemble.dim) + ",%d\n"
     flags = ensemble.truncated.astype(bool).tolist()
     for t, positions in zip(ensemble.times, ensemble.history):
         stamp = "%.12g" % t
-        for pid, (coords, flag) in enumerate(zip(positions.tolist(), flags)):
-            lines.append(row % (stamp, pid, *coords, flag))
-    return "\n".join(lines) + "\n"
+        rows = enumerate(zip(positions.tolist(), flags))
+        blocks.append("".join(row % (stamp, pid, *coords, flag) for pid, (coords, flag) in rows))
+    return "".join(blocks)

@@ -194,13 +194,15 @@ def _whole(value: float) -> int:
 
 
 def parse_state_spec(text: str, min_points: int = 1) -> StateSpec:
-    """The state spec in `text`; a `grid` entry must have at least `min_points` per axis."""
+    """The state spec in `text`; a key other than `component` may appear only once, and a
+    `grid` entry must have at least `min_points` per axis."""
     kind = None
     params: dict = {}
     components: list = []
     grid_points = None
     domain_lengths = None
     key_lines: dict[str, str] = {}
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -211,9 +213,10 @@ def parse_state_spec(text: str, min_points: int = 1) -> StateSpec:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key != "component" and key in seen:
+            raise HamiltonianFormatError(f"{where}: duplicate '{key}' line")
+        seen.add(key)
         if key == "state":
-            if kind is not None:
-                raise HamiltonianFormatError(f"{where}: duplicate state declaration")
             if value not in _KINDS:
                 raise HamiltonianFormatError(f"{where}: unknown state kind '{value}'")
             kind = value

@@ -12,7 +12,8 @@ from helpers import count_hermiticity_checks
 from pilotwave import cli
 from pilotwave.cli import METHODS, main
 from pilotwave.currents import derive_current_table
-from pilotwave.operators import OperatorApplier, load_hamiltonian, require_hermitian
+from pilotwave.expr import contains_time
+from pilotwave.operators import OperatorApplier, hermitize, load_hamiltonian, require_hermitian
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -583,6 +584,28 @@ def test_invalid_state_file_grid_is_a_usage_error(entry, message, ham, capsys):
     assert f"line 5: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lines", [
+    ["width = 2.0"], ["grid = [64]", "grid = [32]"], ["domain = [20]", "domain = [30]"],
+    ["state = gaussian"],
+], ids=["width", "grid", "domain", "state"])
+def test_repeated_state_file_key_is_a_usage_error(lines, ham, capsys):
+    """A second line for a key would silently win over the first."""
+    state = ham("dup.st", GAUSS + "".join(line + "\n" for line in lines))
+    assert main(["compare", ham("free.ham", FREE), "--state", state]) == 2
+    key = lines[-1].split("=")[0].strip()
+    assert f"line {4 + len(lines)}: duplicate '{key}' line" in capsys.readouterr().err
+
+
+def test_repeated_compare_method_is_a_usage_error(ham, capsys, monkeypatch):
+    def no_work(text):
+        raise AssertionError("the Hamiltonian was loaded before --methods was checked")
+
+    monkeypatch.setattr(cli, "load_hamiltonian", no_work)
+    argv = ["compare", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS)]
+    assert main(argv + ["--methods", "canonical,epstein,canonical"]) == 2
+    assert "--methods lists 'canonical' twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate", "equivariance"])
 def test_state_file_grid_below_the_operator_floor_is_a_usage_error(command, ham, tmp_path, capsys):
     state = ham("coarse.st", GAUSS + "grid = [8]\n")
@@ -709,3 +732,37 @@ def test_traced_equivariance_counts_particle_stages(ham, tmp_path):
     substeps x 4 stages."""
     counts = _traced_equivariance_counts(ham, tmp_path)
     assert counts["trajectories.particle_stages"] == 200 * 100 * 4 * 4
+
+
+DRIVEN_2D = (
+    'dim = 2\nterm [2,0] = "-0.5*(1+0.2*cos(q1))"\nterm [0,2] = "-0.5"\n'
+    'term [0,0] = "0.1*cos(q2) + 0.5*cos(q1)*sin(3*t)"\n'
+)
+GAUSS2D_SMALL = "state = gaussian\ncenter = [5.0, 5.0]\nwidth = 1.0\nwavevector = [1.0, 0.5]\n"
+
+
+def test_traced_driven_simulate_counts_each_layer(ham, tmp_path):
+    """A driven 2D `simulate` under perfbench/tracing.py: the one dynamic
+    coefficient goes through `evaluate_on` once for the step bound and once
+    per RK4 stage, the static ones and the table entries as before, and the
+    one-axis derivative transforms are counted."""
+    spans = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracing.py"), "--spans", str(spans), "--",
+         "simulate", "--hermitize", ham("driven.ham", DRIVEN_2D), "--state", ham("g.st", GAUSS2D_SMALL),
+         "--grid", "16", "--domain", "10", "--dt", "1e-3", "--steps", "8", "--stride", "4",
+         "--trajectories", "20", "--out", str(tmp_path / "run")],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(spans.read_text())["counts"]
+    H = require_hermitian(hermitize(load_hamiltonian(DRIVEN_2D)))
+    dynamic = [n for n, coef in H.terms.items() if contains_time(coef)]
+    assert len(dynamic) == 1
+    entries = sum(len(axis) for axis in derive_current_table(H).axes)
+    steps = counts["solver.rk4_steps"]
+    snapshots = counts["currents.eval_current.calls"]
+    assert (steps, snapshots) == (8, 3)
+    assert counts["operators.apply.calls"] == 4 * steps
+    assert counts["expr.evaluate_on.calls"] == len(H.terms) + entries * snapshots + 4 * steps
+    assert counts["grids.fft_calls"] > 0

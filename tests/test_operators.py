@@ -6,6 +6,7 @@ from helpers import (
     count_hermiticity_checks,
     inner_product_hermitian,
     random_hermitian_operator,
+    random_operator,
     record_function_argument_sizes,
     visibly_non_hermitian_operator,
 )
@@ -15,6 +16,7 @@ from pilotwave.currents import derive_current_table, eval_current_direct
 from pilotwave.epstein import nonlocal_current
 from pilotwave.errors import (
     DimensionMismatchError,
+    EvaluationDomainError,
     GridError,
     HamiltonianFormatError,
     NonHermitianError,
@@ -202,6 +204,15 @@ def test_malformed_sampling_box_is_refused(lengths, error):
         require_hermitian(H, SamplingSpec(lengths=lengths))
     with pytest.raises(error):
         expr.approx_equal(H.coefficient(MultiIndex((2,))), expr.parse("q1", 1), lengths=lengths)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (2.5, "seed must be an integer, got 2.5"), (-1, "seed must be non-negative, got -1"),
+])
+def test_sampling_seed_is_checked_at_construction(seed, message):
+    with pytest.raises(ValueError, match=message):
+        SamplingSpec(seed=seed)
+    assert SamplingSpec(seed=np.int64(7)).seed == 7
 
 
 @pytest.mark.parametrize("spec, name", [
@@ -465,10 +476,56 @@ def test_applier_evaluates_one_axis_functions_on_axis_vectors(monkeypatch):
     H = axis_operator()  # built first: its sampled pruning calls the functions too
     sizes = record_function_argument_sizes(monkeypatch)
     applier = OperatorApplier(H, Grid((10.0, 10.0), (64, 64)))
-    assert sizes == [64]  # the static sin(q2)
-    applier.coefficient_grids(0.25)
-    # the dynamic coefficient: cos(q1) twice and the scalar sin(3t), none on 64^2 points
-    assert sorted(sizes) == [1, 64, 64, 64]
+    # the static sin(q2), and the dynamic coefficient's t-free cos(q1) twice, held
+    assert sorted(sizes) == [64, 64, 64]
+    sizes.clear()
+    for t in (0.25, 0.5):
+        applier.coefficient_grids(t)
+    assert sizes == [1, 1]  # only the scalar sin(3t), once per t
+
+
+K20, LATTICE = 2.0 * np.pi / 20.0, 2.0 * np.pi / 5.0
+SIM2D_DRIVEN = f"""dim = 2
+term [2,0] = "-0.5*(1+0.2*cos({K20!r}*q1))"
+term [0,2] = "-0.5*(1+0.2*cos({K20!r}*q2))"
+term [1,0] = "0.3*i*sin({K20!r}*q2)"
+term [0,1] = "0.3*i*cos({K20!r}*q1)"
+term [0,0] = "0.3*(cos({LATTICE!r}*q1)+cos({LATTICE!r}*q2)) + 0.045*(sin({K20!r}*q2)^2+cos({K20!r}*q1)^2) + 0.5*cos({K20!r}*q1)*sin(3*t)"
+"""
+
+
+def test_held_coefficient_evaluates_bitwise_as_the_expression():
+    """The driven 2D benchmark operator's hermitized [0,0] and random
+    coefficients times a drive: holding the t-free parts on the axis vectors
+    changes no bit at a scalar or an array t, nor the printed form."""
+    grid = Grid((20.0, 20.0), (64, 64))
+    axes = grid.axis_vectors()
+    coefs = [hermitize(load_hamiltonian(SIM2D_DRIVEN)).coefficient(MultiIndex((0, 0)))]
+    rng = np.random.default_rng(3)
+    drive = expr.parse("1 + 0.5*sin(3*t)", 2)
+    for _ in range(4):
+        coefs += [drive * c for c in random_operator(rng, 2, 2, grid.center()).terms.values()]
+    times = [0.0, 0.37, rng.random(grid.shape), rng.random((64, 1))]
+    for coef in coefs:
+        assert expr.contains_time(coef)
+        held = coef.held_on(axes)
+        assert held.to_string() == coef.to_string()
+        for t in times:
+            assert held.evaluate_on(axes, t).tobytes() == coef.evaluate_on(axes, t).tobytes()
+
+
+@pytest.mark.parametrize("text", ["1/(sin(t)*cos(q1))", "1/q1 + sin(t)"], ids=["t-path", "t-free"])
+def test_held_coefficient_fault_names_the_same_subexpression(text):
+    """A fault on the t-path, or in a t-free part that faults on the grid
+    (q1 = 0 is a grid point), raises at each t with the message of the plain
+    evaluation; building the applier does not raise."""
+    coef = expr.parse(text, 2)
+    applier = OperatorApplier(DifferentialOperator(2, {MultiIndex((0, 0)): coef}), Grid((10.0, 10.0), (16, 16)))
+    with pytest.raises(EvaluationDomainError) as plain:
+        coef.evaluate_on(applier.grid.axis_vectors(), 0.0)
+    with pytest.raises(EvaluationDomainError) as held:
+        applier.coefficient_grids(0.0)
+    assert str(held.value) == str(plain.value)
 
 
 def test_applier_coefficient_grids_have_full_shape_and_mesh_values():

@@ -43,11 +43,13 @@ def green_function(dim: int, q) -> float:
 
 @dataclass
 class PoissonSolution:
-    """Zero-mean grid solution of lap(phi) = source with its residual."""
+    """Zero-mean grid solution of lap(phi) = source with its residual; `derivatives`
+    holds phi's transforms, taken once for the residual and any later gradient."""
 
     grid: Grid
     values: np.ndarray
     residual: float
+    derivatives: DerivativeCache
 
 
 def poisson_solve(source: np.ndarray, grid: Grid) -> PoissonSolution:
@@ -58,7 +60,8 @@ def poisson_solve(source: np.ndarray, grid: Grid) -> PoissonSolution:
     peak = float(np.max(np.abs(source)))
     mean = float(np.mean(source))
     if peak == 0.0:
-        return PoissonSolution(grid, np.zeros(grid.shape), 0.0)
+        phi = np.zeros(grid.shape)
+        return PoissonSolution(grid, phi, 0.0, DerivativeCache(phi, grid))
     if abs(mean) > SOURCE_MEAN_REL * peak:
         raise PilotwaveError(
             f"source mean {mean:.3e} is not negligible against max {peak:.3e}; "
@@ -76,7 +79,7 @@ def poisson_solve(source: np.ndarray, grid: Grid) -> PoissonSolution:
     residual = float(np.max(np.abs(lap - (source - mean))))
     if residual > RESIDUAL_REL * peak:
         raise PilotwaveError(f"Poisson residual {residual:.3e} exceeds {RESIDUAL_REL:.0e} x max")
-    return PoissonSolution(grid, phi, residual)
+    return PoissonSolution(grid, phi, residual, dphi)
 
 
 def nonlocal_current(H: DifferentialOperator, state: GridState) -> VectorField:
@@ -103,7 +106,6 @@ def nonlocal_current(H: DifferentialOperator, state: GridState) -> VectorField:
             "the operator does not conserve the norm on this grid"
         )
     source = source - mean
-    solution = poisson_solve(source, state.grid)
-    dphi = DerivativeCache(solution.values, state.grid)
+    dphi = poisson_solve(source, state.grid).derivatives
     units = (MultiIndex.unit(axis, state.dim) for axis in range(1, state.dim + 1))
     return VectorField(state.grid, [dphi.derivative(e).real for e in units])

@@ -219,16 +219,37 @@ class OperatorApplier:
                 out += coef_grid * cache.derivative(n)
         return out
 
+    def _term_bound(self, n: MultiIndex, coef_grid: np.ndarray) -> float:
+        """max|h_n| prod_a k_max_a^n_a, a bound on the norm of h_n D^n on the grid."""
+        factor = 1.0
+        for k, power in zip(self.grid.max_wavenumbers(), n.entries):
+            factor *= k ** power
+        return float(np.max(np.abs(coef_grid))) * factor
+
     def spectral_radius(self, t: float) -> float:
         """Conservative estimate sum_n max|h_n| prod_a k_max_a^n_a at time t."""
-        kmax = self.grid.max_wavenumbers()
-        total = 0.0
+        return sum((self._term_bound(n, g) for n, g in self.coefficient_grids(t).items()), 0.0)
+
+    def spectral_interval(self, t: float) -> tuple[float, float]:
+        """An interval [a, b] holding the numerical range of H's Hermitian part at time t.
+
+        It sums the real range of the folded multiplier, the range of Re h_0
+        and +- the triangle bound of every other term, max|Im h_0| included.
+        The norm bound R = spectral_radius(t) holds for H as well, so the sum
+        is clipped to [-R, R] and its half-width never exceeds R.
+        """
+        radius = self.spectral_radius(t)
+        low = high = spread = 0.0
+        if self._multiplier is not None:
+            low, high = float(np.min(self._multiplier.real)), float(np.max(self._multiplier.real))
         for n, coef_grid in self.coefficient_grids(t).items():
-            factor = 1.0
-            for k, power in zip(kmax, n.entries):
-                factor *= k ** power
-            total += float(np.max(np.abs(coef_grid))) * factor
-        return total
+            if n.order() == 0:
+                low += float(np.min(coef_grid.real))
+                high += float(np.max(coef_grid.real))
+                spread += float(np.max(np.abs(coef_grid.imag)))
+            elif n not in self._folded:
+                spread += self._term_bound(n, coef_grid)
+        return max(low - spread, -radius), min(high + spread, radius)
 
 
 def apply(H: DifferentialOperator, state: GridState) -> GridState:

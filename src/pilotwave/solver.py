@@ -1,14 +1,16 @@
 """Time evolution of i d/dt psi = H psi on the periodic grid.
 
-Both propagators use the bound R = sum_n max|h_n| k_max^n on the norm of the
-grid operator.  A time-independent H is propagated exactly: each snapshot
-interval tau applies the Chebyshev series exp(-i H tau) = sum_k c_k T_k(H/R)
-(Tal-Ezer and Kosloff 1984), when that series is shorter than the 4 * stride
-applications RK4 would spend.  Otherwise classic fourth-order Runge-Kutta
-applies the operator at substep times, so time-dependent coefficients are
-supported, and dt * R must respect the RK4 stability limit, checked at setup.
-Norm drift is monitored at every snapshot on both paths and aborts the run
-when it exceeds NORM_DRIFT_LIMIT.
+A time-independent H is propagated exactly: each snapshot interval tau
+applies the Chebyshev series exp(-i H tau) = e^(-i c tau) sum_k c_k
+T_k((H - c)/h) (Tal-Ezer and Kosloff 1984), where [c - h, c + h] is the
+operator's spectral interval, when that series is shorter than the 4 * stride
+applications RK4 would spend.  A constant H (h = 0) is the phase e^(-i c tau)
+alone.  Otherwise classic fourth-order Runge-Kutta applies the operator at
+substep times, so time-dependent coefficients are supported, and dt * R must
+respect the RK4 stability limit, checked at setup, where R = sum_n max|h_n|
+k_max^n bounds the norm of the grid operator.  Norm drift is monitored at
+every snapshot on both paths and aborts the run when it exceeds
+NORM_DRIFT_LIMIT.
 """
 
 from __future__ import annotations
@@ -77,12 +79,19 @@ def chebyshev_coefficients(a: float) -> np.ndarray:
     return coefficients[:stop]
 
 
-def _chebyshev_series(applier, values: np.ndarray, coefficients: np.ndarray, radius: float, t: float):
-    """sum_k c_k T_k(H/R) values by the recurrence T_k+1 = 2 (H/R) T_k - T_k-1."""
-    previous, current = values, applier(values, t) / radius
+def _propagate(applier, values: np.ndarray, coefficients: np.ndarray, center: float,
+               half_width: float, tau: float, t: float) -> np.ndarray:
+    """exp(-i H tau) values = e^(-i c tau) sum_k c_k T_k(X) values with X = (H - c)/h, by the
+    recurrence T_k+1 = 2 X T_k - T_k-1; the c_k are chebyshev_coefficients(h tau)."""
+    phase = np.exp(-1j * center * tau)
+    if half_width == 0:
+        return phase * values
+    coefficients = phase * coefficients
+    scale, shift = 1.0 / half_width, center / half_width
+    previous, current = values, scale * applier(values, t) - shift * values
     out = coefficients[0] * previous + coefficients[1] * current
     for c in coefficients[2:]:
-        previous, current = current, (2.0 / radius) * applier(current, t) - previous
+        previous, current = current, (2 * scale) * applier(current, t) - (2 * shift) * current - previous
         out += c * current
     return out
 
@@ -107,12 +116,14 @@ def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec) -> lis
             "coarsen the grid or shorten the run"
         )
     applier = H.realize(psi0.grid)
-    radius = applier.spectral_radius(psi0.t)
-    exact = radius > 0 and not H.is_time_dependent()
-    series = chebyshev_coefficients(radius * spec.stride * spec.dt) if exact else None
+    series = None
+    if not H.is_time_dependent():
+        low, high = applier.spectral_interval(psi0.t)
+        center, half_width = (low + high) / 2, (high - low) / 2
+        series = chebyshev_coefficients(half_width * spec.stride * spec.dt)
     if series is None or len(series) >= 4 * spec.stride:
         series = None
-        _check_dt(spec.dt, radius)
+        _check_dt(spec.dt, applier.spectral_radius(psi0.t))
 
     def rhs(values: np.ndarray, t: float) -> np.ndarray:
         return -1j * applier(values, t)
@@ -135,8 +146,8 @@ def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec) -> lis
                 values = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
             last = stop - start != spec.stride
-            interval = chebyshev_coefficients(radius * (stop - start) * dt) if last else series
-            values = _chebyshev_series(applier, values, interval, radius, psi0.t)
+            interval = chebyshev_coefficients(half_width * (stop - start) * dt) if last else series
+            values = _propagate(applier, values, interval, center, half_width, (stop - start) * dt, psi0.t)
         start = stop
         t = psi0.t + stop * dt
         drift = abs(float(np.sum(np.abs(values) ** 2) * psi0.grid.cell_volume) - norm0) / norm0

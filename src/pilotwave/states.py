@@ -173,8 +173,11 @@ def _parse_component(text: str, where: str):
         if "=" not in item:
             raise HamiltonianFormatError(f"{where}: expected key=value, got '{item}'")
         key, _, value = item.partition("=")
-        _check_key(kind, key.strip(), where)
-        params[key.strip()] = _parse_value(value, where)
+        key = key.strip()
+        _check_key(kind, key, where)
+        if key in params:
+            raise HamiltonianFormatError(f"{where}: duplicate '{key}' in one component")
+        params[key] = _parse_value(value, where)
     return coef, kind, params
 
 

@@ -596,6 +596,14 @@ def test_repeated_state_file_key_is_a_usage_error(lines, ham, capsys):
     assert f"line {4 + len(lines)}: duplicate '{key}' line" in capsys.readouterr().err
 
 
+def test_repeated_component_key_is_a_usage_error(ham, capsys):
+    """A second value for a key inside one component line would silently win."""
+    state = ham("dup.st", "state = superposition\n"
+                "component = 1 | gaussian center=[20] width=0.5 width=2.0\n")
+    assert main(["compare", ham("free.ham", FREE), "--state", state]) == 2
+    assert "line 2: duplicate 'width' in one component" in capsys.readouterr().err
+
+
 def test_repeated_compare_method_is_a_usage_error(ham, capsys, monkeypatch):
     def no_work(text):
         raise AssertionError("the Hamiltonian was loaded before --methods was checked")

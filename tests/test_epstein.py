@@ -152,8 +152,8 @@ STANDARD_3D = 'dim = 3\nterm [2,0,0] = "-0.5"\nterm [0,2,0] = "-0.5"\nterm [0,0,
 @pytest.mark.parametrize("text", [STANDARD_2D, STANDARD_3D], ids=["2d", "3d"])
 def test_nonlocal_current_transforms_each_field_once(text, monkeypatch):
     """Forward FFTs: psi for H psi (folded kinetic multiplier) and the source
-    of the Poisson solve over all axes; the potential along each axis once
-    for the residual's Laplacian and once for the gradient: 2 + 2 dim."""
+    of the Poisson solve over all axes; the potential along each axis once,
+    shared by the residual's Laplacian and the gradient: 2 + dim."""
     H = require_hermitian(load_hamiltonian(text))
     grid = Grid((10.0,) * H.dim, (16,) * H.dim)
     psi = gaussian(grid, width=1.0, wavevector=[1.0] + [0.5] * (H.dim - 1))
@@ -168,6 +168,6 @@ def test_nonlocal_current_transforms_each_field_once(text, monkeypatch):
     nonlocal_current(H, psi)
     every_axis = tuple(range(H.dim))
     one_axis = [(axis,) for axis in every_axis]
-    assert len(forward) == 2 + 2 * H.dim
+    assert len(forward) == 2 + H.dim
     assert [shape for shape, _ in forward] == [grid.shape] * len(forward)
-    assert [axes for _, axes in forward] == [every_axis, None] + one_axis + one_axis
+    assert [axes for _, axes in forward] == [every_axis, None] + one_axis

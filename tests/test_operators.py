@@ -540,3 +540,30 @@ def test_applier_coefficient_grids_have_full_shape_and_mesh_values():
             assert values.shape == grid.shape
             assert values.tobytes() == H.coefficient(n).evaluate_on(grid.meshes(), t).tobytes()
             assert values.flags.writeable == (n not in static)
+
+
+@pytest.mark.parametrize(
+    "dim, order, grid",
+    [(1, 4, Grid((16.0,), (32,))), (2, 3, Grid((12.0, 12.0), (16, 16)))],
+    ids=["1d", "2d"],
+)
+def test_spectral_interval_holds_the_hermitian_part_of_the_grid_matrix(dim, order, grid):
+    """Every eigenvalue of (M + M^H)/2, M the grid matrix of H, lies in the
+    interval, with and without constant-coefficient (folded) kinetic terms."""
+    rng = np.random.default_rng(31)
+    kinetic = load_hamiltonian(f"dim = {dim}\n" + "".join(
+        f'term {[2 * e for e in MultiIndex.unit(a, dim).entries]} = "-0.5"\n' for a in range(1, dim + 1)))
+    size = int(np.prod(grid.shape))
+    for draw in range(6):
+        H = random_hermitian_operator(rng, dim, order, grid.center())
+        if draw % 2:
+            H = H + kinetic.scaled(1 + draw)
+        applier = H.realize(grid)
+        columns = [applier(unit.reshape(grid.shape), 0.0).reshape(-1) for unit in np.eye(size)]
+        M = np.array(columns).T
+        eigenvalues = np.linalg.eigvalsh((M + M.conj().T) / 2)
+        low, high = applier.spectral_interval(0.0)
+        radius = applier.spectral_radius(0.0)
+        assert -radius <= low <= high <= radius
+        slack = 1e-12 * radius
+        assert low - slack <= eigenvalues[0] and eigenvalues[-1] <= high + slack

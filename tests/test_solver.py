@@ -7,7 +7,7 @@ from helpers import dense_propagator
 from pilotwave.currents import derive_current_table, eval_current
 from pilotwave.errors import NormDriftError, StabilityError
 from pilotwave.grids import Grid, GridState, spectral_derivative
-from pilotwave.operators import OperatorApplier, load_hamiltonian
+from pilotwave.operators import OperatorApplier, is_hermitian, load_hamiltonian
 from pilotwave.solver import (
     EvolutionSpec,
     _check_dt,
@@ -229,6 +229,8 @@ LATTICE_2D = (
     'term [0,0] = "0.4*cos(0.6283185307179586*q1) + 0.3*sin(1.2566370614359172*q2)"\n'
 )
 DRIVEN_1D = FREE_1D + 'term [0] = "0.1*cos(0.15707963267948966*q1)*cos(t)"\n'
+# a large negative offset: the interval's center is far from 0
+SHIFTED_QUARTIC_1D = 'dim = 1\nterm [4] = "0.05"\nterm [2] = "-0.5"\nterm [0] = "(q1-20)^2/8 - 500"\n'
 
 
 def count_applications(monkeypatch) -> list:
@@ -262,8 +264,10 @@ def relative_error(values, exact):
         (QUARTIC_1D, Grid((40.0,), (128,)), {"center": [18.0], "width": 0.8, "wavevector": [1.0]}),
         (LATTICE_2D, Grid((10.0, 10.0), (16, 16)),
          {"center": [5.0, 4.0], "width": 1.2, "wavevector": [0.6, -0.6]}),
+        (SHIFTED_QUARTIC_1D, Grid((40.0,), (128,)),
+         {"center": [18.0], "width": 0.8, "wavevector": [1.0]}),
     ],
-    ids=["quartic-1d", "lattice-2d"],
+    ids=["quartic-1d", "lattice-2d", "shifted-quartic-1d"],
 )
 def test_series_matches_the_dense_propagator(text, grid, state):
     H = load_hamiltonian(text)
@@ -321,13 +325,20 @@ def test_snapshot_cadence_takes_the_series(monkeypatch):
     calls = count_applications(monkeypatch)
     spec = equiv1d_like_spec(H, horizon=0.2)
     evolve(H, gaussian(EQUIV1D_GRID, center=[18.0], width=0.5, wavevector=[1.0]), spec)
-    radius = H.realize(EQUIV1D_GRID).spectral_radius(0.0)
+    applier = H.realize(EQUIV1D_GRID)
+    low, high = applier.spectral_interval(0.0)
     full, last = divmod(spec.steps, spec.stride)
-    terms = full * len(chebyshev_coefficients(radius * spec.stride * spec.dt))
-    if last:
-        terms += len(chebyshev_coefficients(radius * last * spec.dt))
-    assert len(calls) == terms - (full + (last > 0))  # T_0 needs no application
+
+    def applications(half_width):
+        terms = full * len(chebyshev_coefficients(half_width * spec.stride * spec.dt))
+        if last:
+            terms += len(chebyshev_coefficients(half_width * last * spec.dt))
+        return terms - (full + (last > 0))  # T_0 needs no application
+
+    assert len(calls) == applications((high - low) / 2)
     assert len(calls) < 4 * spec.steps
+    # H is bounded below, so its interval is about half of [-R, R]
+    assert len(calls) < 0.7 * applications(applier.spectral_radius(0.0))
 
 
 def test_series_snapshot_times_equal_rk4s(monkeypatch):
@@ -360,15 +371,54 @@ def test_series_norm_is_kept_on_an_underresolved_state():
 def test_series_with_an_understated_radius_raises(monkeypatch):
     H = load_hamiltonian(QUARTIC_1D)
     spec = equiv1d_like_spec(H, horizon=0.2)
-    understated = H.realize(EQUIV1D_GRID).spectral_radius(0.0) / 4
-    monkeypatch.setattr(OperatorApplier, "spectral_radius", lambda self, t: understated)
+    low, high = H.realize(EQUIV1D_GRID).spectral_interval(0.0)
+    understated = (low, low + (high - low) / 4)
+    monkeypatch.setattr(OperatorApplier, "spectral_interval", lambda self, t: understated)
     calls = count_applications(monkeypatch)
     with pytest.raises(NormDriftError):
         evolve(H, gaussian(EQUIV1D_GRID, center=[18.0], width=0.5, wavevector=[1.0]), spec)
     # whole intervals of the series, stopped at a snapshot long before the end
-    per_interval = len(chebyshev_coefficients(understated * spec.stride * spec.dt)) - 1
+    half_width = (understated[1] - understated[0]) / 2
+    per_interval = len(chebyshev_coefficients(half_width * spec.stride * spec.dt)) - 1
     assert len(calls) % per_interval == 0
     assert 0 < len(calls) // per_interval < 10
+
+
+def test_constant_operator_is_a_phase(monkeypatch):
+    H = load_hamiltonian('dim = 1\nterm [0] = "3"\n')
+    grid = Grid((40.0,), (64,))
+    psi0 = gaussian(grid, center=[18.0], width=0.8, wavevector=[1.0])
+    assert H.realize(grid).spectral_interval(0.0) == (3.0, 3.0)
+    calls = count_applications(monkeypatch)
+    snaps = evolve(H, psi0, EvolutionSpec(dt=0.01, steps=10 * 12 + 4, stride=10))
+    assert calls == []
+    for snap in snaps:
+        exact = dense_propagator(H, grid, snap.t - psi0.t) @ psi0.values.reshape(-1)
+        assert relative_error(snap.values.reshape(-1), exact) <= 1e-14
+
+
+VARIABLE_MASS_1D = (
+    'dim = 1\nterm [4] = "0.002"\nterm [2] = "-0.5 - 0.2*cos(0.7853981633974483*q1)"\n'
+    'term [1] = "0.2*0.7853981633974483*sin(0.7853981633974483*q1)"\nterm [0] = "(q1-4)^2"\n'
+)
+
+
+def test_shifted_series_equals_the_series_on_the_full_interval(monkeypatch):
+    """c d^4/dq^4 - d/dq (m(q)/2) d/dq + V: the dense check needs an exactly
+    Hermitian grid matrix, so the reference is the same series on [-R, R]."""
+    H = load_hamiltonian(VARIABLE_MASS_1D)
+    grid = Grid((8.0,), (64,))
+    assert is_hermitian(H)
+    applier = H.realize(grid)
+    radius = applier.spectral_radius(0.0)
+    low, high = applier.spectral_interval(0.0)
+    assert -radius < low and high - low < 1.5 * radius
+    psi0 = gaussian(grid, center=[4.5], width=0.6, wavevector=[1.0])
+    spec = EvolutionSpec(dt=1.0 / radius, steps=10 * 12 + 4, stride=10)
+    shifted = evolve(H, psi0, spec)
+    monkeypatch.setattr(OperatorApplier, "spectral_interval", lambda self, t: (-radius, radius))
+    reference = evolve(H, psi0, spec)
+    assert max(relative_error(a.values, b.values) for a, b in zip(shifted, reference)) <= 1e-11
 
 
 def count_ffts(monkeypatch) -> list:

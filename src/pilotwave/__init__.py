@@ -1,82 +1,59 @@
 """Probability currents and pilot-wave trajectories for arbitrary
-differential-operator Hamiltonians on periodic grids."""
+differential-operator Hamiltonians on periodic grids.
 
-from .multiindex import MultiIndex, binom_int, binom_multi
-from .expr import CoefficientExpression, approx_equal, parse
-from .grids import Grid, GridState
+The top level exports what the README's library example and the command
+line use; everything else, the reference oracles among it, is imported from
+its module (`pilotwave.currents`, `pilotwave.multiindex`, ...)."""
+
+from .errors import (
+    ExpressionSyntaxError,
+    GridError,
+    HamiltonianFormatError,
+    NonHermitianError,
+    PilotwaveError,
+)
+from .grids import Grid, check_length, check_points
 from .operators import (
     DifferentialOperator,
-    HermitianOperator,
     SamplingSpec,
-    adjoint,
-    apply,
+    hermiticity_violations,
     hermitize,
-    is_hermitian,
     load_hamiltonian,
     require_hermitian,
 )
-from .currents import (
-    CurrentTable,
-    VectorField,
-    current_1d_integral,
-    derive_current_table,
-    eval_current,
-    eval_current_direct,
-    identity_residual,
-    source_term,
-)
-from .epstein import green_function, nonlocal_current, poisson_solve
-from .solver import EvolutionSpec, continuity_residual, evolve
-from .trajectories import (
-    Ensemble,
-    equivariance_test,
-    integrate_trajectories,
-    sample_density,
-    velocity,
-)
-from .altcurrents import born_jordan_current, compare_fields, second_order_current
+from .states import build_state, parse_state_spec
+from .currents import derive_current_table, eval_current
+from .epstein import nonlocal_current
+from .solver import EvolutionSpec, evolve, norm_drift
+from .trajectories import equivariance_test, integrate_trajectories, sample_density
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "MultiIndex",
-    "binom_int",
-    "binom_multi",
-    "CoefficientExpression",
-    "approx_equal",
-    "parse",
+    "ExpressionSyntaxError",
+    "GridError",
+    "HamiltonianFormatError",
+    "NonHermitianError",
+    "PilotwaveError",
     "Grid",
-    "GridState",
+    "check_length",
+    "check_points",
     "DifferentialOperator",
-    "HermitianOperator",
     "SamplingSpec",
-    "adjoint",
-    "apply",
+    "hermiticity_violations",
     "hermitize",
-    "is_hermitian",
     "load_hamiltonian",
     "require_hermitian",
-    "CurrentTable",
-    "VectorField",
-    "current_1d_integral",
+    "build_state",
+    "parse_state_spec",
     "derive_current_table",
     "eval_current",
-    "eval_current_direct",
-    "identity_residual",
-    "source_term",
-    "green_function",
     "nonlocal_current",
-    "poisson_solve",
     "EvolutionSpec",
-    "continuity_residual",
     "evolve",
-    "Ensemble",
+    "norm_drift",
     "equivariance_test",
     "integrate_trajectories",
     "sample_density",
-    "velocity",
-    "born_jordan_current",
-    "compare_fields",
-    "second_order_current",
     "__version__",
 ]

@@ -4,13 +4,15 @@ Subcommands: check, derive, simulate, compare, equivariance.  Exit codes:
 0 success, 1 domain verdict (non-Hermitian input, or an equivariance run
 that truncated more than 10% of its trajectories; the KS distance is
 reported but does not set the exit code), 2 usage or parse error (including
-a numeric flag out of range, a --grid or --domain value that no grid axis
-accepts, and an equivariance --dt, --steps or --stride without both --dt and
---steps, all refused before any work; and a state file's grid or domain
-entry that no grid axis accepts), 3 numerical failure (including a grid
-above grids.MAX_GRID_POINTS or a run above solver.MAX_RK4_STEPS, refused at
-setup).  A closed standard output, as in `pilotwave derive H.ham | head`,
-ends the command quietly with its own code.
+a numeric flag out of range, such as --seed -1, a --grid or --domain value
+that no grid axis accepts, and an equivariance --dt, --steps or --stride
+without both --dt and --steps, all refused before any work; and a state
+file's grid or domain entry that no grid axis accepts, or a preset value out
+of its range, such as levels = [-1] or mass = 0, refused before any file is
+written), 3 numerical failure (including a grid above grids.MAX_GRID_POINTS
+or a run above solver.MAX_RK4_STEPS, refused at setup).  A closed standard
+output, as in `pilotwave derive H.ham | head`, ends the command quietly with
+its own code.
 """
 
 from __future__ import annotations
@@ -210,30 +212,20 @@ def cmd_simulate(args) -> int:
         "stride": spec.stride,
     }
 
-    if grid.dim == 1:
-        x = grid.axis_points(0)
-        svgplot.line_plot(
-            out_dir / "density.svg",
-            [(x, snapshots[0].density()), (x, snapshots[-1].density())],
-            title="density",
-            xlabel="q1",
-            ylabel="|psi|^2",
-            labels=[f"t = {snapshots[0].t:.4g}", f"t = {snapshots[-1].t:.4g}"],
-        )
-    else:
-        x = grid.axis_points(0)
-        other = tuple(range(1, grid.dim))
-        svgplot.line_plot(
-            out_dir / "density.svg",
-            [
-                (x, snapshots[0].density().sum(axis=other) * grid.cell_volume / grid.spacings[0]),
-                (x, snapshots[-1].density().sum(axis=other) * grid.cell_volume / grid.spacings[0]),
-            ],
-            title="axis-1 marginal density",
-            xlabel="q1",
-            ylabel="rho",
-            labels=[f"t = {snapshots[0].t:.4g}", f"t = {snapshots[-1].t:.4g}"],
-        )
+    # The density in 1D, the axis-1 marginal density otherwise.
+    other = tuple(range(1, grid.dim))
+    ends = (snapshots[0], snapshots[-1])
+    curves = [s.density() for s in ends]
+    if other:
+        curves = [rho.sum(axis=other) * grid.cell_volume / grid.spacings[0] for rho in curves]
+    svgplot.line_plot(
+        out_dir / "density.svg",
+        [(grid.axis_points(0), curve) for curve in curves],
+        title="axis-1 marginal density" if other else "density",
+        xlabel="q1",
+        ylabel="rho" if other else "|psi|^2",
+        labels=[f"t = {s.t:.4g}" for s in ends],
+    )
 
     if args.trajectories > 0:
         table = derive_current_table(H)
@@ -364,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--stride", type=positive_int)
     p_sim.add_argument("--trajectories", type=_int_at_least(0), default=0, metavar="M")
     p_sim.add_argument("--substeps", type=positive_int, default=4)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_int_at_least(0), default=0)
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -378,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_eq, MIN_POINTS_PER_AXIS)
     p_eq.add_argument("--count", type=positive_int, default=5000, metavar="M")
     p_eq.add_argument("--horizon", type=_positive_float, default=1.0, metavar="T")
-    p_eq.add_argument("--seed", type=int, default=0)
+    p_eq.add_argument("--seed", type=_int_at_least(0), default=0)
     p_eq.add_argument("--dt", type=_positive_float)
     p_eq.add_argument("--steps", type=positive_int)
     p_eq.add_argument("--stride", type=positive_int)

@@ -506,27 +506,21 @@ class _Parser:
             raise ExpressionSyntaxError(f"unexpected trailing input '{value}'", line, col)
         return node
 
-    def _expr(self) -> Node:
-        node = self._term()
+    def _chain(self, ops: str, operand) -> Node:
+        """operand (op operand)* for op in `ops`, folded left-associatively."""
+        node = operand()
         while True:
             kind, value, _, _ = self._peek()
-            if kind == "op" and value in "+-":
-                self._advance()
-                rhs = self._term()
-                node = _BUILD[value](node, rhs)
-            else:
+            if kind != "op" or value not in ops:
                 return node
+            self._advance()
+            node = _BUILD[value](node, operand())
+
+    def _expr(self) -> Node:
+        return self._chain("+-", self._term)
 
     def _term(self) -> Node:
-        node = self._factor()
-        while True:
-            kind, value, _, _ = self._peek()
-            if kind == "op" and value in "*/":
-                self._advance()
-                rhs = self._factor()
-                node = _BUILD[value](node, rhs)
-            else:
-                return node
+        return self._chain("*/", self._factor)
 
     def _factor(self) -> Node:
         kind, value, _, _ = self._peek()

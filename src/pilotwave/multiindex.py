@@ -14,27 +14,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .errors import DimensionMismatchError, PilotwaveError
-
-
-def binom_int(a: int, b: int) -> int:
-    """Binomial coefficient for arbitrary integers.
-
-    Uses the falling-factorial form a(a-1)...(a-b+1)/b! for b > 0, which is
-    1 for b = 0, 0 for b < 0, and vanishes naturally when 0 <= a < b.
-    Python integers are arbitrary precision, so there is no silent overflow.
-    """
-    if b < 0:
-        return 0
-    if b == 0:
-        return 1
-    num = 1
-    for k in range(b):
-        num *= a - k
-    result, rem = divmod(num, math.factorial(b))
-    if rem:
-        raise PilotwaveError(f"binomial({a},{b}) is not an integer")
-    return result
+from .errors import DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -86,11 +66,10 @@ class MultiIndex:
         return MultiIndex(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "MultiIndex") -> "MultiIndex":
-        self._check_dim(other)
-        diff = tuple(a - b for a, b in zip(self.entries, other.entries))
-        if any(d < 0 for d in diff):
+        diff = self.try_sub(other)
+        if diff is None:
             raise ValueError(f"multi-index subtraction went negative: {self} - {other}")
-        return MultiIndex(diff)
+        return diff
 
     def try_sub(self, other: "MultiIndex") -> "MultiIndex | None":
         """Componentwise difference, or None if any entry would go negative."""
@@ -126,12 +105,9 @@ def multinomial(n: MultiIndex) -> int:
 
 
 def binom_multi(n: MultiIndex, m: MultiIndex) -> int:
-    """Product of componentwise binomials."""
+    """Product of componentwise binomials C(n_a, m_a), 0 unless n >= m."""
     n._check_dim(m)
-    out = 1
-    for a, b in zip(n.entries, m.entries):
-        out *= binom_int(a, b)
-    return out
+    return math.prod(math.comb(a, b) for a, b in zip(n.entries, m.entries))
 
 
 def indices_up_to(bound: MultiIndex) -> Iterator[MultiIndex]:
@@ -162,7 +138,7 @@ def check_combinatorial_identity_1d(r: int, n: int, m: int) -> bool:
         lhs += (
             Fraction((-1) ** s)
             * Fraction(math.factorial(s - n - 1), math.factorial(s))
-            * binom_int(r - n - m - 1, r - s)
+            * math.comb(r - n - m - 1, r - s)
         )
     rhs = (
         Fraction((-1) ** (n + m + 1))

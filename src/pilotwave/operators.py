@@ -156,9 +156,7 @@ class HermitianOperator(DifferentialOperator):
             slots = ", ".join(str(n) for n in bad)
             raise NonHermitianError(f"Hamiltonian is not Hermitian; violated slots: {slots}")
         self.sampling = check or SamplingSpec()
-        self.dim = H.dim
-        self._terms = {n: c for n, c in H._terms.items() if not self.sampling.vanishes(c)}
-        self._realizations = {}
+        super().__init__(H.dim, {n: c for n, c in H._terms.items() if not self.sampling.vanishes(c)})
 
 
 def require_hermitian(H: DifferentialOperator, check: SamplingSpec | None = None) -> HermitianOperator:
@@ -266,6 +264,20 @@ def apply(H: DifferentialOperator, state: GridState) -> GridState:
 #   term [0,0] = "(q1-3.5)^2/2"
 
 
+def read_assignments(text: str):
+    """Each `key = value` line of a Hamiltonian or state file as (where, key, value),
+    stripped, where `where` is "line N"; `#` starts a comment and blank lines are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"line {lineno}"
+        if "=" not in line:
+            raise HamiltonianFormatError(f"{where}: expected 'key = value', got '{line}'")
+        key, _, value = line.partition("=")
+        yield where, key.strip(), value.strip()
+
+
 def _parse_multiindex_literal(text: str, where: str) -> tuple[int, ...]:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
@@ -286,16 +298,7 @@ def load_hamiltonian(text: str) -> DifferentialOperator:
     """Parse the Hamiltonian text format into an operator."""
     dim: int | None = None
     terms: dict[MultiIndex, CoefficientExpression] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"line {lineno}"
-        if "=" not in line:
-            raise HamiltonianFormatError(f"{where}: expected 'key = value', got '{line}'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for where, key, value in read_assignments(text):
         if key == "dim":
             if dim is not None:
                 raise HamiltonianFormatError(f"{where}: duplicate dim declaration")

@@ -20,6 +20,7 @@ entries; command-line flags take precedence over them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from numpy.polynomial import hermite as nph
 from . import expr
 from .errors import GridError, HamiltonianFormatError
 from .grids import Grid, GridState, check_length, check_points
+from .operators import read_assignments
 
 
 def _per_axis(value, dim: int, name: str) -> list[float]:
@@ -39,11 +41,18 @@ def _per_axis(value, dim: int, name: str) -> list[float]:
     return values
 
 
+def _positive(value, name: str):
+    """`value` if it is a positive finite number; a format error naming `name` otherwise."""
+    if isinstance(value, numbers.Real) and math.isfinite(value) and value > 0:
+        return value
+    raise HamiltonianFormatError(f"{name} must be positive and finite, got {value}")
+
+
 def gaussian(grid: Grid, center=None, width=1.0, wavevector=None) -> GridState:
     """Normalized Gaussian packet; `width` is the density standard deviation."""
     dim = grid.dim
     center = grid.center() if center is None else _per_axis(center, dim, "center")
-    widths = _per_axis(width, dim, "width")
+    widths = [_positive(w, "width") for w in _per_axis(width, dim, "width")]
     ks = [0.0] * dim if wavevector is None else _per_axis(wavevector, dim, "wavevector")
     meshes = grid.meshes()
     phase = np.zeros(grid.shape)
@@ -54,8 +63,10 @@ def gaussian(grid: Grid, center=None, width=1.0, wavevector=None) -> GridState:
     return GridState(grid, np.exp(envelope + 1j * phase)).normalized()
 
 
-def plane_wave(grid: Grid, wavevector) -> GridState:
+def plane_wave(grid: Grid, wavevector=None) -> GridState:
     """Unit-amplitude plane wave, wavevector snapped to the grid lattice."""
+    if wavevector is None:
+        raise HamiltonianFormatError("plane-wave state needs a wavevector")
     ks = _per_axis(wavevector, grid.dim, "wavevector")
     meshes = grid.meshes()
     phase = np.zeros(grid.shape)
@@ -72,23 +83,21 @@ def commensurate_wavevector(grid: Grid, wavevector) -> list[float]:
     ]
 
 
-def ho_eigenstate(grid: Grid, levels, center=None, frequency=1.0, mass=1.0) -> GridState:
+def ho_eigenstate(grid: Grid, levels=0, center=None, frequency=1.0, mass=1.0) -> GridState:
     """Harmonic-oscillator eigenstate product over axes.
 
     Eigenstate of -(1/2m) lap + m w^2 |q - c|^2 / 2 with per-axis quantum
-    numbers `levels`.
+    numbers `levels`, non-negative integers.
     """
     dim = grid.dim
-    if isinstance(levels, (int, float)):
-        levels = [int(levels)] * dim
-    levels = [int(v) for v in levels]
-    if len(levels) != dim:
-        raise HamiltonianFormatError(f"levels needs {dim} entries, got {len(levels)}")
+    levels = _per_axis(levels, dim, "levels")
+    if not all(n.is_integer() and n >= 0 for n in levels):
+        raise HamiltonianFormatError(f"levels must be non-negative integers, got {levels}")
     center = grid.center() if center is None else _per_axis(center, dim, "center")
-    scale = math.sqrt(mass * frequency)
+    scale = math.sqrt(_positive(mass, "mass") * _positive(frequency, "frequency"))
     meshes = grid.meshes()
     values = np.ones(grid.shape, dtype=complex)
-    for mesh, c, n in zip(meshes, center, levels):
+    for mesh, c, n in zip(meshes, center, map(int, levels)):
         u = scale * (mesh - c)
         hermite_coef = [0.0] * n + [1.0]
         norm = (mass * frequency / math.pi) ** 0.25 / math.sqrt(2.0 ** n * math.factorial(n))
@@ -111,13 +120,14 @@ def superposition(components: list[tuple[complex, GridState]]) -> GridState:
 # ---------------------------------------------------------------------------
 # State-spec files
 
-# Each preset kind and the keys it takes, beside a file's state, component,
-# grid and domain lines; any other key is refused.
+# Each state kind, its preset function and the keys it takes, beside a file's
+# state, component, grid and domain lines; any other key is refused.  A
+# preset is called with the file's keys, so its signature holds the defaults.
 _KINDS = {
-    "gaussian": ("center", "width", "wavevector"),
-    "plane-wave": ("wavevector",),
-    "ho-eigenstate": ("levels", "center", "frequency", "mass"),
-    "superposition": (),
+    "gaussian": (gaussian, ("center", "width", "wavevector")),
+    "plane-wave": (plane_wave, ("wavevector",)),
+    "ho-eigenstate": (ho_eigenstate, ("levels", "center", "frequency", "mass")),
+    "superposition": (None, ()),
 }
 
 
@@ -149,8 +159,9 @@ def _parse_value(text: str, where: str):
 
 
 def _check_key(kind: str, key: str, where: str) -> None:
-    if key not in _KINDS[kind]:
-        takes = ", ".join(_KINDS[kind]) or "only component lines"
+    keys = _KINDS[kind][1]
+    if key not in keys:
+        takes = ", ".join(keys) or "only component lines"
         raise HamiltonianFormatError(f"{where}: unknown key '{key}' for {kind} (it takes {takes})")
 
 
@@ -206,16 +217,7 @@ def parse_state_spec(text: str, min_points: int = 1) -> StateSpec:
     domain_lengths = None
     key_lines: dict[str, str] = {}
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        where = f"line {lineno}"
-        if "=" not in line:
-            raise HamiltonianFormatError(f"{where}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for where, key, value in read_assignments(text):
         if key != "component" and key in seen:
             raise HamiltonianFormatError(f"{where}: duplicate '{key}' line")
         seen.add(key)
@@ -245,31 +247,10 @@ def parse_state_spec(text: str, min_points: int = 1) -> StateSpec:
     return StateSpec(kind, params, components, grid_points, domain_lengths)
 
 
-def _build_simple(kind: str, params: dict, grid: Grid) -> GridState:
-    if kind == "gaussian":
-        return gaussian(
-            grid,
-            center=params.get("center"),
-            width=params.get("width", 1.0),
-            wavevector=params.get("wavevector"),
-        )
-    if kind == "plane-wave":
-        if "wavevector" not in params:
-            raise HamiltonianFormatError("plane-wave state needs a wavevector")
-        return plane_wave(grid, params["wavevector"])
-    if kind == "ho-eigenstate":
-        return ho_eigenstate(
-            grid,
-            levels=params.get("levels", [0] * grid.dim),
-            center=params.get("center"),
-            frequency=params.get("frequency", 1.0),
-            mass=params.get("mass", 1.0),
-        )
-    raise HamiltonianFormatError(f"unknown state kind '{kind}'")
-
-
 def build_state(spec: StateSpec, grid: Grid) -> GridState:
+    def preset(kind: str, params: dict) -> GridState:
+        return _KINDS[kind][0](grid, **params)
+
     if spec.kind == "superposition":
-        parts = [(coef, _build_simple(kind, params, grid)) for coef, kind, params in spec.components]
-        return superposition(parts)
-    return _build_simple(spec.kind, spec.params, grid)
+        return superposition([(coef, preset(kind, params)) for coef, kind, params in spec.components])
+    return preset(spec.kind, spec.params)

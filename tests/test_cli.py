@@ -538,6 +538,8 @@ BAD_FLAGS = [
     ("simulate", "--stride", "0"),
     ("simulate", "--substeps", "0"),
     ("simulate", "--trajectories", "-1"),
+    ("simulate", "--seed", "-1"),
+    ("equivariance", "--seed", "-1"),
     ("equivariance", "--count", "0"),
     ("equivariance", "--horizon", "-1"),
     ("equivariance", "--horizon", "inf"),
@@ -602,6 +604,25 @@ def test_repeated_component_key_is_a_usage_error(ham, capsys):
                 "component = 1 | gaussian center=[20] width=0.5 width=2.0\n")
     assert main(["compare", ham("free.ham", FREE), "--state", state]) == 2
     assert "line 2: duplicate 'width' in one component" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("state, message", [
+    ("state = ho-eigenstate\nlevels = [-1]\n", "levels must be non-negative integers, got [-1.0]"),
+    ("state = ho-eigenstate\nlevels = [2.5]\n", "levels must be non-negative integers, got [2.5]"),
+    (GROUND + "frequency = -1\n", "frequency must be positive and finite, got -1.0"),
+    (GROUND + "mass = 0\n", "mass must be positive and finite, got 0.0"),
+    ("state = gaussian\nwidth = 0\n", "width must be positive and finite, got 0.0"),
+    ("state = superposition\ncomponent = 1 | ho-eigenstate mass=nan\n",
+     "mass must be positive and finite, got nan"),
+], ids=["levels-minus-1", "levels-2.5", "frequency-minus-1", "mass-0", "width-0", "component-mass-nan"])
+def test_invalid_preset_value_is_a_usage_error(state, message, ham, tmp_path, capsys):
+    """A preset value outside its range is refused, naming the key, before any file is written."""
+    run = tmp_path / "run"
+    argv = ["simulate", ham("ho.ham", HO), "--state", ham("bad.st", state),
+            "--grid", "64", "--steps", "10", "--out", str(run)]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not run.exists()
 
 
 def test_repeated_compare_method_is_a_usage_error(ham, capsys, monkeypatch):

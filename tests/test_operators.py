@@ -39,7 +39,7 @@ from pilotwave.operators import (
     require_hermitian,
 )
 from pilotwave.solver import EvolutionSpec, chebyshev_coefficients, evolve
-from pilotwave.states import gaussian, plane_wave
+from pilotwave.states import gaussian, parse_state_spec, plane_wave
 from pilotwave.trajectories import equivariance_test
 
 
@@ -462,6 +462,14 @@ def test_load_hamiltonian_roundtrips_conjugates():
 def test_load_hamiltonian_rejects(text):
     with pytest.raises(HamiltonianFormatError):
         load_hamiltonian(text)
+
+
+@pytest.mark.parametrize("parse, first", [(load_hamiltonian, "dim = 1"), (parse_state_spec, "state = gaussian")],
+                         ids=["hamiltonian", "state"])
+def test_both_file_formats_refuse_a_line_without_equals_alike(parse, first):
+    with pytest.raises(HamiltonianFormatError,
+                       match=r"^line 3: expected 'key = value', got 'width 0\.5'$"):
+        parse(f"{first}\n# a comment\nwidth 0.5   # no '='\n")
 
 
 AXIS_OPERATOR = {(2, 0): "-0.5", (0, 2): "-0.5", (1, 0): "0.3*i*sin(q2)",

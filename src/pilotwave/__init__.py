@@ -12,7 +12,7 @@ from .errors import (
     NonHermitianError,
     PilotwaveError,
 )
-from .grids import Grid, check_length, check_points
+from .grids import Grid, GridState, check_length, check_points
 from .operators import (
     DifferentialOperator,
     SamplingSpec,
@@ -36,6 +36,7 @@ __all__ = [
     "NonHermitianError",
     "PilotwaveError",
     "Grid",
+    "GridState",
     "check_length",
     "check_points",
     "DifferentialOperator",

@@ -12,17 +12,28 @@ of its range, such as levels = [-1] or mass = 0, refused before any file is
 written), 3 numerical failure (including a grid above grids.MAX_GRID_POINTS
 or a run above solver.MAX_RK4_STEPS, refused at setup).  A closed standard
 output, as in `pilotwave derive H.ham | head`, ends the command quietly with
-its own code.
+its own code.  An output that cannot be written, such as a simulate --out
+that names a file or a derive --out in a missing directory, is a usage
+error (exit 2) naming the path; simulate checks its directory before it
+evolves.  simulate's snapshot files are written by a second process as they
+are taken, so a run stopped with exit 3 keeps the snapshots it reached, and
+only a finished run writes summary.json.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import os
+import struct
 import sys
+import threading
 from pathlib import Path
+
+import numpy as np
 
 from . import altcurrents, serialize, svgplot
 from .currents import derive_current_table, eval_current
@@ -34,7 +45,7 @@ from .errors import (
     NonHermitianError,
     PilotwaveError,
 )
-from .grids import DEFAULT_LENGTH, Grid, check_length, check_points
+from .grids import DEFAULT_LENGTH, Grid, GridState, check_length, check_points
 from .operators import (
     MIN_POINTS_PER_AXIS,
     DifferentialOperator,
@@ -74,6 +85,94 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise HamiltonianFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise HamiltonianFormatError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_snapshot(out_dir: Path, index: int, state: GridState, csv: bool) -> None:
+    _write(out_dir / f"snapshot_{index:04d}.json", serialize.snapshot_to_json(state))
+    if csv:
+        _write(out_dir / f"snapshot_{index:04d}.csv", serialize.snapshot_to_csv(state))
+
+
+def _feed(pending, fd: int) -> None:
+    """Pass each queued state's time and values into the pipe `fd`, up to None."""
+    try:
+        with open(fd, "wb") as pipe:
+            while (state := pending.get()) is not None:
+                pipe.write(struct.pack("d", state.t))
+                pipe.write(state.values)
+                pipe.flush()
+    except BrokenPipeError:
+        pass  # the writer stopped at a write error, which it reports itself
+
+
+def _writer_process(data: int, errors: int, out_dir: Path, grid: Grid, csv: bool) -> None:
+    """The forked writer: write each state read from the pipe `data` until its
+    end, then leave through os._exit, never returning into the caller's
+    stack.  A write error's message goes to the pipe `errors` first."""
+    code = 1
+    try:
+        size = 8 + 16 * math.prod(grid.shape)
+        with open(data, "rb") as pipe:
+            for index, record in enumerate(iter(lambda: pipe.read(size), b"")):
+                values = np.frombuffer(record, complex, offset=8).reshape(grid.shape)
+                _write_snapshot(out_dir, index, GridState(grid, values, struct.unpack_from("d", record)[0]), csv)
+        code = 0
+    except HamiltonianFormatError as exc:
+        os.write(errors, str(exc).encode())
+    finally:
+        os._exit(code)
+
+
+@contextlib.contextmanager
+def _snapshot_writer(out_dir: Path, grid: Grid, csv: bool):
+    """Yield `send(state)`, which writes the run's next snapshot_NNNN.json
+    (and .csv when `csv`) in `out_dir`.
+
+    Where os.fork exists, a forked process formats and writes the files while
+    this one keeps working; a feeder thread passes it each state through a
+    pipe, so `send` never waits.  Leaving the block waits until every state
+    sent is written and reaps the writer; if the block raised nothing, the
+    writer's error is raised here.  Elsewhere `send` writes the files itself.
+    """
+    if not hasattr(os, "fork"):
+        indices = itertools.count()
+        yield lambda state: _write_snapshot(out_dir, next(indices), state, csv)
+        return
+    from queue import SimpleQueue  # here, so the other commands import nothing more at startup
+
+    data_read, data_write = os.pipe()
+    errors_read, errors_write = os.pipe()
+    # Forked before the feeder thread starts; the writer calls no BLAS routine,
+    # so an idle BLAS thread of this process is no hazard to it.
+    pid = os.fork()
+    if pid == 0:
+        os.close(data_write)
+        os.close(errors_read)
+        _writer_process(data_read, errors_write, out_dir, grid, csv)
+    os.close(data_read)
+    os.close(errors_write)
+    pending = SimpleQueue()
+    feeder = threading.Thread(target=_feed, args=(pending, data_write))
+    feeder.start()
+    try:
+        yield pending.put
+    finally:
+        pending.put(None)
+        feeder.join()
+        with open(errors_read, "rb") as errors:
+            message = errors.read().decode()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if message:
+        raise HamiltonianFormatError(message)
+    if status:
+        raise PilotwaveError(f"the snapshot writer ended with status {status}")
 
 
 def _load_operator(args) -> DifferentialOperator:
@@ -179,7 +278,7 @@ def cmd_derive(args) -> int:
     table = derive_current_table(_load_operator(args))
     text = table.to_latex() if args.format == "latex" else table.to_json()
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _write(args.out, text + "\n")
         _emit(f"wrote {args.out}")
     else:
         _emit(text)
@@ -190,65 +289,56 @@ def cmd_simulate(args) -> int:
     H, psi0, grid = _load_problem(args, MIN_POINTS_PER_AXIS)
     spec = _auto_spec(args, H, grid)
     out_dir = Path(args.out or "pilotwave-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise HamiltonianFormatError(f"cannot write {out_dir}: {exc}") from exc
 
-    snapshots = evolve(H, psi0, spec)
-    drifts = norm_drift(snapshots)
-    small = math.prod(grid.shape) <= serialize.CSV_POINT_LIMIT
-    for idx, snap in enumerate(snapshots):
-        (out_dir / f"snapshot_{idx:04d}.json").write_text(
-            serialize.snapshot_to_json(snap), encoding="utf-8"
-        )
-        if small:
-            (out_dir / f"snapshot_{idx:04d}.csv").write_text(
-                serialize.snapshot_to_csv(snap), encoding="utf-8"
-            )
+    csv = math.prod(grid.shape) <= serialize.CSV_POINT_LIMIT
+    with _snapshot_writer(out_dir, grid, csv) as send:
+        snapshots = evolve(H, psi0, spec, on_snapshot=send)
+        drifts = norm_drift(snapshots)
+        summary = {
+            "times": [s.t for s in snapshots],
+            "norm_drift": drifts,
+            "dt": spec.dt,
+            "steps": spec.steps,
+            "stride": spec.stride,
+        }
 
-    summary = {
-        "times": [s.t for s in snapshots],
-        "norm_drift": drifts,
-        "dt": spec.dt,
-        "steps": spec.steps,
-        "stride": spec.stride,
-    }
+        # The density in 1D, the axis-1 marginal density otherwise.
+        other = tuple(range(1, grid.dim))
+        ends = (snapshots[0], snapshots[-1])
+        curves = [s.density() for s in ends]
+        if other:
+            curves = [rho.sum(axis=other) * grid.cell_volume / grid.spacings[0] for rho in curves]
+        _write(out_dir / "density.svg", svgplot.line_plot(
+            [(grid.axis_points(0), curve) for curve in curves],
+            title="axis-1 marginal density" if other else "density",
+            xlabel="q1",
+            ylabel="rho" if other else "|psi|^2",
+            labels=[f"t = {s.t:.4g}" for s in ends],
+        ))
 
-    # The density in 1D, the axis-1 marginal density otherwise.
-    other = tuple(range(1, grid.dim))
-    ends = (snapshots[0], snapshots[-1])
-    curves = [s.density() for s in ends]
-    if other:
-        curves = [rho.sum(axis=other) * grid.cell_volume / grid.spacings[0] for rho in curves]
-    svgplot.line_plot(
-        out_dir / "density.svg",
-        [(grid.axis_points(0), curve) for curve in curves],
-        title="axis-1 marginal density" if other else "density",
-        xlabel="q1",
-        ylabel="rho" if other else "|psi|^2",
-        labels=[f"t = {s.t:.4g}" for s in ends],
-    )
+        if args.trajectories > 0:
+            table = derive_current_table(H)
+            ensemble = sample_density(psi0.density(), grid, args.trajectories, args.seed)
+            final = integrate_trajectories(snapshots, table, ensemble, substeps=args.substeps)
+            _write(out_dir / "trajectories.csv", serialize.trajectory_csv(final))
+            summary["truncated_fraction"] = final.truncated_fraction()
+            shown = min(final.count, 200)
+            fan = [
+                (final.times, [positions[pid][0] for positions in final.history])
+                for pid in range(shown)
+            ]
+            _write(out_dir / "trajectories.svg", svgplot.line_plot(
+                fan,
+                title=f"trajectory fan ({shown} of {final.count})",
+                xlabel="t",
+                ylabel="q1",
+            ))
 
-    if args.trajectories > 0:
-        table = derive_current_table(H)
-        ensemble = sample_density(psi0.density(), grid, args.trajectories, args.seed)
-        final = integrate_trajectories(snapshots, table, ensemble, substeps=args.substeps)
-        (out_dir / "trajectories.csv").write_text(
-            serialize.trajectory_csv(final), encoding="utf-8"
-        )
-        summary["truncated_fraction"] = final.truncated_fraction()
-        shown = min(final.count, 200)
-        fan = [
-            (final.times, [positions[pid][0] for positions in final.history])
-            for pid in range(shown)
-        ]
-        svgplot.line_plot(
-            out_dir / "trajectories.svg",
-            fan,
-            title=f"trajectory fan ({shown} of {final.count})",
-            xlabel="t",
-            ylabel="q1",
-        )
-
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
+    _write(out_dir / "summary.json", json.dumps(summary, indent=2))
     _emit(f"wrote {out_dir}/ ({len(snapshots)} snapshots; max norm drift {max(drifts):.3e})")
     if "truncated_fraction" in summary:
         _emit(f"truncated fraction: {summary['truncated_fraction']:.4f}")
@@ -285,7 +375,7 @@ def cmd_compare(args) -> int:
 
     text = json.dumps(report, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _write(args.out, text + "\n")
         _emit(f"wrote {args.out}")
     else:
         _emit(text)

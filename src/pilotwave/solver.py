@@ -102,13 +102,17 @@ def _snapshot_steps(spec: EvolutionSpec):
         yield spec.steps
 
 
-def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec) -> list[GridState]:
+def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec,
+           on_snapshot=None) -> list[GridState]:
     """Propagate the state, returning snapshots every `stride` steps.
 
     The initial state and the final step are always included.  Each snapshot
     is an immutable copy stamped with its time psi0.t + step * dt.  A
     time-independent H takes the Chebyshev path when its series for one
     snapshot interval is shorter than 4 * stride; every other input takes RK4.
+    `on_snapshot(snapshot)`, when given, is called with each snapshot as it is
+    taken, after the setup checks and after that snapshot's norm check, so a
+    run that fails has handed over every snapshot it reached.
     """
     if spec.steps > MAX_RK4_STEPS:
         raise StabilityError(
@@ -131,7 +135,14 @@ def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec) -> lis
     norm0 = psi0.norm_sq()
     if norm0 == 0:
         raise NormDriftError("cannot evolve the zero state")
-    snapshots = [psi0.copy()]
+    snapshots = []
+
+    def take(snapshot: GridState) -> None:
+        snapshots.append(snapshot)
+        if on_snapshot is not None:
+            on_snapshot(snapshot)
+
+    take(psi0.copy())
     values = psi0.values.copy()
     dt = spec.dt
     start = 0
@@ -156,7 +167,7 @@ def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec) -> lis
                 f"norm drift {drift:.3e} at t={t:.6g} exceeds {NORM_DRIFT_LIMIT:.0e}; "
                 "the state is under-resolved or dt is too large"
             )
-        snapshots.append(GridState(psi0.grid, values.copy(), t))
+        take(GridState(psi0.grid, values.copy(), t))
     return snapshots
 
 

@@ -26,8 +26,8 @@ def _bounds(series):
     return xs_min, xs_max, ys_min - pad, ys_max + pad
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="", labels=None):
-    """Write an SVG with one polyline per (xs, ys) pair in `series`."""
+def line_plot(series, title="", xlabel="", ylabel="", labels=None) -> str:
+    """An SVG document with one polyline per (xs, ys) pair in `series`."""
     series = [(list(map(float, xs)), list(map(float, ys))) for xs, ys in series]
     x0, x1, y0, y1 = _bounds(series)
     plot_w = WIDTH - MARGIN_L - MARGIN_R
@@ -89,5 +89,4 @@ def line_plot(path, series, title="", xlabel="", ylabel="", labels=None):
             )
             parts.append(f'<text x="{x + 30}" y="{y}">{escape(label)}</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(parts))
+    return "\n".join(parts)

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pilotwave import cli, expr, operators
 from pilotwave.currents import CurrentTable, eval_current
@@ -33,6 +34,15 @@ def run_fresh_python(script: str) -> subprocess.CompletedProcess:
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After the test, this process has no child: every forked snapshot writer
+    was reaped.  A module imports it to make it autouse there."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def count_hermiticity_checks(monkeypatch) -> list:

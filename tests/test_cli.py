@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import count_hermiticity_checks
+from helpers import count_hermiticity_checks, no_child_left  # noqa: F401  (autouse fixture)
 from pilotwave import cli
 from pilotwave.cli import METHODS, main
 from pilotwave.currents import derive_current_table
@@ -209,6 +209,7 @@ def test_simulate_stability_violation_exits_3(ham, tmp_path):
         ]
     )
     assert code == 3
+    assert not list((tmp_path / "x").glob("snapshot_*"))  # refused at setup, before any snapshot
 
 
 def test_simulate_non_hermitian_exits_1(ham, tmp_path):
@@ -614,7 +615,13 @@ def test_repeated_component_key_is_a_usage_error(ham, capsys):
     ("state = gaussian\nwidth = 0\n", "width must be positive and finite, got 0.0"),
     ("state = superposition\ncomponent = 1 | ho-eigenstate mass=nan\n",
      "mass must be positive and finite, got nan"),
-], ids=["levels-minus-1", "levels-2.5", "frequency-minus-1", "mass-0", "width-0", "component-mass-nan"])
+    ("state = gaussian\ncenter = [nan]\n", "center must be finite, got [nan]"),
+    ("state = superposition\ncomponent = 1 | gaussian center=[inf]\n", "center must be finite, got [inf]"),
+    ("state = gaussian\nwavevector = [nan]\n", "wavevector must be finite, got [nan]"),
+    ("state = plane-wave\nwavevector = -inf\n", "wavevector must be finite, got -inf"),
+    ("state = ho-eigenstate\ncenter = [nan]\n", "center must be finite, got [nan]"),
+], ids=["levels-minus-1", "levels-2.5", "frequency-minus-1", "mass-0", "width-0", "component-mass-nan",
+        "center-nan", "component-center-inf", "wavevector-nan", "plane-wave-minus-inf", "ho-center-nan"])
 def test_invalid_preset_value_is_a_usage_error(state, message, ham, tmp_path, capsys):
     """A preset value outside its range is refused, naming the key, before any file is written."""
     run = tmp_path / "run"
@@ -795,3 +802,98 @@ def test_traced_driven_simulate_counts_each_layer(ham, tmp_path):
     assert counts["operators.apply.calls"] == 4 * steps
     assert counts["expr.evaluate_on.calls"] == len(H.terms) + entries * snapshots + 4 * steps
     assert counts["grids.fft_calls"] > 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "derive", "compare"])
+def test_an_output_that_cannot_be_written_is_a_usage_error(command, ham, tmp_path, capsys, monkeypatch):
+    """simulate --out naming a file, and derive/compare --out in a missing
+    directory; simulate refuses before it evolves."""
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve started before the output directory was checked")
+
+    monkeypatch.setattr(cli, "evolve", no_evolve)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    target = taken if command == "simulate" else tmp_path / "missing" / "x.json"
+    state = [] if command == "derive" else ["--state", ham("gauss.st", GAUSS), "--grid", "64"]
+    assert main([command, ham("free.ham", FREE), *state, "--out", str(target)]) == 2
+    assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+
+SMALL_1D_RUN = ["--grid", "64", "--domain", "40", "--dt", "1e-3", "--steps", "40", "--stride", "10"]
+
+
+def _files(directory: Path) -> dict:
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+def test_forked_snapshot_writer_matches_the_inline_path(ham, tmp_path, capsys, monkeypatch):
+    """Snapshots written by the forked writer are the files, stdout and exit
+    code that writing them in this process gives."""
+    out = tmp_path / "run"
+    argv = ["simulate", ham("std2d.ham", STD2D), "--state", ham("g.st", GAUSS2D), "--grid", "16",
+            "--domain", "20", "--dt", "1e-3", "--steps", "12", "--stride", "4", "--trajectories", "10",
+            "--out", str(out)]
+    assert main(argv) == 0
+    forked, forked_stdout = _files(out), capsys.readouterr().out
+    for path in out.iterdir():
+        path.unlink()
+    monkeypatch.delattr(os, "fork")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == forked_stdout
+    assert _files(out) == forked
+    assert sum(name.suffix == ".csv" for name in forked) == 5  # 4 snapshots and trajectories.csv
+
+
+def test_norm_drift_mid_run_keeps_the_snapshots_it_reached(ham, tmp_path, capsys):
+    """RK4 at dt = 0.25 on 16 points drifts past the limit at the eighth
+    snapshot: the seven before it are written, summary.json is not."""
+    out = tmp_path / "run"
+    argv = ["simulate", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), "--grid", "16",
+            "--domain", "40", "--dt", "0.25", "--steps", "40", "--stride", "2", "--out", str(out)]
+    assert main(argv) == 3
+    assert "norm drift 1.094e-06 at t=3.5 exceeds 1e-06" in capsys.readouterr().err
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(f"snapshot_{k:04d}.{ext}" for k in range(7) for ext in ("json", "csv"))
+    assert json.loads((out / "snapshot_0006.json").read_text())["time"] == 3.0
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["forked", "inline"])
+def test_a_snapshot_that_cannot_be_written_is_a_usage_error(inline, ham, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    (out / "snapshot_0002.json").mkdir(parents=True)
+    if inline:
+        monkeypatch.delattr(os, "fork")
+    argv = ["simulate", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), *SMALL_1D_RUN,
+            "--trajectories", "10", "--out", str(out)]
+    assert main(argv) == 2
+    assert f"error: cannot write {out / 'snapshot_0002.json'}: " in capsys.readouterr().err
+    assert (out / "snapshot_0001.csv").exists() and not (out / "summary.json").exists()
+
+
+def test_an_interrupted_simulate_reaps_its_writer(ham, tmp_path, monkeypatch):
+    def interrupted(snapshots):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "norm_drift", interrupted)
+    out = tmp_path / "run"
+    argv = ["simulate", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), *SMALL_1D_RUN,
+            "--out", str(out)]
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert (out / "snapshot_0004.json").exists() and not (out / "summary.json").exists()
+
+
+def test_traced_simulate_reports_once(ham, tmp_path):
+    """The forked writer leaves through os._exit, so under perfbench/tracing.py
+    only the parent prints its lines and writes the spans file."""
+    spans = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracing.py"), "--spans", str(spans), "--",
+         "simulate", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), *SMALL_1D_RUN,
+         "--trajectories", "10", "--out", str(tmp_path / "run")],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("wrote ") == 1 and done.stderr == ""
+    assert json.loads(spans.read_text())["argv"][0] == "simulate"

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from helpers import no_child_left  # noqa: F401  (autouse fixture)
 from pilotwave import expr
 from pilotwave.cli import main
 from pilotwave.currents import derive_current_table, eval_current

@@ -61,6 +61,22 @@ def test_ho_eigenstates_orthonormal():
             assert abs(overlap - (1.0 if i == j else 0.0)) < 1e-10
 
 
+@pytest.mark.parametrize("level", [151, 171, 200])
+def test_ho_eigenstate_above_the_factorial_range(level):
+    """2^n n! overflows a float from n = 151 and n! from n = 171; the
+    Hermite-function recurrence still gives the normalized eigenstate."""
+    from pilotwave.operators import apply, load_hamiltonian
+
+    grid = Grid((60.0,), (1024,))
+    psi = ho_eigenstate(grid, [level], center=[30.0])
+    assert psi.norm_sq() == pytest.approx(1.0, abs=1e-12)
+    below = ho_eigenstate(grid, [level - 1], center=[30.0])
+    assert abs(np.sum(np.conjugate(below.values) * psi.values) * grid.cell_volume) < 1e-10
+    H = load_hamiltonian('dim = 1\nterm [2] = "-0.5"\nterm [0] = "(q1-30)^2/2"\n')
+    residual = apply(H, psi).values - (level + 0.5) * psi.values
+    assert np.max(np.abs(residual)) < 1e-8 * (level + 0.5) * np.max(np.abs(psi.values))
+
+
 def test_ho_eigenstate_2d_energy():
     grid = Grid((20.0, 20.0), (128, 128))
     psi = ho_eigenstate(grid, [1, 2], center=[10.0, 10.0])
@@ -216,13 +232,11 @@ def test_trajectory_csv_is_byte_identical_to_the_reference(name):
     assert trajectory_csv(ensemble) == reference_trajectory_csv(ensemble)
 
 
-def test_svgplot_writes_polylines(tmp_path):
+def test_svgplot_writes_polylines():
     from pilotwave import svgplot
 
-    path = tmp_path / "plot.svg"
     xs = np.linspace(0, 1, 20)
-    svgplot.line_plot(path, [(xs, np.sin(xs)), (xs, np.cos(xs))], title="demo", labels=["a", "b"])
-    text = path.read_text()
+    text = svgplot.line_plot([(xs, np.sin(xs)), (xs, np.cos(xs))], title="demo", labels=["a", "b"])
     assert text.startswith("<svg")
     assert text.count("<polyline") == 2
     assert "demo" in text

@@ -24,7 +24,7 @@ from .operators import (
 from .states import build_state, parse_state_spec
 from .currents import derive_current_table, eval_current
 from .epstein import nonlocal_current
-from .solver import EvolutionSpec, evolve, norm_drift
+from .solver import EvolutionSpec, default_stride, evolve, norm_drift
 from .trajectories import equivariance_test, integrate_trajectories, sample_density
 
 __version__ = "0.1.0"
@@ -51,6 +51,7 @@ __all__ = [
     "eval_current",
     "nonlocal_current",
     "EvolutionSpec",
+    "default_stride",
     "evolve",
     "norm_drift",
     "equivariance_test",

@@ -17,7 +17,9 @@ that names a file or a derive --out in a missing directory, is a usage
 error (exit 2) naming the path; simulate checks its directory before it
 evolves.  simulate's snapshot files are written by a second process as they
 are taken, so a run stopped with exit 3 keeps the snapshots it reached, and
-only a finished run writes summary.json.
+only a finished run writes summary.json.  A snapshot that process cannot
+write ends the run with exit 2 at the next snapshot, or once evolve returns,
+before density.svg, the trajectories and their files are made.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .operators import (
     load_hamiltonian,
     require_hermitian,
 )
-from .solver import EvolutionSpec, evolve, norm_drift
+from .solver import EvolutionSpec, default_stride, evolve, norm_drift
 from .states import parse_state_spec, build_state
 from .trajectories import (
     equivariance_test,
@@ -130,22 +132,32 @@ def _writer_process(data: int, errors: int, out_dir: Path, grid: Grid, csv: bool
         os._exit(code)
 
 
+class _WriterStopped(Exception):
+    """The snapshot writer ended before the run did."""
+
+
 @contextlib.contextmanager
 def _snapshot_writer(out_dir: Path, grid: Grid, csv: bool):
-    """Yield `send(state)`, which writes the run's next snapshot_NNNN.json
-    (and .csv when `csv`) in `out_dir`.
+    """Yield `(send, check)`: `send(state)` writes the run's next
+    snapshot_NNNN.json (and .csv when `csv`) in `out_dir`, and `check()`
+    raises the writer's error if it has already failed.
 
     Where os.fork exists, a forked process formats and writes the files while
     this one keeps working; a feeder thread passes it each state through a
-    pipe, so `send` never waits.  Leaving the block waits until every state
-    sent is written and reaps the writer; if the block raised nothing, the
-    writer's error is raised here.  Elsewhere `send` writes the files itself.
+    pipe, so `send` never waits.  `send` and `check` look at the writer's
+    error pipe without blocking; it turns readable only when the writer
+    stops early, with its message or at its end.  Leaving the block waits
+    until every state sent is written and reaps the writer; if the block
+    raised nothing or the writer stopped, the writer's error is raised here.
+    Elsewhere `send` writes the files itself and `check` has nothing to do.
     """
     if not hasattr(os, "fork"):
         indices = itertools.count()
-        yield lambda state: _write_snapshot(out_dir, next(indices), state, csv)
+        yield lambda state: _write_snapshot(out_dir, next(indices), state, csv), lambda: None
         return
-    from queue import SimpleQueue  # here, so the other commands import nothing more at startup
+    # Here, so the other commands import nothing more at startup.
+    import select
+    from queue import SimpleQueue
 
     data_read, data_write = os.pipe()
     errors_read, errors_write = os.pipe()
@@ -161,8 +173,19 @@ def _snapshot_writer(out_dir: Path, grid: Grid, csv: bool):
     pending = SimpleQueue()
     feeder = threading.Thread(target=_feed, args=(pending, data_write))
     feeder.start()
+
+    def check() -> None:
+        if select.select([errors_read], [], [], 0)[0]:
+            raise _WriterStopped
+
+    def send(state: GridState) -> None:
+        check()
+        pending.put(state)
+
     try:
-        yield pending.put
+        yield send, check
+    except _WriterStopped:
+        pass  # a writer that stopped early exits non-zero, so its error is raised below
     finally:
         pending.put(None)
         feeder.join()
@@ -254,7 +277,7 @@ def _auto_spec(args, H: DifferentialOperator, grid: Grid) -> EvolutionSpec:
     else:
         radius = H.realize(grid).spectral_radius(0.0)
         dt = min(1e-3, 1.0 / radius) if radius > 0 else 1e-3
-    stride = args.stride if args.stride is not None else max(1, steps // 100)
+    stride = args.stride if args.stride is not None else default_stride(steps)
     return EvolutionSpec(dt=dt, steps=steps, stride=stride)
 
 
@@ -295,8 +318,9 @@ def cmd_simulate(args) -> int:
         raise HamiltonianFormatError(f"cannot write {out_dir}: {exc}") from exc
 
     csv = math.prod(grid.shape) <= serialize.CSV_POINT_LIMIT
-    with _snapshot_writer(out_dir, grid, csv) as send:
+    with _snapshot_writer(out_dir, grid, csv) as (send, check):
         snapshots = evolve(H, psi0, spec, on_snapshot=send)
+        check()
         drifts = norm_drift(snapshots)
         summary = {
             "times": [s.t for s in snapshots],
@@ -390,18 +414,14 @@ def cmd_equivariance(args) -> int:
             f"{', '.join(given)} given without {' and '.join(missing)}; a fixed schedule needs "
             "both --dt and --steps, or neither to let the program choose"
         )
-    H, psi0, _ = _load_problem(args, MIN_POINTS_PER_AXIS)
-    spec = None
-    if given:
-        stride = args.stride if args.stride is not None else max(1, args.steps // 100)
-        spec = EvolutionSpec(dt=args.dt, steps=args.steps, stride=stride)
+    H, psi0, grid = _load_problem(args, MIN_POINTS_PER_AXIS)
     report = equivariance_test(
         H,
         psi0,
         count=args.count,
         horizon=args.horizon,
         seed=args.seed,
-        evolution_spec=spec,
+        evolution_spec=_auto_spec(args, H, grid) if given else None,
         substeps=args.substeps,
     )
     _emit(json.dumps(report.to_dict(), indent=2))
@@ -417,6 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     positive_int = _int_at_least(1)
+
+    def add_schedule(p):
+        """The fixed schedule and the trajectory flags of simulate and equivariance."""
+        p.add_argument("--dt", type=_positive_float)
+        p.add_argument("--steps", type=positive_int)
+        p.add_argument("--stride", type=positive_int)
+        p.add_argument("--substeps", type=positive_int, default=4)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     def add_common(p, min_points=1):
         """The operator, state and grid arguments; commands that apply H need min_points."""
@@ -441,12 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="evolve a state and integrate trajectories")
     add_common(p_sim, MIN_POINTS_PER_AXIS)
-    p_sim.add_argument("--dt", type=_positive_float)
-    p_sim.add_argument("--steps", type=positive_int)
-    p_sim.add_argument("--stride", type=positive_int)
+    add_schedule(p_sim)
     p_sim.add_argument("--trajectories", type=_int_at_least(0), default=0, metavar="M")
-    p_sim.add_argument("--substeps", type=positive_int, default=4)
-    p_sim.add_argument("--seed", type=_int_at_least(0), default=0)
     p_sim.add_argument("--out")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -458,13 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equivariance", help="sample, integrate, and KS-compare against |psi(T)|^2")
     add_common(p_eq, MIN_POINTS_PER_AXIS)
+    add_schedule(p_eq)
     p_eq.add_argument("--count", type=positive_int, default=5000, metavar="M")
     p_eq.add_argument("--horizon", type=_positive_float, default=1.0, metavar="T")
-    p_eq.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_eq.add_argument("--dt", type=_positive_float)
-    p_eq.add_argument("--steps", type=positive_int)
-    p_eq.add_argument("--stride", type=positive_int)
-    p_eq.add_argument("--substeps", type=positive_int, default=4)
     p_eq.set_defaults(func=cmd_equivariance)
 
     return parser

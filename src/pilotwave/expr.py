@@ -708,12 +708,17 @@ def call(func: str, arg: CoefficientExpression) -> CoefficientExpression:
     return CoefficientExpression(_call(func, arg.node), arg.dim)
 
 
+# The sampled checks' defaults, which operators.SamplingSpec shares: points
+# per verdict, the generator's seed and the relative tolerance.
+DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL = 32, 2024, 1e-9
+
+
 def approx_equal(
     a: CoefficientExpression,
     b: CoefficientExpression,
-    samples: int = 32,
-    seed: int = 2024,
-    tol: float = 1e-9,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+    tol: float = DEFAULT_TOL,
     lengths=None,
 ) -> bool:
     """Numerical expression equality on reproducible random sample points.
@@ -751,7 +756,8 @@ def approx_equal(
     return True
 
 
-def vanishes(e: CoefficientExpression, samples: int = 32, seed: int = 2024, lengths=None) -> bool:
+def vanishes(e: CoefficientExpression, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
+             lengths=None) -> bool:
     """True iff `e` is exactly 0 at the first `samples` points that
     `approx_equal` draws with the same arguments.  A point where `e` faults
     counts as nonzero, so pruning by this test drops only genuine zeros."""

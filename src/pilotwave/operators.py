@@ -39,9 +39,9 @@ class SamplingSpec:
     whose count is not the expression's dimension.
     """
 
-    samples: int = 32
-    seed: int = 2024
-    tol: float = 1e-9
+    samples: int = expr.DEFAULT_SAMPLES
+    seed: int = expr.DEFAULT_SEED
+    tol: float = expr.DEFAULT_TOL
     lengths: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -330,10 +330,3 @@ def load_hamiltonian(text: str) -> DifferentialOperator:
     if dim is None:
         raise HamiltonianFormatError("missing 'dim = N' declaration")
     return DifferentialOperator(dim, terms)
-
-
-def format_hamiltonian(H: DifferentialOperator) -> str:
-    lines = [f"dim = {H.dim}"]
-    for n, coef in H.terms.items():
-        lines.append(f'term {n} = "{coef.to_string()}"')
-    return "\n".join(lines) + "\n"

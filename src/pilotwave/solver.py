@@ -53,6 +53,15 @@ class EvolutionSpec:
             raise ValueError("stride must be >= 1")
 
 
+def default_stride(steps: int) -> int:
+    """The snapshot cadence a run takes when none is given: about 100 snapshots."""
+    return max(1, steps // 100)
+
+
+def _relative_drift(norm_sq: float, norm0: float) -> float:
+    return abs(norm_sq - norm0) / norm0
+
+
 def _check_dt(dt: float, radius: float) -> float:
     product = dt * radius
     if product > RK4_STABILITY_LIMIT:
@@ -161,7 +170,7 @@ def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec,
             values = _propagate(applier, values, interval, center, half_width, (stop - start) * dt, psi0.t)
         start = stop
         t = psi0.t + stop * dt
-        drift = abs(float(np.sum(np.abs(values) ** 2) * psi0.grid.cell_volume) - norm0) / norm0
+        drift = _relative_drift(float(np.sum(np.abs(values) ** 2) * psi0.grid.cell_volume), norm0)
         if not drift <= NORM_DRIFT_LIMIT:  # also catches a series that overflowed to inf or nan
             raise NormDriftError(
                 f"norm drift {drift:.3e} at t={t:.6g} exceeds {NORM_DRIFT_LIMIT:.0e}; "
@@ -174,7 +183,7 @@ def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec,
 def norm_drift(snapshots: list[GridState]) -> list[float]:
     """Relative norm drift of each snapshot against the first."""
     norm0 = snapshots[0].norm_sq()
-    return [abs(s.norm_sq() - norm0) / norm0 for s in snapshots]
+    return [_relative_drift(s.norm_sq(), norm0) for s in snapshots]
 
 
 def continuity_residual(snapshots: list[GridState], current_provider, normalized: bool = True) -> float:

@@ -79,13 +79,6 @@ def plane_wave(grid: Grid, wavevector=None) -> GridState:
     return GridState(grid, np.exp(1j * phase))
 
 
-def commensurate_wavevector(grid: Grid, wavevector) -> list[float]:
-    ks = _per_axis(wavevector, grid.dim, "wavevector")
-    return [
-        2.0 * np.pi / L * round(k * L / (2.0 * np.pi)) for k, L in zip(ks, grid.lengths)
-    ]
-
-
 def ho_eigenstate(grid: Grid, levels=0, center=None, frequency=1.0, mass=1.0) -> GridState:
     """Harmonic-oscillator eigenstate product over axes.
 

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .grids import Grid, GridState
 from .operators import DifferentialOperator, require_hermitian
-from .solver import EvolutionSpec, evolve
+from .solver import EvolutionSpec, default_stride, evolve
 
 NODE_EPS = 1e-10
 MAX_TRUNCATED_FRACTION = 0.10
@@ -340,9 +340,7 @@ def equivariance_test(
         radius = H.realize(psi0.grid).spectral_radius(psi0.t)
         dt_max = 1.0 / radius if radius > 0 else horizon / 100.0
         steps = max(100, int(math.ceil(horizon / dt_max)))
-        evolution_spec = EvolutionSpec(
-            dt=horizon / steps, steps=steps, stride=max(1, steps // 100)
-        )
+        evolution_spec = EvolutionSpec(dt=horizon / steps, steps=steps, stride=default_stride(steps))
     else:
         horizon = evolution_spec.steps * evolution_spec.dt
     table = derive_current_table(H)

@@ -8,7 +8,6 @@ from pilotwave.altcurrents import (
     compare_fields,
     momentum_form_coefficients,
     second_order_current,
-    velocity_operator,
 )
 from pilotwave.currents import derive_current_table, eval_current
 from pilotwave.errors import DimensionMismatchError, PilotwaveError
@@ -122,15 +121,6 @@ def test_born_jordan_guards():
     bad = load_hamiltonian('dim = 1\nterm [1] = "1"\n')
     with pytest.raises(PilotwaveError):
         born_jordan_current(bad, gaussian(grid, width=0.8))
-
-
-def test_velocity_operator_standard():
-    H = load_hamiltonian('dim = 2\nterm [2,0] = "-0.5"\nterm [0,2] = "-0.5"\nterm [0,0] = "q1*q2"\n')
-    v1 = velocity_operator(H, 1)
-    assert set(v1.terms) == {MultiIndex((1, 0))}
-    assert v1.coefficient(MultiIndex((1, 0))).constant_value() == -1j
-    v2 = velocity_operator(H, 2)
-    assert v2.coefficient(MultiIndex((0, 1))).constant_value() == -1j
 
 
 def test_second_order_standard_current():

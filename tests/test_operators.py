@@ -31,7 +31,6 @@ from pilotwave.operators import (
     SamplingSpec,
     adjoint,
     apply,
-    format_hamiltonian,
     hermiticity_violations,
     hermitize,
     is_hermitian,
@@ -426,22 +425,6 @@ def test_load_hamiltonian():
     H = load_hamiltonian(GOOD_FILE)
     assert H.dim == 1
     assert set(H.terms) == {MultiIndex((0,)), MultiIndex((2,))}
-
-
-def test_load_hamiltonian_roundtrip():
-    H = load_hamiltonian(GOOD_FILE)
-    again = load_hamiltonian(format_hamiltonian(H))
-    for slot in H.terms:
-        assert expr.approx_equal(
-            H.coefficient(slot), again.coefficient(slot), lengths=(10.0,)
-        )
-
-
-def test_load_hamiltonian_roundtrips_conjugates():
-    sym = hermitize(op_1d({1: "-i*log(q1+9)"}))
-    again = load_hamiltonian(format_hamiltonian(sym))
-    for slot in sym.terms:
-        assert expr.approx_equal(sym.coefficient(slot), again.coefficient(slot))
 
 
 @pytest.mark.parametrize(

@@ -243,10 +243,8 @@ def _axis_list(convert, check):
 
 
 def _resolve_grid(args, dim: int, spec) -> Grid:
-    points = args.grid or (spec.grid_points if spec else None)
-    lengths = args.domain or (spec.domain_lengths if spec else None)
-    points = points or [DEFAULT_POINTS]
-    lengths = lengths or [DEFAULT_LENGTH]
+    points = args.grid or spec.grid_points or [DEFAULT_POINTS]
+    lengths = args.domain or spec.domain_lengths or [DEFAULT_LENGTH]
     if len(points) == 1:
         points = points * dim
     if len(lengths) == 1:
@@ -370,7 +368,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    methods = [m.strip() for m in (args.methods or "").split(",") if m.strip()]
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise HamiltonianFormatError("--methods must list at least one method")
     for k, m in enumerate(methods):

@@ -182,7 +182,7 @@ def derive_current_table(H: DifferentialOperator) -> CurrentTable:
                     contrib = expr.const(1j * complex(w), dim) * deriv
                     key = (n, m)
                     table[key] = table[key] + contrib if key in table else contrib
-        axes.append({key: c for key, c in table.items() if not H.sampling.vanishes(c)})
+        axes.append({key: c for key, c in table.items() if not expr.vanishes(c, H.sampling)})
     return CurrentTable(dim, axes, provenance=repr(H))
 
 

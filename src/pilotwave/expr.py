@@ -17,12 +17,13 @@ arrays.  A fault is a divide-by-zero, invalid or overflow floating-point
 error; it raises EvaluationDomainError naming the innermost subexpression
 whose operation faulted.
 
-The sampled checks, `approx_equal` and the exact-zero test `vanishes`, draw
-q uniformly from the periodic box [0, L_1) x ... x [0, L_N) of a grid (by
-default [0, DEFAULT_LENGTH) per axis, the CLI's default domain) and t from
-[0, 1).  They draw all their points in one call to the random generator,
-bit-identical to drawing them point by point.  They refuse fewer than one
-sample, and `approx_equal` a tolerance that is negative or not finite.
+The sampled checks, `approx_equal` and the exact-zero test `vanishes`, take
+their settings from one `SamplingSpec`: they draw q uniformly from the
+periodic box [0, L_1) x ... x [0, L_N) of a grid (by default
+[0, DEFAULT_LENGTH) per axis, the CLI's default domain) and t from [0, 1).
+They draw all their points in one call to the random generator,
+bit-identical to drawing them point by point.  The spec refuses fewer than
+one sample, and a tolerance that is negative or not finite, when it is built.
 
 Grammar (whitespace-insensitive, ^ binds tightest, then unary minus, then
 * and /, then + and -)::
@@ -53,7 +54,7 @@ from .errors import (
     ExpressionSyntaxError,
     SamplingError,
 )
-from .grids import DEFAULT_LENGTH, check_length
+from .grids import DEFAULT_LENGTH, check_integer, check_length
 from .multiindex import MultiIndex
 
 # ---------------------------------------------------------------------------
@@ -708,25 +709,47 @@ def call(func: str, arg: CoefficientExpression) -> CoefficientExpression:
     return CoefficientExpression(_call(func, arg.node), arg.dim)
 
 
-# The sampled checks' defaults, which operators.SamplingSpec shares: points
-# per verdict, the generator's seed and the relative tolerance.
-DEFAULT_SAMPLES, DEFAULT_SEED, DEFAULT_TOL = 32, 2024, 1e-9
+@dataclass(frozen=True)
+class SamplingSpec:
+    """The settings of the sampled checks: `samples` points per verdict, drawn
+    with `seed` from the box [0, L_1) x ... x [0, L_N) that a grid with these
+    `lengths` covers (default DEFAULT_LENGTH per axis) and t from [0, 1), and
+    the relative tolerance `tol`.  A `samples` that is not an integer or is
+    below 1, a `seed` that is not a non-negative integer, or a `tol` that is
+    negative or not finite is refused here; lengths that are not positive and
+    finite, or whose count is not the expression's dimension, are refused
+    before a check draws.
+    """
+
+    samples: int = 32
+    seed: int = 2024
+    tol: float = 1e-9
+    lengths: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if check_integer(self.samples, "samples") < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if check_integer(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not (np.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be non-negative and finite, got {self.tol}")
+
+    def _draw(self, dim: int, budget: int = 1):
+        """`budget * samples` points of the box [0, L_1) x ... x [0, L_N) x [0, 1):
+        q as rows and t."""
+        lengths = [DEFAULT_LENGTH] * dim if self.lengths is None else self.lengths
+        box = [check_length(float(L)) for L in lengths]
+        if len(box) != dim:
+            raise DimensionMismatchError(f"sampling box has {len(box)} lengths for dimension {dim}")
+        u = np.random.default_rng(self.seed).random((budget * self.samples, dim + 1))
+        return np.asarray(box) * u[:, :dim], u[:, dim]
 
 
-def approx_equal(
-    a: CoefficientExpression,
-    b: CoefficientExpression,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    tol: float = DEFAULT_TOL,
-    lengths=None,
-) -> bool:
+def approx_equal(a: CoefficientExpression, b: CoefficientExpression, spec: SamplingSpec = SamplingSpec()) -> bool:
     """Numerical expression equality on reproducible random sample points.
 
-    True iff |a-b| <= tol*(1+|a|+|b|) at `samples` points drawn uniformly
-    from the periodic box [0, L_1) x ... x [0, L_N) that `Grid` uses, with
-    L_a = `lengths[a]` (default DEFAULT_LENGTH on every axis), and from
-    [0, 1) in t.  Points where either side faults are skipped: a divide,
+    True iff |a-b| <= tol*(1+|a|+|b|) at `spec.samples` points drawn from
+    `spec`'s box.  Points where either side faults are skipped: a divide,
     invalid or overflow error, which `evaluate` reports with the faulting
     subexpression.  A 10x oversampling budget is drawn; fewer than `samples`
     valid points in it raise SamplingError unless they already show a
@@ -738,44 +761,28 @@ def approx_equal(
     in one call of the same walker that `evaluate` and `evaluate_on` use,
     and the first `samples` rows where neither side faults are compared.
     """
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be non-negative and finite, got {tol}")
     a._check_dim(b)
-    q, t = _draw(a.dim, samples, seed, lengths, budget=10)
+    q, t = spec._draw(a.dim, budget=10)
     va, faults_a, fault_a = _sample(a, q, t)
     vb, faults_b, fault_b = _sample(b, q, t)
-    valid = np.flatnonzero(~(faults_a | faults_b))[:samples]
+    valid = np.flatnonzero(~(faults_a | faults_b))[:spec.samples]
     va, vb = va[valid], vb[valid]
-    if np.any(np.abs(va - vb) > tol * (1.0 + np.abs(va) + np.abs(vb))):
+    if np.any(np.abs(va - vb) > spec.tol * (1.0 + np.abs(va) + np.abs(vb))):
         return False
-    if valid.size < samples:
+    if valid.size < spec.samples:
         raise SamplingError(
-            f"only {valid.size}/{samples} valid sample points after {q.shape[0]} draws "
+            f"only {valid.size}/{spec.samples} valid sample points after {q.shape[0]} draws "
             f"(first fault: {fault_a or fault_b})"
         )
     return True
 
 
-def vanishes(e: CoefficientExpression, samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED,
-             lengths=None) -> bool:
-    """True iff `e` is exactly 0 at the first `samples` points that
-    `approx_equal` draws with the same arguments.  A point where `e` faults
+def vanishes(e: CoefficientExpression, spec: SamplingSpec = SamplingSpec()) -> bool:
+    """True iff `e` is exactly 0 at the first `spec.samples` points that
+    `approx_equal` draws with the same spec.  A point where `e` faults
     counts as nonzero, so pruning by this test drops only genuine zeros."""
-    values, faults, _ = _sample(e, *_draw(e.dim, samples, seed, lengths))
+    values, faults, _ = _sample(e, *spec._draw(e.dim))
     return not (faults.any() or values.any())
-
-
-def _draw(dim: int, samples: int, seed: int, lengths, budget: int = 1):
-    """`budget * samples` points of the box [0, L_1) x ... x [0, L_N) x [0, 1):
-    q as rows and t.  Fewer than one sample or a malformed box is refused
-    before anything is drawn."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    box = [DEFAULT_LENGTH] * dim if lengths is None else [check_length(float(L)) for L in lengths]
-    if len(box) != dim:
-        raise DimensionMismatchError(f"sampling box has {len(box)} lengths for dimension {dim}")
-    u = np.random.default_rng(seed).random((budget * samples, dim + 1))
-    return np.asarray(box) * u[:, :dim], u[:, dim]
 
 
 def _sample(e: CoefficientExpression, q: np.ndarray, t: np.ndarray):

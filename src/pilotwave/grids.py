@@ -93,13 +93,9 @@ class Grid:
         """Coordinates along one axis (0-based axis index)."""
         return np.arange(self.shape[axis]) * self.spacings[axis]
 
-    def meshes(self) -> list[np.ndarray]:
-        """Full coordinate meshes, ij indexing."""
-        return list(np.meshgrid(*(self.axis_points(a) for a in range(self.dim)), indexing="ij"))
-
     def axis_vectors(self) -> list[np.ndarray]:
-        """Sparse ij coordinate vectors that broadcast to the meshes: a coefficient evaluated
-        on them is computed only along the axes it uses, and returned at full grid shape."""
+        """Sparse ij coordinate vectors, which broadcast to the full grid: a coefficient
+        evaluated on them is computed only along the axes it uses."""
         points = (self.axis_points(a) for a in range(self.dim))
         return list(np.meshgrid(*points, indexing="ij", sparse=True))
 

@@ -7,12 +7,14 @@ which after a Leibniz expansion gives coefficients
 
     adj(h)_n = sum_{m >= n} (-1)^|m| C(m,n) D^(m-n) conj(h_m),
 
-and Hermiticity is exactly the fixed-point condition h_n = adj(h)_n.
+and Hermiticity is exactly the fixed-point condition h_n = adj(h)_n.  That
+condition, and the pruning of exactly-zero terms, are decided by
+`expr.approx_equal` and `expr.vanishes` on the points of an
+`expr.SamplingSpec`, which is imported here for callers of these checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import numpy as np
 
 from . import expr
@@ -21,40 +23,11 @@ from .errors import (
     HamiltonianFormatError,
     NonHermitianError,
 )
-from .expr import CoefficientExpression
-from .grids import DerivativeCache, Grid, GridState, _symbol, check_integer, check_points
+from .expr import CoefficientExpression, SamplingSpec
+from .grids import DerivativeCache, Grid, GridState, _symbol, check_points
 from .multiindex import MultiIndex, binom_multi, indices_up_to
 
 MIN_POINTS_PER_AXIS = 16
-
-
-@dataclass(frozen=True)
-class SamplingSpec:
-    """The points of the randomized expression checks: `samples` points drawn
-    with `seed` from the box [0, L_1) x ... x [0, L_N) that a grid with these
-    `lengths` covers (default grids.DEFAULT_LENGTH per axis), and t from
-    [0, 1).  A `samples` that is not an integer, or a `seed` that is not a
-    non-negative integer, is refused here; a check refuses, before drawing,
-    fewer than one sample, and lengths that are not positive and finite or
-    whose count is not the expression's dimension.
-    """
-
-    samples: int = expr.DEFAULT_SAMPLES
-    seed: int = expr.DEFAULT_SEED
-    tol: float = expr.DEFAULT_TOL
-    lengths: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        check_integer(self.samples, "samples")
-        if check_integer(self.seed, "seed") < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-
-    def equal(self, a: CoefficientExpression, b: CoefficientExpression) -> bool:
-        return expr.approx_equal(a, b, self.samples, self.seed, self.tol, self.lengths)
-
-    def vanishes(self, e: CoefficientExpression) -> bool:
-        """True iff `e` is exactly 0 at every sample point; a fault counts as nonzero."""
-        return expr.vanishes(e, self.samples, self.seed, self.lengths)
 
 
 class DifferentialOperator:
@@ -131,7 +104,7 @@ def hermiticity_violations(
     spec = check or SamplingSpec()
     adj = adjoint(H)
     slots = sorted(set(H.terms) | set(adj.terms), key=lambda n: n.sort_key())
-    return [n for n in slots if not spec.equal(H.coefficient(n), adj.coefficient(n))]
+    return [n for n in slots if not expr.approx_equal(H.coefficient(n), adj.coefficient(n), spec)]
 
 
 def is_hermitian(H: DifferentialOperator, check: SamplingSpec | None = None) -> bool:
@@ -156,7 +129,7 @@ class HermitianOperator(DifferentialOperator):
             slots = ", ".join(str(n) for n in bad)
             raise NonHermitianError(f"Hamiltonian is not Hermitian; violated slots: {slots}")
         self.sampling = check or SamplingSpec()
-        super().__init__(H.dim, {n: c for n, c in H._terms.items() if not self.sampling.vanishes(c)})
+        super().__init__(H.dim, {n: c for n, c in H._terms.items() if not expr.vanishes(c, self.sampling)})
 
 
 def require_hermitian(H: DifferentialOperator, check: SamplingSpec | None = None) -> HermitianOperator:

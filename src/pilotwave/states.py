@@ -57,12 +57,11 @@ def gaussian(grid: Grid, center=None, width=1.0, wavevector=None) -> GridState:
     center = grid.center() if center is None else _per_axis(center, dim, "center")
     widths = [_positive(w, "width") for w in _per_axis(width, dim, "width")]
     ks = [0.0] * dim if wavevector is None else _per_axis(wavevector, dim, "wavevector")
-    meshes = grid.meshes()
     phase = np.zeros(grid.shape)
     envelope = np.zeros(grid.shape)
-    for mesh, c, sigma, k in zip(meshes, center, widths, ks):
-        envelope = envelope - (mesh - c) ** 2 / (4.0 * sigma ** 2)
-        phase = phase + k * mesh
+    for q, c, sigma, k in zip(grid.axis_vectors(), center, widths, ks):
+        envelope = envelope - (q - c) ** 2 / (4.0 * sigma ** 2)
+        phase = phase + k * q
     return GridState(grid, np.exp(envelope + 1j * phase)).normalized()
 
 
@@ -71,11 +70,10 @@ def plane_wave(grid: Grid, wavevector=None) -> GridState:
     if wavevector is None:
         raise HamiltonianFormatError("plane-wave state needs a wavevector")
     ks = _per_axis(wavevector, grid.dim, "wavevector")
-    meshes = grid.meshes()
     phase = np.zeros(grid.shape)
-    for axis, (mesh, k) in enumerate(zip(meshes, ks)):
-        unit = 2.0 * np.pi / grid.lengths[axis]
-        phase = phase + unit * round(k / unit) * mesh
+    for q, L, k in zip(grid.axis_vectors(), grid.lengths, ks):
+        unit = 2.0 * np.pi / L
+        phase = phase + unit * round(k / unit) * q
     return GridState(grid, np.exp(1j * phase))
 
 
@@ -94,10 +92,9 @@ def ho_eigenstate(grid: Grid, levels=0, center=None, frequency=1.0, mass=1.0) ->
         raise HamiltonianFormatError(f"levels must be non-negative integers, got {levels}")
     center = grid.center() if center is None else _per_axis(center, dim, "center")
     scale = math.sqrt(_positive(mass, "mass") * _positive(frequency, "frequency"))
-    meshes = grid.meshes()
     values = np.ones(grid.shape, dtype=complex)
-    for mesh, c, n in zip(meshes, center, map(int, levels)):
-        u = scale * (mesh - c)
+    for q, c, n in zip(grid.axis_vectors(), center, map(int, levels)):
+        u = scale * (q - c)
         # pi^(1/4) psi_k: psi_0 = pi^(-1/4) e^(-u^2/2) and
         # psi_k+1 = sqrt(2/(k+1)) u psi_k - sqrt(k/(k+1)) psi_k-1
         previous, current = 0.0, np.exp(-0.5 * u ** 2)

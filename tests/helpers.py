@@ -26,6 +26,12 @@ from pilotwave.operators import DifferentialOperator, SamplingSpec, hermitize
 from pilotwave.trajectories import NODE_EPS, Ensemble
 
 
+def grid_meshes(grid: Grid) -> list[np.ndarray]:
+    """The grid's full coordinate meshes, ij indexing: the oracle that the
+    sparse `Grid.axis_vectors()` broadcast to."""
+    return np.meshgrid(*(grid.axis_points(a) for a in range(grid.dim)), indexing="ij")
+
+
 def run_fresh_python(script: str) -> subprocess.CompletedProcess:
     """Run `script` in a new interpreter that imports this checkout's src/,
     as a CLI call starts: no module imported and the allocator untouched."""
@@ -152,7 +158,7 @@ def band_limited_state(
     wrap kink at the boundary) does; needed whenever non-periodic
     coefficients multiply the state and spectral residues must reach 1e-9.
     """
-    meshes = grid.meshes()
+    meshes = grid_meshes(grid)
     values = np.zeros(grid.shape, dtype=complex)
     for _ in range(modes):
         amplitude = complex(rng.normal(), rng.normal())
@@ -365,7 +371,7 @@ def reference_snapshot_json(state: GridState) -> str:
 
 def reference_snapshot_csv(state: GridState) -> str:
     header = ",".join(f"q{a}" for a in range(1, state.dim + 1)) + ",re,im"
-    coords = [m.reshape(-1) for m in state.grid.meshes()]
+    coords = [m.reshape(-1) for m in grid_meshes(state.grid)]
     flat = state.values.reshape(-1)
     lines = [header]
     for idx in range(flat.size):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import band_limited_state, centered_spec, random_hermitian_operator
+from helpers import band_limited_state, centered_spec, grid_meshes, random_hermitian_operator
 from pilotwave import expr
 from pilotwave.altcurrents import (
     born_jordan_current,
@@ -99,7 +99,7 @@ def test_born_jordan_matches_dense_matrix_realization():
     k[n_pts // 2] = 0.0
     P = (inv_fourier @ np.diag(-1j * (1j * k)) @ fourier)  # -i d/dq
     rho = np.outer(psi.values, np.conjugate(psi.values)) * dx
-    meshes = grid.meshes()
+    meshes = grid_meshes(grid)
     M = np.zeros((n_pts, n_pts), dtype=complex)
     for n, g_coef in momentum_form_coefficients(H).items():
         order = n.order()

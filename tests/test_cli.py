@@ -642,6 +642,13 @@ def test_repeated_compare_method_is_a_usage_error(ham, capsys, monkeypatch):
     assert "--methods lists 'canonical' twice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("methods", ["", ","])
+def test_empty_compare_method_list_is_a_usage_error(methods, ham, capsys):
+    argv = ["compare", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), "--methods", methods]
+    assert main(argv) == 2
+    assert "--methods must list at least one method" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["simulate", "equivariance"])
 def test_state_file_grid_below_the_operator_floor_is_a_usage_error(command, ham, tmp_path, capsys):
     state = ham("coarse.st", GAUSS + "grid = [8]\n")

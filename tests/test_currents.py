@@ -215,7 +215,7 @@ def test_reality_of_table_entries():
             entries = table.entries(axis)
             for (n, m), coef in entries.items():
                 partner = entries.get((m, n), expr.const(0, 2))
-                assert spec.equal(coef, partner.conjugate())
+                assert expr.approx_equal(coef, partner.conjugate(), spec)
 
 
 def test_source_term_eigenstate_vanishes():

@@ -10,6 +10,7 @@ from pilotwave.errors import (
     ExpressionSyntaxError,
     SamplingError,
 )
+from pilotwave.expr import SamplingSpec
 from pilotwave.grids import DEFAULT_LENGTH
 from pilotwave.multiindex import MultiIndex
 
@@ -120,7 +121,7 @@ def test_differentiate_is_linear():
     n = MultiIndex((1, 1))
     lhs = (expr.const(alpha, 2) * a + expr.const(beta, 2) * b).differentiate(n)
     rhs = expr.const(alpha, 2) * a.differentiate(n) + expr.const(beta, 2) * b.differentiate(n)
-    assert expr.approx_equal(lhs, rhs, seed=int(rng.integers(1 << 30)))
+    assert expr.approx_equal(lhs, rhs, SamplingSpec(seed=int(rng.integers(1 << 30))))
 
 
 def test_mixed_partials_commute():
@@ -170,7 +171,7 @@ def test_evaluate_on_broadcasts_time_with_meshes():
 def test_approx_equal_basics():
     assert expr.approx_equal(expr.parse("q1+q1", 1), expr.parse("2*q1", 1))
     assert expr.approx_equal(expr.parse("sin(q1)^2", 1), expr.parse("1-cos(q1)^2", 1))
-    assert not expr.approx_equal(expr.parse("q1", 1), expr.parse("q1+1e-3", 1), tol=1e-9)
+    assert not expr.approx_equal(expr.parse("q1", 1), expr.parse("q1+1e-3", 1), SamplingSpec(tol=1e-9))
 
 
 def test_approx_equal_redraws_on_faults():
@@ -227,7 +228,7 @@ def test_sampling_error_names_the_first_fault():
     # second; the first faulting draw of seed 2024 is q1 = 0.70, the last -1.86
     e = expr.parse("exp(10000*q1) + exp(-10000*q1)", 1)
     with pytest.raises(SamplingError, match=r"\(first fault: overflow .* in 'exp\(10000\.0\*q1\)'\)$"):
-        expr.approx_equal(e, e, seed=2024)
+        expr.approx_equal(e, e, SamplingSpec(seed=2024))
 
 
 def test_finite_constants_still_fold():
@@ -293,7 +294,7 @@ def test_batched_approx_equal_matches_per_point_loop():
     for seed in (2024, 5):
         for a, b, kwargs in pairs:
             expected = verdict(reference_approx_equal, a, b, seed=seed, **kwargs)
-            assert verdict(expr.approx_equal, a, b, seed=seed, **kwargs) == expected, (a, b)
+            assert verdict(expr.approx_equal, a, b, spec=SamplingSpec(seed=seed, **kwargs)) == expected, (a, b)
             seen.append(expected)
     assert {True, False, "gives up"} <= set(seen)
 
@@ -320,7 +321,7 @@ def test_roundtrip_through_printer():
     for text in texts:
         e = expr.parse(text, 2)
         back = expr.parse(e.to_string(), 2)
-        assert expr.approx_equal(e, back, seed=int(rng.integers(1 << 30)))
+        assert expr.approx_equal(e, back, SamplingSpec(seed=int(rng.integers(1 << 30))))
 
 
 def test_roundtrip_random_asts():
@@ -352,7 +353,7 @@ def test_roundtrip_random_asts():
     for _ in range(60):
         e = random_expr(int(rng.integers(1, 4)))
         back = expr.parse(e.to_string(), 2)
-        assert expr.approx_equal(e, back, seed=int(rng.integers(1 << 30)), tol=1e-9)
+        assert expr.approx_equal(e, back, SamplingSpec(seed=int(rng.integers(1 << 30)), tol=1e-9))
 
 
 def test_conjugate_pointwise():
@@ -456,19 +457,19 @@ def test_call_conj_is_conjugate(text):
 def test_sampled_checks_refuse_fewer_than_one_sample(samples):
     a, b = expr.parse("q1", 1), expr.parse("q1 + 1", 1)
     with pytest.raises(ValueError, match="samples must be at least 1"):
-        expr.approx_equal(a, b, samples=samples)
+        expr.approx_equal(a, b, SamplingSpec(samples=samples))
     with pytest.raises(ValueError, match="samples must be at least 1"):
-        expr.vanishes(b, samples=samples)
+        expr.vanishes(b, SamplingSpec(samples=samples))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
 def test_approx_equal_refuses_a_tolerance_that_is_negative_or_not_finite(tol):
     with pytest.raises(ValueError, match="tol must be non-negative and finite"):
-        expr.approx_equal(expr.parse("q1", 1), expr.parse("q1 + 1", 1), tol=tol)
+        expr.approx_equal(expr.parse("q1", 1), expr.parse("q1 + 1", 1), SamplingSpec(tol=tol))
 
 
 def test_approx_equal_with_zero_tolerance_asks_for_exact_agreement():
     e, near = expr.parse("exp(q1)*q2", 2), expr.parse("exp(q1)*q2 + 1e-12", 2)
-    assert expr.approx_equal(e, e, tol=0.0)
+    assert expr.approx_equal(e, e, SamplingSpec(tol=0.0))
     assert expr.approx_equal(e, near)
-    assert not expr.approx_equal(e, near, tol=0.0)
+    assert not expr.approx_equal(e, near, SamplingSpec(tol=0.0))

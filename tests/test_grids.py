@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from helpers import grid_meshes
 from pilotwave import expr
 from pilotwave.errors import EvaluationDomainError, GridError
 from pilotwave.grids import DerivativeCache, Grid, _symbol, spectral_derivative
@@ -128,7 +129,7 @@ AXIS_GRIDS = [Grid((6.0,), (32,)), Grid((6.0, 4.0), (16, 32)), Grid((6.0, 4.0, 5
 def test_axis_vectors_broadcast_to_the_meshes():
     for grid in AXIS_GRIDS:
         vectors = grid.axis_vectors()
-        for axis, (vector, mesh) in enumerate(zip(vectors, grid.meshes())):
+        for axis, (vector, mesh) in enumerate(zip(vectors, grid_meshes(grid))):
             assert vector.shape == tuple(n if a == axis else 1 for a, n in enumerate(grid.shape))
             assert np.array_equal(np.broadcast_to(vector, grid.shape), mesh)
 
@@ -147,7 +148,7 @@ def test_axis_vectors_broadcast_to_the_meshes():
 def test_axis_vector_evaluation_is_bitwise_the_mesh_evaluation(grid, text, t):
     coef = expr.parse(text.format(N=grid.dim), grid.dim)
     on_axes = coef.evaluate_on(grid.axis_vectors(), t)
-    on_meshes = coef.evaluate_on(grid.meshes(), t)
+    on_meshes = coef.evaluate_on(grid_meshes(grid), t)
     assert on_axes.shape == on_meshes.shape == grid.shape
     assert on_axes.dtype == on_meshes.dtype
     assert on_axes.tobytes() == on_meshes.tobytes()
@@ -157,7 +158,7 @@ def test_axis_vector_evaluation_is_bitwise_the_mesh_evaluation(grid, text, t):
 def test_axis_vector_fault_names_the_same_subexpression(grid):
     coef = expr.parse(f"cos(q{grid.dim}) + 1/q1", grid.dim)  # q1 = 0 is a grid node
     faults = []
-    for coords in (grid.axis_vectors(), grid.meshes()):
+    for coords in (grid.axis_vectors(), grid_meshes(grid)):
         with pytest.raises(EvaluationDomainError) as err:
             coef.evaluate_on(coords, 0.0)
         faults.append(err.value.subexpression)

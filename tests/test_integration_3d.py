@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import grid_meshes
 from pilotwave.cli import build_parser, _resolve_grid
 from pilotwave.currents import derive_current_table, eval_current
 from pilotwave.grids import Grid
@@ -22,7 +23,7 @@ STD3D = (
 
 def test_interpolate_trilinear_exact():
     grid = Grid((4.0, 4.0, 4.0), (8, 8, 8))
-    X, Y, Z = grid.meshes()
+    X, Y, Z = grid_meshes(grid)
     values = 1.0 + 2.0 * X - 0.5 * Y + 3.0 * Z
     pts = np.array([[0.25, 1.75, 2.5], [3.1, 0.4, 1.9]])
     expected = 1.0 + 2.0 * pts[:, 0] - 0.5 * pts[:, 1] + 3.0 * pts[:, 2]

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import (
+    grid_meshes,
     reference_snapshot_csv,
     reference_snapshot_json,
     reference_trajectory_csv,
@@ -87,6 +90,57 @@ def test_ho_eigenstate_2d_energy():
     out = apply(H, psi)
     energy = 1.5 + 2.5
     assert np.max(np.abs(out.values - energy * psi.values)) < 1e-6
+
+
+def mesh_gaussian(grid, center, widths, ks):
+    phase = np.zeros(grid.shape)
+    envelope = np.zeros(grid.shape)
+    for mesh, c, sigma, k in zip(grid_meshes(grid), center, widths, ks):
+        envelope = envelope - (mesh - c) ** 2 / (4.0 * sigma ** 2)
+        phase = phase + k * mesh
+    return GridState(grid, np.exp(envelope + 1j * phase)).normalized()
+
+
+def mesh_plane_wave(grid, ks):
+    phase = np.zeros(grid.shape)
+    for axis, (mesh, k) in enumerate(zip(grid_meshes(grid), ks)):
+        unit = 2.0 * np.pi / grid.lengths[axis]
+        phase = phase + unit * round(k / unit) * mesh
+    return GridState(grid, np.exp(1j * phase))
+
+
+def mesh_ho_eigenstate(grid, levels, center, frequency, mass):
+    values = np.ones(grid.shape, dtype=complex)
+    for mesh, c, n in zip(grid_meshes(grid), center, levels):
+        u = math.sqrt(mass * frequency) * (mesh - c)
+        previous, current = 0.0, np.exp(-0.5 * u ** 2)
+        for k in range(n):
+            previous, current = current, math.sqrt(2 / (k + 1)) * u * current - math.sqrt(k / (k + 1)) * previous
+        values = values * ((mass * frequency / math.pi) ** 0.25 * current)
+    return GridState(grid, values).normalized()
+
+
+@pytest.mark.parametrize("grid", [
+    Grid((40.0,), (256,)), Grid((20.0, 30.0), (64, 64)), Grid((40.0, 40.0), (128, 128)),
+    Grid((10.0, 12.0, 9.0), (16, 32, 8)),
+], ids=["1d", "2d-64", "2d-128", "3d"])
+def test_presets_are_bitwise_the_mesh_formulas(grid):
+    """The presets compute on the sparse axis vectors; their values are the
+    bytes of the same formulas on the full coordinate meshes."""
+    center = [L / 2.3 for L in grid.lengths]
+    widths = [0.7 + 0.3 * a for a in range(grid.dim)]
+    ks = [1.3 - a for a in range(grid.dim)]
+    pairs = [
+        (gaussian(grid, center, widths, ks), mesh_gaussian(grid, center, widths, ks)),
+        (plane_wave(grid, ks), mesh_plane_wave(grid, ks)),
+    ]
+    for top in (0, 7, 160):
+        levels = [max(top - 3 * a, 0) for a in range(grid.dim)]
+        pairs.append((ho_eigenstate(grid, levels, center, frequency=2.0, mass=0.5),
+                      mesh_ho_eigenstate(grid, levels, center, frequency=2.0, mass=0.5)))
+    for state, reference in pairs:
+        assert state.values.shape == grid.shape
+        assert state.values.tobytes() == reference.values.tobytes()
 
 
 def test_superposition_normalizes():

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import reference_integrate_trajectories, reference_interpolate, run_fresh_python
+from helpers import grid_meshes, reference_integrate_trajectories, reference_interpolate, run_fresh_python
 from pilotwave import trajectories
 from pilotwave.currents import derive_current_table, eval_current
 from pilotwave.errors import (
@@ -47,7 +47,7 @@ def test_interpolate_linear_exact_with_wrap():
 
 def test_interpolate_2d_bilinear():
     grid = Grid((4.0, 4.0), (4, 4))
-    X, Y = grid.meshes()
+    X, Y = grid_meshes(grid)
     values = 2.0 * X + 3.0 * Y
     pts = np.array([[1.5, 0.5], [0.25, 2.75]])
     assert np.allclose(interpolate(grid, values, pts), 2 * pts[:, 0] + 3 * pts[:, 1])
@@ -318,7 +318,7 @@ def drifting_state(grid: Grid, t: float = 0.0) -> GridState:
     """A plane wave under a nonvanishing periodic envelope: every particle
     moves, and those next to q_a = L_a cross the wrap edge."""
     values = np.ones(grid.shape, dtype=complex)
-    for axis, mesh in enumerate(grid.meshes()):
+    for axis, mesh in enumerate(grid_meshes(grid)):
         phase = 2.0 * np.pi * mesh / grid.lengths[axis]
         values = values * np.exp(1j * (axis + 1) * phase) * (1.5 + np.cos(phase + axis))
     return GridState(grid, values, t).normalized()
@@ -373,7 +373,7 @@ def emptying_snapshots(grid: Grid) -> list[GridState]:
     empty from the third snapshot on: particles that reach it afterwards are
     truncated mid-run, the others never are."""
     snaps = []
-    q1 = grid.meshes()[0]
+    q1 = grid_meshes(grid)[0]
     slab = (q1 >= 0.5 * grid.lengths[0]) & (q1 < 0.8 * grid.lengths[0])
     for s in range(4):
         values = drifting_state(grid).values.copy()
@@ -481,7 +481,7 @@ from pilotwave.operators import load_hamiltonian
 from pilotwave.solver import EvolutionSpec, evolve
 from pilotwave.trajectories import Ensemble, integrate_trajectories
 grid = Grid((10.0,), (64,))
-phase = 2 * np.pi * grid.meshes()[0] / 10.0
+phase = 2 * np.pi * grid.axis_points(0) / 10.0
 psi = GridState(grid, np.exp(1j * phase) * (1.5 + np.cos(phase)), 0.0).normalized()
 H = load_hamiltonian('dim = 1\nterm [2] = "-0.5"\n')
 snaps = evolve(H, psi, EvolutionSpec(dt=0.01, steps=20, stride=2))

@@ -70,8 +70,6 @@ def born_jordan_current(H: DifferentialOperator, state: GridState) -> VectorFiel
 def second_order_current(H: DifferentialOperator, state: GridState) -> VectorField:
     """Velocity-operator current Re(conj(psi) v_i psi) at the state's time, for order <= 2 operators."""
     H = require_hermitian(H)
-    if H.dim != state.dim:
-        raise DimensionMismatchError(f"operator dim {H.dim} != state dim {state.dim}")
     if H.max_order > 2:
         raise PilotwaveError(
             "the velocity-operator current is not valid beyond second order in the momenta"

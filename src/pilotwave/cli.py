@@ -389,11 +389,8 @@ def cmd_compare(args) -> int:
 
     names = [m for m in methods if m in fields]
     report["pairs"] = {}
-    for a_idx in range(len(names)):
-        for b_idx in range(a_idx + 1, len(names)):
-            a, b = names[a_idx], names[b_idx]
-            cmp = altcurrents.compare_fields(fields[a], fields[b])
-            report["pairs"][f"{a} vs {b}"] = cmp.to_dict()
+    for a, b in itertools.combinations(names, 2):
+        report["pairs"][f"{a} vs {b}"] = altcurrents.compare_fields(fields[a], fields[b]).to_dict()
 
     text = json.dumps(report, indent=2)
     if args.out:

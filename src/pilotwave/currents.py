@@ -29,9 +29,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr
-from .errors import DimensionMismatchError, GridError, PilotwaveError
+from .errors import DimensionMismatchError, GridError, HamiltonianFormatError, PilotwaveError
 from .expr import CoefficientExpression
-from .grids import DerivativeCache, Grid, GridState, spectral_derivative, spectral_divergence
+from .grids import (
+    DerivativeCache, Grid, GridState, check_integer, spectral_derivative, spectral_divergence,
+)
 from .multiindex import MultiIndex, binom_multi, indices_up_to, multinomial
 from .operators import DifferentialOperator, apply as apply_operator, require_hermitian
 
@@ -113,14 +115,25 @@ class CurrentTable:
 
     @staticmethod
     def from_json(text: str) -> "CurrentTable":
-        doc = json.loads(text)
-        dim = int(doc["dimension"])
-        axes: list[dict] = [dict() for _ in range(dim)]
-        for axis_doc in doc["axes"]:
-            table = axes[int(axis_doc["axis"]) - 1]
-            for entry in axis_doc["entries"]:
-                key = (MultiIndex(tuple(entry["n"])), MultiIndex(tuple(entry["m"])))
-                table[key] = expr.parse(entry["expression"], dim)
+        """Read the document `to_json` writes: a dimension of at least 1, each
+        axis 1..dimension once, and each (n, m) of that dimension once per axis.
+        A document that breaks any of these raises HamiltonianFormatError."""
+        try:
+            doc = json.loads(text)
+            dim = check_integer(doc["dimension"], "dimension")
+            numbers = [check_integer(axis_doc["axis"], "axis") for axis_doc in doc["axes"]]
+            if dim < 1 or sorted(numbers) != list(range(1, dim + 1)):
+                raise ValueError(f"axes {numbers} do not list each axis 1..{dim} once")
+            axes: list[dict] = [dict() for _ in range(dim)]
+            for number, axis_doc in zip(numbers, doc["axes"]):
+                for entry in axis_doc["entries"]:
+                    key = (MultiIndex(tuple(entry["n"])), MultiIndex(tuple(entry["m"])))
+                    if key in axes[number - 1] or (key[0].dim, key[1].dim) != (dim, dim):
+                        where = f"axis {number} entry n={entry['n']}, m={entry['m']}"
+                        raise ValueError(f"{where} is repeated or not of dimension {dim}")
+                    axes[number - 1][key] = expr.parse(entry["expression"], dim)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise HamiltonianFormatError(f"bad current table document: {exc}") from exc
         return CurrentTable(dim, axes, provenance=doc.get("provenance", ""))
 
     def to_latex(self) -> str:
@@ -130,19 +143,17 @@ class CurrentTable:
             if not table:
                 lines.append(rf"j_{{{axis}}} = 0")
                 continue
-            parts = []
-            for (n, m), coef in table.items():
-                dn = "".join(
-                    rf"\partial_{{q_{a}}}^{{{p}}}" for a, p in enumerate(n.entries, 1) if p
-                )
-                dm = "".join(
-                    rf"\partial_{{q_{a}}}^{{{p}}}" for a, p in enumerate(m.entries, 1) if p
-                )
-                parts.append(
-                    rf"\left[{coef.to_latex()}\right] {dn}\psi \, {dm}\bar\psi"
-                )
+            parts = [
+                rf"\left[{coef.to_latex()}\right] {_partials(n)}\psi \, {_partials(m)}\bar\psi"
+                for (n, m), coef in table.items()
+            ]
             lines.append(rf"j_{{{axis}}} = " + " + ".join(parts))
         return "\n".join(lines)
+
+
+def _partials(n: MultiIndex) -> str:
+    """D^n in TeX, one \\partial_{q_a}^{p} per axis a with p = n_a > 0."""
+    return "".join(rf"\partial_{{q_{a}}}^{{{p}}}" for a, p in enumerate(n.entries, 1) if p)
 
 
 def _weight(r: MultiIndex, n: MultiIndex, m: MultiIndex, e_i: MultiIndex) -> Fraction:
@@ -224,8 +235,6 @@ def _floored_real(raw: list[np.ndarray], term_scale: float, what: str) -> list[n
 def eval_current_direct(H: DifferentialOperator, state: GridState) -> VectorField:
     """Evaluate the nested-sum current form at the state's time, without building a table."""
     H = require_hermitian(H)
-    if H.dim != state.dim:
-        raise DimensionMismatchError(f"operator dim {H.dim} != state dim {state.dim}")
     grid = state.grid
     coef_grids = H.realize(grid).coefficient_grids(state.t)
     dpsi = DerivativeCache(state.values, grid)

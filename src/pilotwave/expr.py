@@ -5,11 +5,14 @@ held as small immutable ASTs of seven node kinds: Const, Coord (q_a),
 TimeVar (t), Binary (+ - * /), Pow (integer exponent), Neg and Call (exp,
 sin, cos, log, sqrt and conj).  Two tables drive every walker: `_BINARY`
 maps an operator to its arithmetic and `_FUNCTIONS` a function name to its
-numpy ufunc, for evaluation and constant folding alike.  The algebra
-deliberately stops far short of a CAS: smart constructors (`_BUILD` maps an
-operator to its own) fold constants and drop additive/multiplicative zeros
-so Leibniz expansions stay compact, and expression equality is decided
-numerically on random sample points rather than by canonicalization.
+numpy ufunc, for evaluation and constant folding alike.  One printer,
+`_print`, writes a tree in either of two spellings: plain text
+(`to_string` and error messages, which `parse` reads back) and TeX
+(`to_latex`).  The algebra deliberately stops far short of a CAS: smart
+constructors (`_BUILD` maps an operator to its own) fold constants and
+drop additive/multiplicative zeros so Leibniz expansions stay compact,
+and expression equality is decided numerically on random sample points
+rather than by canonicalization.
 
 One tree walker, `_eval`, computes values: over grid meshes, at a single
 point and over a batch of sample points alike, always on complex numpy
@@ -295,7 +298,7 @@ def _walk(node: Node, coords, t):
         if isinstance(node, Call):
             return _FUNCTIONS[node.func](_walk(node.arg, coords, t))
     except ArithmeticError as exc:
-        raise EvaluationDomainError(str(exc), _render(node)[0]) from exc
+        raise EvaluationDomainError(str(exc), _print(node, _PLAIN)[0]) from exc
     return node.value  # _Held
 
 
@@ -341,123 +344,90 @@ def _hold(node: Node, coords):
 
 _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
-# op -> (separator, precedence, least precedence of an unwrapped right operand);
-# the left operand is unwrapped down to the operator's own precedence.
-_INFIX = {
-    "+": (" + ", _PREC_ADD, _PREC_ADD),
-    "-": (" - ", _PREC_ADD, _PREC_ADD + 1),
-    "*": ("*", _PREC_MUL, _PREC_MUL),
-    "/": ("/", _PREC_MUL, _PREC_MUL + 1),
+# op -> (precedence, least precedence of an unwrapped right operand); the
+# left operand is unwrapped down to the operator's own precedence.
+_INFIX = {"+": (_PREC_ADD, _PREC_ADD), "-": (_PREC_ADD, _PREC_ADD + 1),
+          "*": (_PREC_MUL, _PREC_MUL), "/": (_PREC_MUL, _PREC_MUL + 1)}
+
+# The two spellings of `_print`.  A form is an (open, close) pair: "wrap" goes
+# around a parenthesized child, "coord" an axis number, "power" an exponent and
+# a "functions" entry an argument.  "i_suffix" follows a real multiple of i,
+# "signs" join the parts of a complex constant, and an op with no "infix"
+# separator prints as a \frac.
+_PLAIN = {
+    "wrap": ("(", ")"), "coord": ("q", ""), "i": "i", "i_suffix": "*i", "signs": ("+", "-"),
+    "infix": {"+": " + ", "-": " - ", "*": "*", "/": "/"}, "power": ("^", ""),
+    "functions": {func: (func + "(", ")") for func in _FUNCTIONS},
+}
+_TEX = {
+    "wrap": (r"\left(", r"\right)"), "coord": ("q_{", "}"), "i": r"\mathrm{i}", "i_suffix": r"\,\mathrm{i}",
+    "signs": (" + ", " - "), "infix": {"+": " + ", "-": " - ", "*": r" \, "}, "power": ("^{", "}"),
+    "functions": {
+        **{func: (rf"\{func}\left(", r"\right)") for func in ("exp", "sin", "cos", "log")},
+        "sqrt": (r"\sqrt{", "}"), "conj": (r"\overline{", "}"),
+    },
 }
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
-def _render_const(value: complex) -> tuple[str, int]:
+def _print_const(value: complex, spelling: dict) -> tuple[str, int]:
     re_, im = value.real, value.imag
     if im == 0:
-        text = _fmt_float(re_)
-        return text, (_PREC_UNARY if re_ < 0 else _PREC_ATOM)
+        return repr(float(re_)), (_PREC_UNARY if re_ < 0 else _PREC_ATOM)
     if re_ == 0:
         if im == 1:
-            return "i", _PREC_ATOM
+            return spelling["i"], _PREC_ATOM
         if im == -1:
-            return "-i", _PREC_UNARY
-        return f"{_fmt_float(im)}*i", _PREC_MUL
-    sign = "+" if im >= 0 else "-"
-    return f"({_fmt_float(re_)}{sign}{_fmt_float(abs(im))}*i)", _PREC_ATOM
+            return "-" + spelling["i"], _PREC_UNARY
+        return repr(float(im)) + spelling["i_suffix"], _PREC_MUL
+    (open_, close), sign = spelling["wrap"], spelling["signs"][im < 0]
+    return f"{open_}{float(re_)!r}{sign}{float(abs(im))!r}{spelling['i_suffix']}{close}", _PREC_ATOM
 
 
-def _wrap(child: Node, min_prec: int) -> str:
-    text, prec = _render(child)
+def _wrap(spelling: dict, child: Node, min_prec: int) -> str:
+    text, prec = _print(child, spelling)
     if prec < min_prec:
-        return f"({text})"
+        return f"{spelling['wrap'][0]}{text}{spelling['wrap'][1]}"
     return text
 
 
-def _render(node: Node) -> tuple[str, int]:
+def _print(node: Node, spelling: dict) -> tuple[str, int]:
+    """`node`'s text in one spelling, `_PLAIN` or `_TEX`, and its precedence."""
     if isinstance(node, Const):
-        return _render_const(node.value)
+        return _print_const(node.value, spelling)
     if isinstance(node, Coord):
-        return f"q{node.axis}", _PREC_ATOM
+        return f"{spelling['coord'][0]}{node.axis}{spelling['coord'][1]}", _PREC_ATOM
     if isinstance(node, TimeVar):
         return "t", _PREC_ATOM
     if isinstance(node, Binary):
-        separator, prec, right_prec = _INFIX[node.op]
-        return f"{_wrap(node.left, prec)}{separator}{_wrap(node.right, right_prec)}", prec
+        prec, right_prec = _INFIX[node.op]
+        separator = spelling["infix"].get(node.op)
+        if separator is None:  # TeX's quotient
+            left, right = _print(node.left, spelling)[0], _print(node.right, spelling)[0]
+            return rf"\frac{{{left}}}{{{right}}}", _PREC_ATOM
+        left, right = _wrap(spelling, node.left, prec), _wrap(spelling, node.right, right_prec)
+        return f"{left}{separator}{right}", prec
     if isinstance(node, Neg):
-        return f"-{_wrap(node.arg, _PREC_UNARY)}", _PREC_UNARY
+        return f"-{_wrap(spelling, node.arg, _PREC_UNARY)}", _PREC_UNARY
     if isinstance(node, Pow):
-        return f"{_wrap(node.base, _PREC_ATOM)}^{node.exponent}", _PREC_POW
+        open_, close = spelling["power"]
+        return f"{_wrap(spelling, node.base, _PREC_ATOM)}{open_}{node.exponent}{close}", _PREC_POW
     if isinstance(node, _Held):
-        return _render(node.node)
-    return f"{node.func}({_render(node.arg)[0]})", _PREC_ATOM
-
-
-_LATEX_FUNC = {"exp": r"\exp", "sin": r"\sin", "cos": r"\cos", "log": r"\log"}
-_LATEX_INFIX = {"+": " + ", "-": " - ", "*": " \\, "}  # "/" is a \frac
-
-
-def _latex_const(value: complex) -> tuple[str, int]:
-    re_, im = value.real, value.imag
-    if im == 0:
-        return _fmt_float(re_), (_PREC_UNARY if re_ < 0 else _PREC_ATOM)
-    if re_ == 0:
-        if im == 1:
-            return r"\mathrm{i}", _PREC_ATOM
-        if im == -1:
-            return r"-\mathrm{i}", _PREC_UNARY
-        return _fmt_float(im) + r"\,\mathrm{i}", _PREC_MUL
-    sign = "+" if im >= 0 else "-"
-    return (
-        rf"\left({_fmt_float(re_)} {sign} {_fmt_float(abs(im))}\,\mathrm{{i}}\right)",
-        _PREC_ATOM,
-    )
-
-
-def _latex(node: Node) -> tuple[str, int]:
-    if isinstance(node, Const):
-        return _latex_const(node.value)
-    if isinstance(node, Coord):
-        return f"q_{{{node.axis}}}", _PREC_ATOM
-    if isinstance(node, TimeVar):
-        return "t", _PREC_ATOM
-    if isinstance(node, Binary):
-        if node.op == "/":
-            return f"\\frac{{{_latex(node.left)[0]}}}{{{_latex(node.right)[0]}}}", _PREC_ATOM
-        _, prec, right_prec = _INFIX[node.op]
-        return f"{_lwrap(node.left, prec)}{_LATEX_INFIX[node.op]}{_lwrap(node.right, right_prec)}", prec
-    if isinstance(node, Neg):
-        return f"-{_lwrap(node.arg, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(node, Pow):
-        return f"{_lwrap(node.base, _PREC_ATOM)}^{{{node.exponent}}}", _PREC_POW
-    if node.func == "sqrt":
-        return f"\\sqrt{{{_latex(node.arg)[0]}}}", _PREC_ATOM
-    if node.func == "conj":
-        return f"\\overline{{{_latex(node.arg)[0]}}}", _PREC_ATOM
-    return f"{_LATEX_FUNC[node.func]}\\left({_latex(node.arg)[0]}\\right)", _PREC_ATOM
-
-
-def _lwrap(child: Node, min_prec: int) -> str:
-    text, prec = _latex(child)
-    if prec < min_prec:
-        return f"\\left({text}\\right)"
-    return text
+        return _print(node.node, spelling)
+    open_, close = spelling["functions"][node.func]
+    return f"{open_}{_print(node.arg, spelling)[0]}{close}", _PREC_ATOM
 
 
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
 _TOKEN_RE = re.compile(
-    r"(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z]+\d*)|(?P<op>[-+*/^()]))"
+    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z]+\d*)|(?P<op>[-+*/^()])"
+    r"|(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<bad>.)"
 )
 
 
 class _Parser:
     def __init__(self, text: str, dim: int):
-        self.text = text
         self.dim = dim
         self.tokens = self._tokenize(text)
         self.pos = 0
@@ -465,24 +435,15 @@ class _Parser:
     @staticmethod
     def _tokenize(text):
         tokens = []
-        idx = 0
         line, line_start = 1, 0
-        while idx < len(text):
-            ch = text[idx]
-            if ch == "\n":
-                line += 1
-                line_start = idx + 1
-                idx += 1
-                continue
-            if ch in " \t\r":
-                idx += 1
-                continue
-            match = _TOKEN_RE.match(text, idx)
-            if match is None:
-                raise ExpressionSyntaxError(f"unexpected character '{ch}'", line, idx - line_start + 1)
-            kind = match.lastgroup
-            tokens.append((kind, match.group(kind), line, idx - line_start + 1))
-            idx = match.end()
+        for match in _TOKEN_RE.finditer(text):
+            kind, col = match.lastgroup, match.start() - line_start + 1
+            if kind == "newline":
+                line, line_start = line + 1, match.end()
+            elif kind == "bad":
+                raise ExpressionSyntaxError(f"unexpected character '{match.group()}'", line, col)
+            elif kind != "space":
+                tokens.append((kind, match.group(), line, col))
         tokens.append(("eof", "", line, len(text) - line_start + 1))
         return tokens
 
@@ -664,10 +625,10 @@ class CoefficientExpression:
 
     # -- rendering ----------------------------------------------------------
     def to_string(self) -> str:
-        return _render(self.node)[0]
+        return _print(self.node, _PLAIN)[0]
 
     def to_latex(self) -> str:
-        return _latex(self.node)[0]
+        return _print(self.node, _TEX)[0]
 
     def __str__(self) -> str:
         return self.to_string()

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +27,7 @@ from pilotwave.currents import (
 )
 from pilotwave.errors import (
     DimensionMismatchError,
+    HamiltonianFormatError,
     NonHermitianError,
     PilotwaveError,
 )
@@ -362,6 +364,29 @@ def test_table_json_roundtrip():
         assert set(a) == set(b)
         for key in a:
             assert expr.approx_equal(a[key], b[key])
+
+
+def _table_doc(dim, axes):
+    return json.dumps({"dimension": dim, "provenance": "", "axes": [
+        {"axis": axis, "entries": [{"n": n, "m": m, "expression": "0.5*i"} for n, m in entries]}
+        for axis, entries in axes
+    ]})
+
+
+@pytest.mark.parametrize("text", [
+    _table_doc(2, [(0, [([1, 0], [0, 0])]), (2, [([0, 1], [0, 0])])]),  # axis 0
+    _table_doc(2, [(1, [([1, 0], [0, 0])]), (1, [([0, 1], [0, 0])])]),  # repeated axis
+    _table_doc(2, [(1, [([1, 0], [0, 0])])]),  # missing axis
+    _table_doc(1, [(1, [([1, 0], [0])])]),  # n of dimension 2
+    _table_doc(1, [(1, [([1], [0]), ([1], [0])])]),  # repeated entry
+    _table_doc(0, []),
+    "{}",
+    "[]",
+], ids=["axis-0", "repeated-axis", "missing-axis", "n-dimension", "repeated-entry", "dimension-0",
+        "empty", "list"])
+def test_table_from_json_refuses_a_malformed_document(text):
+    with pytest.raises(HamiltonianFormatError, match="bad current table document"):
+        CurrentTable.from_json(text)
 
 
 def test_table_latex_smoke():

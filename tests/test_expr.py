@@ -406,7 +406,7 @@ def test_dimension_mismatch():
 
 
 # (text, to_string, to_latex, conjugate, d/dq1, d^2/dq1 dq2) in dimension 2.
-# The texts cover every node kind and the precedence edges of both printers;
+# The texts cover every node kind and the precedence edges of both spellings;
 # a change to how nodes are built, walked or printed must keep every string.
 PINNED = [
     ('q1 - (q2 - t)', 'q1 - (q2 - t)', 'q_{1} - \\left(q_{2} - t\\right)', 'q1 - (q2 - t)', '1.0', '0.0'),
@@ -431,6 +431,9 @@ PINNED = [
     ('conj(log(2 + q1))', 'conj(log(2.0 + q1))', '\\overline{\\log\\left(2.0 + q_{1}\\right)}', 'log(2.0 + q1)', '1.0/(2.0 + q1)', '0.0'),
     ('conj(sqrt(1 + q1^2))', 'conj(sqrt(1.0 + q1^2))', '\\overline{\\sqrt{1.0 + q_{1}^{2}}}', 'sqrt(1.0 + q1^2)', '2.0*q1/(2.0*conj(sqrt(1.0 + q1^2)))', '0.0'),
     ('conj(exp(i*q1)) + conj(conj(log(q2)))', 'exp(-i*q1) + log(q2)', '\\exp\\left(-\\mathrm{i} \\, q_{1}\\right) + \\log\\left(q_{2}\\right)', 'exp(i*q1) + conj(log(q2))', 'exp(-i*q1)*-i', '0.0'),
+    ('(q1/q2)^2', '(q1/q2)^2', '\\frac{q_{1}}{q_{2}}^{2}', '(q1/q2)^2', '2.0*q1/q2*q2/q2^2', '2.0*-q1/q2^2*q2/q2^2 + 2.0*q1/q2*(q2^2 - q2*2.0*q2)/(q2^2)^2'),
+    ('q1/q2*t', 'q1/q2*t', '\\frac{q_{1}}{q_{2}} \\, t', 'q1/q2*t', 'q2/q2^2*t', '(q2^2 - q2*2.0*q2)/(q2^2)^2*t'),
+    ('q1 - -2', 'q1 - -2.0', 'q_{1} - -2.0', 'q1 - -2.0', '1.0', '0.0'),
     ('sqrt(q1)/log(q2)', 'sqrt(q1)/log(q2)', '\\frac{\\sqrt{q_{1}}}{\\log\\left(q_{2}\\right)}', 'conj(sqrt(q1))/conj(log(q2))', '1.0/(2.0*sqrt(q1))*log(q2)/log(q2)^2', '(1.0/(2.0*sqrt(q1))*1.0/q2*log(q2)^2 - 1.0/(2.0*sqrt(q1))*log(q2)*2.0*log(q2)*1.0/q2)/(log(q2)^2)^2'),
 ]
 

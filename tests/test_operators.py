@@ -489,7 +489,7 @@ term [0,0] = "0.3*(cos({LATTICE!r}*q1)+cos({LATTICE!r}*q2)) + 0.045*(sin({K20!r}
 def test_held_coefficient_evaluates_bitwise_as_the_expression():
     """The driven 2D benchmark operator's hermitized [0,0] and random
     coefficients times a drive: holding the t-free parts on the axis vectors
-    changes no bit at a scalar or an array t, nor the printed form."""
+    changes no bit at a scalar or an array t, nor either printed form."""
     grid = Grid((20.0, 20.0), (64, 64))
     axes = grid.axis_vectors()
     coefs = [hermitize(load_hamiltonian(SIM2D_DRIVEN)).coefficient(MultiIndex((0, 0)))]
@@ -502,6 +502,7 @@ def test_held_coefficient_evaluates_bitwise_as_the_expression():
         assert expr.contains_time(coef)
         held = coef.held_on(axes)
         assert held.to_string() == coef.to_string()
+        assert held.to_latex() == coef.to_latex()
         for t in times:
             assert held.evaluate_on(axes, t).tobytes() == coef.evaluate_on(axes, t).tobytes()
 

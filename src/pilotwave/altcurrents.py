@@ -17,12 +17,12 @@ validity.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr
-from .currents import VectorField, _floored_real
+from .currents import VectorField, _real_sum
 from .errors import DimensionMismatchError, PilotwaveError
 from .grids import DerivativeCache, GridState, spectral_divergence
 from .multiindex import MultiIndex
@@ -49,22 +49,20 @@ def born_jordan_current(H: DifferentialOperator, state: GridState) -> VectorFiel
     grid = state.grid
     dpsi = DerivativeCache(state.values, grid)
     psi_bar = np.conjugate(state.values)
-    total = np.zeros(grid.shape, dtype=complex)
-    term_scale = 0.0
     h_grids = H.realize(grid).coefficient_grids(state.t)
-    for n in H.terms:
-        order = n.order()
-        if order == 0:
-            continue
-        weighted = 1j ** order * h_grids[n] * psi_bar
-        dweighted = DerivativeCache(weighted, grid)
-        for k in range(1, order + 1):
-            left = (-1j) ** (order - k) * dpsi.derivative(MultiIndex((order - k,)))
-            right = (1j) ** (k - 1) * dweighted.derivative(MultiIndex((k - 1,)))
-            term = left * right
-            term_scale = max(term_scale, float(np.max(np.abs(term))))
-            total += term
-    return VectorField(grid, _floored_real([total], term_scale, "born_jordan_current"))
+
+    def terms():
+        for n in H.terms:
+            order = n.order()
+            if order == 0:
+                continue
+            dweighted = DerivativeCache(1j ** order * h_grids[n] * psi_bar, grid)
+            for k in range(1, order + 1):
+                left = (-1j) ** (order - k) * dpsi.derivative(MultiIndex((order - k,)))
+                right = (1j) ** (k - 1) * dweighted.derivative(MultiIndex((k - 1,)))
+                yield left * right
+
+    return _real_sum(grid, [terms()], "born_jordan_current")
 
 
 def second_order_current(H: DifferentialOperator, state: GridState) -> VectorField:
@@ -93,17 +91,12 @@ class FieldComparison:
     max_abs_diff: float
     max_div_diff: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def compare_fields(a: VectorField, b: VectorField) -> FieldComparison:
     """Max pointwise component difference and max divergence of the difference."""
     if a.grid != b.grid:
         raise DimensionMismatchError("fields live on different grids")
-    max_abs = max(
-        float(np.max(np.abs(ca - cb))) for ca, cb in zip(a.components, b.components)
-    )
     diff = [ca - cb for ca, cb in zip(a.components, b.components)]
+    max_abs = max(float(np.max(np.abs(d))) for d in diff)
     max_div = float(np.max(np.abs(spectral_divergence(diff, a.grid))))
     return FieldComparison(max_abs_diff=max_abs, max_div_diff=max_div)

@@ -33,6 +33,7 @@ import os
 import struct
 import sys
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -231,6 +232,15 @@ def _emit(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _output(path, text: str) -> None:
+    """Write a command's document to `path` and say so, or print it when there is no path."""
+    if path:
+        _write(path, text + "\n")
+        _emit(f"wrote {path}")
+    else:
+        _emit(text)
+
+
 def _axis_list(convert, check):
     """Type of a per-axis flag: a comma list, each value valid for one grid axis."""
     def values(text: str) -> list:
@@ -297,12 +307,7 @@ def cmd_check(args) -> int:
 
 def cmd_derive(args) -> int:
     table = derive_current_table(_load_operator(args))
-    text = table.to_latex() if args.format == "latex" else table.to_json()
-    if args.out:
-        _write(args.out, text + "\n")
-        _emit(f"wrote {args.out}")
-    else:
-        _emit(text)
+    _output(args.out, table.to_latex() if args.format == "latex" else table.to_json())
     return EXIT_OK
 
 
@@ -390,14 +395,9 @@ def cmd_compare(args) -> int:
     names = [m for m in methods if m in fields]
     report["pairs"] = {}
     for a, b in itertools.combinations(names, 2):
-        report["pairs"][f"{a} vs {b}"] = altcurrents.compare_fields(fields[a], fields[b]).to_dict()
+        report["pairs"][f"{a} vs {b}"] = asdict(altcurrents.compare_fields(fields[a], fields[b]))
 
-    text = json.dumps(report, indent=2)
-    if args.out:
-        _write(args.out, text + "\n")
-        _emit(f"wrote {args.out}")
-    else:
-        _emit(text)
+    _output(args.out, json.dumps(report, indent=2))
     return EXIT_OK
 
 
@@ -419,7 +419,7 @@ def cmd_equivariance(args) -> int:
         evolution_spec=_auto_spec(args, H, grid) if given else None,
         substeps=args.substeps,
     )
-    _emit(json.dumps(report.to_dict(), indent=2))
+    _emit(json.dumps(asdict(report), indent=2))
     return EXIT_OK if report.valid else EXIT_VERDICT
 
 

@@ -87,10 +87,6 @@ class CurrentTable:
             for table in axes
         ]
 
-    def entries(self, axis: int) -> dict[tuple[MultiIndex, MultiIndex], CoefficientExpression]:
-        """Entries for a 1-based axis."""
-        return dict(self.axes[axis - 1])
-
     # -- serialization ------------------------------------------------------
     def to_json(self) -> str:
         doc = {
@@ -127,14 +123,14 @@ class CurrentTable:
             axes: list[dict] = [dict() for _ in range(dim)]
             for number, axis_doc in zip(numbers, doc["axes"]):
                 for entry in axis_doc["entries"]:
-                    key = (MultiIndex(tuple(entry["n"])), MultiIndex(tuple(entry["m"])))
+                    key = tuple(MultiIndex(tuple(check_integer(e, k) for e in entry[k])) for k in "nm")
                     if key in axes[number - 1] or (key[0].dim, key[1].dim) != (dim, dim):
                         where = f"axis {number} entry n={entry['n']}, m={entry['m']}"
                         raise ValueError(f"{where} is repeated or not of dimension {dim}")
                     axes[number - 1][key] = expr.parse(entry["expression"], dim)
-        except (KeyError, ValueError, TypeError) as exc:
+            return CurrentTable(dim, axes, provenance=doc.get("provenance", ""))
+        except (KeyError, ValueError, TypeError, PilotwaveError) as exc:
             raise HamiltonianFormatError(f"bad current table document: {exc}") from exc
-        return CurrentTable(dim, axes, provenance=doc.get("provenance", ""))
 
     def to_latex(self) -> str:
         """Guidance-equation components as display math."""
@@ -197,6 +193,37 @@ def derive_current_table(H: DifferentialOperator) -> CurrentTable:
     return CurrentTable(dim, axes, provenance=repr(H))
 
 
+def _real_sum(grid: Grid, axes_terms, what: str) -> VectorField:
+    """The real field whose component i sums, in order, the terms of the i-th iterable of
+    `axes_terms`; an imaginary residue above both floors raises PilotwaveError naming `what`."""
+    raw: list[np.ndarray] = []
+    term_scale = 0.0
+    for terms in axes_terms:
+        comp = np.zeros(grid.shape, dtype=complex)
+        for term in terms:
+            term_scale = max(term_scale, float(np.max(np.abs(term))))
+            comp += term
+        raw.append(comp)
+    scale = max(float(np.max(np.abs(c))) for c in raw)
+    resid = max(float(np.max(np.abs(c.imag))) for c in raw)
+    threshold = max(IMAG_RESIDUE_REL * scale, IMAG_RESIDUE_TERM_FLOOR * term_scale)
+    if resid > threshold:
+        raise PilotwaveError(
+            f"{what}: imaginary residue {resid:.3e} exceeds threshold {threshold:.3e}; "
+            "table corrupted or Hamiltonian not Hermitian"
+        )
+    return VectorField(grid, [c.real for c in raw])
+
+
+def _exchange_terms(prefactor, dphi: DerivativeCache, dchi: DerivativeCache, n: MultiIndex, axis: int):
+    """The terms (prefactor w) D^m phi D^(n-m-e_i) chi, w = _exchange_weight(n, m, e_i),
+    of the exchange sum along the 1-based `axis`; none when n_i = 0."""
+    e_i = MultiIndex.unit(axis, n.dim)
+    for m in indices_up_to(n - e_i) if n.entries[axis - 1] else ():
+        w = prefactor * complex(_exchange_weight(n, m, e_i))
+        yield w * dphi.derivative(m) * dchi.derivative(n - m - e_i)
+
+
 def eval_current(table: CurrentTable, state: GridState) -> VectorField:
     """Evaluate j_i = sum_{n,m} J_{i,nm} D^n(psi) D^m(conj psi) on the grid at the state's time.
 
@@ -208,28 +235,11 @@ def eval_current(table: CurrentTable, state: GridState) -> VectorField:
     axes = grid.axis_vectors()
     dpsi = DerivativeCache(state.values, grid)
     dpsi_bar = DerivativeCache(np.conjugate(state.values), grid)
-    raw: list[np.ndarray] = []
-    term_scale = 0.0
-    for table_i in table.axes:
-        comp = np.zeros(grid.shape, dtype=complex)
-        for (n, m), coef in table_i.items():
-            term = coef.evaluate_on(axes, state.t) * dpsi.derivative(n) * dpsi_bar.derivative(m)
-            term_scale = max(term_scale, float(np.max(np.abs(term))))
-            comp += term
-        raw.append(comp)
-    return VectorField(grid, _floored_real(raw, term_scale, "eval_current"))
-
-
-def _floored_real(raw: list[np.ndarray], term_scale: float, what: str) -> list[np.ndarray]:
-    scale = max(float(np.max(np.abs(c))) for c in raw) if raw else 0.0
-    resid = max(float(np.max(np.abs(c.imag))) for c in raw) if raw else 0.0
-    threshold = max(IMAG_RESIDUE_REL * scale, IMAG_RESIDUE_TERM_FLOOR * term_scale)
-    if resid > threshold:
-        raise PilotwaveError(
-            f"{what}: imaginary residue {resid:.3e} exceeds threshold {threshold:.3e}; "
-            "table corrupted or Hamiltonian not Hermitian"
-        )
-    return [c.real.copy() for c in raw]
+    return _real_sum(grid, (
+        (coef.evaluate_on(axes, state.t) * dpsi.derivative(n) * dpsi_bar.derivative(m)
+         for (n, m), coef in table_i.items())
+        for table_i in table.axes
+    ), "eval_current")
 
 
 def eval_current_direct(H: DifferentialOperator, state: GridState) -> VectorField:
@@ -239,21 +249,11 @@ def eval_current_direct(H: DifferentialOperator, state: GridState) -> VectorFiel
     coef_grids = H.realize(grid).coefficient_grids(state.t)
     dpsi = DerivativeCache(state.values, grid)
     psi_bar = np.conjugate(state.values)
-    raw = [np.zeros(grid.shape, dtype=complex) for _ in range(H.dim)]
-    term_scale = 0.0
-    for n in H.terms:
-        dphi = DerivativeCache(psi_bar * coef_grids[n], grid)
-        for axis, comp in enumerate(raw, start=1):
-            e_i = MultiIndex.unit(axis, H.dim)
-            budget = n.try_sub(e_i)
-            if budget is None:
-                continue
-            for m in indices_up_to(budget):
-                w = _exchange_weight(n, m, e_i)
-                term = 1j * complex(w) * dphi.derivative(m) * dpsi.derivative(n - m - e_i)
-                term_scale = max(term_scale, float(np.max(np.abs(term))))
-                comp += term
-    return VectorField(grid, _floored_real(raw, term_scale, "eval_current_direct"))
+    dphis = [(n, DerivativeCache(psi_bar * coef_grids[n], grid)) for n in H.terms]
+    return _real_sum(grid, (
+        (term for n, dphi in dphis for term in _exchange_terms(1j, dphi, dpsi, n, axis))
+        for axis in range(1, H.dim + 1)
+    ), "eval_current_direct")
 
 
 def source_term(H: DifferentialOperator, state: GridState) -> np.ndarray:
@@ -277,17 +277,8 @@ def identity_residual(phi: GridState, chi: GridState, n: MultiIndex) -> float:
     dphi = DerivativeCache(phi.values, grid)
     dchi = DerivativeCache(chi.values, grid)
     lhs = phi.values * dchi.derivative(n) - (-1) ** n.order() * chi.values * dphi.derivative(n)
-    rhs = np.zeros(grid.shape, dtype=complex)
-    for axis in range(1, grid.dim + 1):
-        e_i = MultiIndex.unit(axis, grid.dim)
-        budget = n.try_sub(e_i)
-        if budget is None:
-            continue
-        inner = np.zeros(grid.shape, dtype=complex)
-        for m in indices_up_to(budget):
-            w = _exchange_weight(n, m, e_i)
-            inner += complex(w) * dphi.derivative(m) * dchi.derivative(n - m - e_i)
-        rhs += spectral_derivative(inner, grid, e_i)
+    rhs = sum(spectral_derivative(sum(_exchange_terms(1, dphi, dchi, n, axis)), grid, MultiIndex.unit(axis, grid.dim))
+              for axis in range(1, grid.dim + 1) if n.entries[axis - 1])
     return float(np.max(np.abs(lhs - rhs)))
 
 

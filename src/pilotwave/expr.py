@@ -654,16 +654,6 @@ def const(value: complex, dim: int) -> CoefficientExpression:
     return CoefficientExpression(Const(complex(value)), dim)
 
 
-def coord(axis: int, dim: int) -> CoefficientExpression:
-    if not 1 <= axis <= dim:
-        raise DimensionMismatchError(f"axis {axis} out of range for dimension {dim}")
-    return CoefficientExpression(Coord(axis), dim)
-
-
-def time_var(dim: int) -> CoefficientExpression:
-    return CoefficientExpression(TimeVar(), dim)
-
-
 def call(func: str, arg: CoefficientExpression) -> CoefficientExpression:
     if func not in _FUNCTIONS:
         raise ValueError(f"unknown function '{func}'")

@@ -30,10 +30,6 @@ class MultiIndex:
         object.__setattr__(self, "entries", entries)
 
     @staticmethod
-    def zero(dim: int) -> "MultiIndex":
-        return MultiIndex((0,) * dim)
-
-    @staticmethod
     def unit(axis: int, dim: int) -> "MultiIndex":
         """e_axis with 1-based axis numbering."""
         if not 1 <= axis <= dim:
@@ -87,12 +83,6 @@ class MultiIndex:
     def sort_key(self) -> tuple:
         """Graded lexicographic key for deterministic map iteration."""
         return (self.order(), self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
 
     def __str__(self) -> str:
         return "[" + ",".join(str(e) for e in self.entries) + "]"

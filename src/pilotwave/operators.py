@@ -15,6 +15,8 @@ condition, and the pruning of exactly-zero terms, are decided by
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import expr
@@ -22,6 +24,7 @@ from .errors import (
     DimensionMismatchError,
     HamiltonianFormatError,
     NonHermitianError,
+    StabilityError,
 )
 from .expr import CoefficientExpression, SamplingSpec
 from .grids import DerivativeCache, Grid, GridState, _symbol, check_points
@@ -107,10 +110,6 @@ def hermiticity_violations(
     return [n for n in slots if not expr.approx_equal(H.coefficient(n), adj.coefficient(n), spec)]
 
 
-def is_hermitian(H: DifferentialOperator, check: SamplingSpec | None = None) -> bool:
-    return not hermiticity_violations(H, check)
-
-
 def hermitize(H: DifferentialOperator) -> DifferentialOperator:
     """Symmetric part (H + adjoint(H))/2; a fixed point when H is Hermitian."""
     return (H + adjoint(H)).scaled(0.5)
@@ -191,15 +190,20 @@ class OperatorApplier:
         return out
 
     def _term_bound(self, n: MultiIndex, coef_grid: np.ndarray) -> float:
-        """max|h_n| prod_a k_max_a^n_a, a bound on the norm of h_n D^n on the grid."""
-        factor = 1.0
-        for k, power in zip(self.grid.max_wavenumbers(), n.entries):
-            factor *= k ** power
+        """max|h_n| prod_a k_max_a^n_a, a bound on the norm of h_n D^n on the grid (inf on overflow)."""
+        try:
+            factor = math.prod(k ** power for k, power in zip(self.grid.max_wavenumbers(), n.entries))
+        except OverflowError:
+            return math.inf
         return float(np.max(np.abs(coef_grid))) * factor
 
     def spectral_radius(self, t: float) -> float:
-        """Conservative estimate sum_n max|h_n| prod_a k_max_a^n_a at time t."""
-        return sum((self._term_bound(n, g) for n, g in self.coefficient_grids(t).items()), 0.0)
+        """Conservative estimate sum_n max|h_n| prod_a k_max_a^n_a at time t; StabilityError if not finite."""
+        radius = sum((self._term_bound(n, g) for n, g in self.coefficient_grids(t).items()), 0.0)
+        if not math.isfinite(radius):
+            raise StabilityError(f"spectral-radius estimate {radius} at t={t} is not finite on the grid of "
+                                 f"{self.grid.shape} points over {self.grid.lengths}; widen the domain")
+        return radius
 
     def spectral_interval(self, t: float) -> tuple[float, float]:
         """An interval [a, b] holding the numerical range of H's Hermitian part at time t.

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import numpy as np
 
-from .errors import HamiltonianFormatError
-from .grids import Grid, GridState
+from .errors import HamiltonianFormatError, PilotwaveError
+from .grids import Grid, GridState, check_integer
 from .trajectories import Ensemble
 
 CSV_POINT_LIMIT = 4096  # snapshots above this size get JSON only
@@ -30,10 +31,13 @@ def snapshot_from_json(text: str) -> GridState:
     try:
         doc = json.loads(text)
         grid = Grid(tuple(doc["lengths"]), tuple(doc["shape"]))
+        time = float(doc["time"])
+        if check_integer(doc["dimension"], "dimension") != grid.dim or not math.isfinite(time):
+            raise ValueError(f"need dimension {grid.dim} and a finite time, got {doc['dimension']} and {time}")
         pairs = np.asarray(doc["values"], dtype=float)
         values = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(grid.shape)
-        return GridState(grid, values, float(doc["time"]))
-    except (KeyError, ValueError, TypeError) as exc:
+        return GridState(grid, values, time)
+    except (KeyError, ValueError, TypeError, IndexError, PilotwaveError) as exc:
         raise HamiltonianFormatError(f"bad snapshot document: {exc}") from exc
 
 

@@ -11,7 +11,7 @@ capping would quietly break equivariance.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -312,9 +312,6 @@ class EquivarianceReport:
     horizon: float
     seed: int
     valid: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def equivariance_test(

@@ -102,7 +102,7 @@ def poly_gauss_coefficient(
     it needs a box half-width at which the Gaussian tail and its
     derivatives are below machine precision: about 7 for decay 1.0.
     """
-    shifted = [expr.coord(a, dim) - expr.const(center[a - 1], dim) for a in range(1, dim + 1)]
+    shifted = [expr.parse(f"q{a}", dim) - expr.const(center[a - 1], dim) for a in range(1, dim + 1)]
     poly = expr.const(complex(rng.normal(), rng.normal()), dim)
     for _ in range(rng.integers(0, 3)):
         mono = expr.const(complex(rng.normal(), rng.normal()), dim)

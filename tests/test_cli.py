@@ -703,6 +703,23 @@ def test_run_above_max_rk4_steps_exits_3(ham, tmp_path, capsys):
     assert "1000001 RK4 steps exceed MAX_RK4_STEPS = 1000000" in capsys.readouterr().err
 
 
+QUARTIC = 'dim = 1\nterm [4] = "0.05"\nterm [2] = "-0.5"\nterm [0] = "(q1-20)^2/8"\n'
+
+
+@pytest.mark.parametrize("command", ["simulate", "equivariance"])
+def test_overflowing_spectral_radius_exits_3(command, ham, tmp_path, capsys):
+    """On a 1e-100 box, k_max^4 overflows a float: the estimate is refused, not raised."""
+    argv = [command, ham("quartic.ham", QUARTIC), "--state", ham("g.st", "state = gaussian\nwidth = 1e-101\n"),
+            "--grid", "64", "--domain", "1e-100"]
+    assert main(argv + (["--out", str(tmp_path / "run")] if command == "simulate" else [])) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: spectral-radius estimate inf at t=0.0 is not finite on the grid of (64,) points over "
+        "(1e-100,); widen the domain"
+    ]
+    assert "Traceback" not in err
+
+
 ONE_APPLIER_COMMANDS = {
     "simulate without --dt": [
         "simulate", "{free}", "--state", "{gauss}", "--grid", "128", "--steps", "20",

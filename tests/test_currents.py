@@ -13,6 +13,7 @@ from helpers import (
     record_function_argument_sizes,
 )
 from pilotwave import expr
+from pilotwave.altcurrents import born_jordan_current
 from pilotwave.currents import (
     CurrentTable,
     VectorField,
@@ -48,7 +49,7 @@ def mi(*entries):
 
 def test_table_standard_hamiltonian_exact():
     table = derive_current_table(load_hamiltonian(STANDARD_1D))
-    entries = table.entries(1)
+    entries = table.axes[0]
     assert set(entries) == {(mi(1), mi(0)), (mi(0), mi(1))}
     assert entries[(mi(1), mi(0))].constant_value() == -0.5j
     assert entries[(mi(0), mi(1))].constant_value() == 0.5j
@@ -56,7 +57,7 @@ def test_table_standard_hamiltonian_exact():
 
 def test_table_p4_exact():
     table = derive_current_table(load_hamiltonian(P4_1D))
-    entries = {k: v.constant_value() for k, v in table.entries(1).items()}
+    entries = {k: v.constant_value() for k, v in table.axes[0].items()}
     assert entries == {
         (mi(3), mi(0)): 1j,
         (mi(2), mi(1)): -1j,
@@ -67,7 +68,7 @@ def test_table_p4_exact():
 
 def test_table_potential_only_is_empty():
     table = derive_current_table(load_hamiltonian('dim = 1\nterm [0] = "cos(q1)"\n'))
-    assert table.entries(1) == {}
+    assert table.axes[0] == {}
 
 
 def test_table_standard_reduction_with_masses():
@@ -83,7 +84,7 @@ def test_table_standard_reduction_with_masses():
     table = derive_current_table(load_hamiltonian(text))
     for axis in (1, 2, 3):
         e_i = MultiIndex.unit(axis, 3)
-        entries = table.entries(axis)
+        entries = table.axes[axis - 1]
         assert set(entries) == {(e_i, mi(0, 0, 0)), (mi(0, 0, 0), e_i)}
         assert entries[(e_i, mi(0, 0, 0))].constant_value() == -0.5j / masses[axis - 1]
         assert entries[(mi(0, 0, 0), e_i)].constant_value() == 0.5j / masses[axis - 1]
@@ -92,7 +93,7 @@ def test_table_standard_reduction_with_masses():
 def test_table_absent_above_operator_order():
     H = load_hamiltonian(P4_1D)
     table = derive_current_table(H)
-    for (n, m) in table.entries(1):
+    for (n, m) in table.axes[0]:
         assert n.order() + m.order() < H.max_order
 
 
@@ -214,7 +215,7 @@ def test_reality_of_table_entries():
         H = random_hermitian_operator(rng, 2, 4, center)
         table = derive_current_table(require_hermitian(H, centered_spec(center)))
         for axis in (1, 2):
-            entries = table.entries(axis)
+            entries = table.axes[axis - 1]
             for (n, m), coef in entries.items():
                 partner = entries.get((m, n), expr.const(0, 2))
                 assert expr.approx_equal(coef, partner.conjugate(), spec)
@@ -346,12 +347,29 @@ def test_integral_current_requires_1d():
 def test_eval_current_detects_corrupted_table():
     grid = Grid((40.0,), (256,))
     table = derive_current_table(load_hamiltonian(STANDARD_1D))
-    entries = table.entries(1)
+    entries = dict(table.axes[0])
     entries[(mi(1), mi(0))] = expr.parse("0.5*i", 1)  # reality-breaking sign flip
     corrupted = CurrentTable(1, [entries])
     psi = gaussian(grid, center=[20.0], width=0.5, wavevector=[1.0])
     with pytest.raises(PilotwaveError):
         eval_current(corrupted, psi)
+
+
+# The real first-order bump at 20.3 makes H non-Hermitian, but no default
+# sample point comes near it, so H passes the sampled check; its current is not real.
+HIDDEN_BUMP_1D = 'dim = 1\nterm [2] = "-0.5"\nterm [1] = "1e-3*exp(-100*(q1-20.3)^2)"\n'
+
+
+@pytest.mark.parametrize("what, current", [
+    ("eval_current", lambda H, psi: eval_current(derive_current_table(H), psi)),
+    ("eval_current_direct", eval_current_direct),
+    ("born_jordan_current", born_jordan_current),
+], ids=["table", "direct", "born-jordan"])
+def test_current_refuses_an_imaginary_residue(what, current):
+    H = require_hermitian(load_hamiltonian(HIDDEN_BUMP_1D))
+    psi = gaussian(Grid((40.0,), (256,)), center=[20.0], width=0.5, wavevector=[1.0])
+    with pytest.raises(PilotwaveError, match=f"^{what}: imaginary residue"):
+        current(H, psi)
 
 
 def test_table_json_roundtrip():
@@ -360,15 +378,15 @@ def test_table_json_roundtrip():
     back = CurrentTable.from_json(table.to_json())
     assert back.dim == table.dim
     for axis in (1, 2):
-        a, b = table.entries(axis), back.entries(axis)
+        a, b = table.axes[axis - 1], back.axes[axis - 1]
         assert set(a) == set(b)
         for key in a:
             assert expr.approx_equal(a[key], b[key])
 
 
-def _table_doc(dim, axes):
+def _table_doc(dim, axes, expression="0.5*i"):
     return json.dumps({"dimension": dim, "provenance": "", "axes": [
-        {"axis": axis, "entries": [{"n": n, "m": m, "expression": "0.5*i"} for n, m in entries]}
+        {"axis": axis, "entries": [{"n": n, "m": m, "expression": expression} for n, m in entries]}
         for axis, entries in axes
     ]})
 
@@ -382,8 +400,11 @@ def _table_doc(dim, axes):
     _table_doc(0, []),
     "{}",
     "[]",
+    _table_doc(1, [(1, [([1], [0])])], "q1 +"),
+    _table_doc(1, [(1, [([1], [0])])], "q2"),
+    _table_doc(1, [(1, [([1.5], [0])])]),
 ], ids=["axis-0", "repeated-axis", "missing-axis", "n-dimension", "repeated-entry", "dimension-0",
-        "empty", "list"])
+        "empty", "list", "syntax", "axis-2-in-1d", "fractional-n"])
 def test_table_from_json_refuses_a_malformed_document(text):
     with pytest.raises(HamiltonianFormatError, match="bad current table document"):
         CurrentTable.from_json(text)

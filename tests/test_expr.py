@@ -333,8 +333,8 @@ def test_roundtrip_random_asts():
             if choice == 0:
                 return expr.const(complex(rng.normal(), rng.normal()), 2)
             if choice == 1:
-                return expr.coord(int(rng.integers(1, 3)), 2)
-            return expr.time_var(2)
+                return expr.parse(f"q{int(rng.integers(1, 3))}", 2)
+            return expr.parse("t", 2)
         a = random_expr(depth - 1)
         b = random_expr(depth - 1)
         op = rng.integers(0, 6)

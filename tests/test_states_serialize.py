@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -220,6 +221,24 @@ def test_snapshot_json_roundtrip():
 def test_snapshot_json_rejects_garbage():
     with pytest.raises(HamiltonianFormatError):
         snapshot_from_json('{"dimension": 1}')
+
+
+def _snapshot_doc(**changes):
+    state = GridState(Grid((12.0,), (4,)), np.arange(4) + 0.5j, t=0.25)
+    return json.dumps({**json.loads(snapshot_to_json(state)), **changes})
+
+
+@pytest.mark.parametrize("text", [
+    _snapshot_doc(lengths=[-1]),
+    _snapshot_doc(shape=[3]),
+    _snapshot_doc(values=[[0, 0], [1, float("nan")], [2, 0], [3, 0]]),
+    _snapshot_doc(values=[0, 1, 2, 3]),
+    _snapshot_doc(dimension=2),
+    _snapshot_doc(time=float("nan")),
+], ids=["negative-length", "shape-3", "nan-value", "flat-values", "dimension-2", "nan-time"])
+def test_snapshot_from_json_refuses_a_malformed_document(text):
+    with pytest.raises(HamiltonianFormatError, match="bad snapshot document"):
+        snapshot_from_json(text)
 
 
 def test_snapshot_csv_shape():

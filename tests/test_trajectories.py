@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ def test_equivariance_reproducible():
     spec = EvolutionSpec(dt=1e-3, steps=50, stride=10)
     a = equivariance_test(H, psi0, count=500, horizon=0.05, seed=8, evolution_spec=spec)
     b = equivariance_test(H, psi0, count=500, horizon=0.05, seed=8, evolution_spec=spec)
-    assert a.to_dict() == b.to_dict()
+    assert asdict(a) == asdict(b)
 
 
 QUARTIC_1D = 'dim = 1\nterm [4] = "0.05"\nterm [2] = "-0.5"\nterm [0] = "(q1-20)^2/8"\n'
@@ -536,7 +537,7 @@ def test_equivariance_report_is_the_same_with_recorded_history(monkeypatch):
     monkeypatch.setattr(trajectories, "integrate_trajectories",
                         lambda *positional, **keywords: recording(*positional, **{**keywords, "record_history": True}))
     full = equivariance_test(load_hamiltonian(FREE_1D), psi0, **args)
-    assert repr(bare.to_dict()) == repr(full.to_dict())
+    assert repr(asdict(bare)) == repr(asdict(full))
     without, with_history = finals
     assert (len(without.history), len(with_history.history)) == (1, 11)
     assert without.positions.tobytes() == with_history.positions.tobytes()

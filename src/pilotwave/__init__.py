@@ -2,8 +2,8 @@
 differential-operator Hamiltonians on periodic grids.
 
 The top level exports what the README's library example and the command
-line use; everything else, the reference oracles among it, is imported from
-its module (`pilotwave.currents`, `pilotwave.multiindex`, ...)."""
+line use; everything else is imported from its module (`pilotwave.currents`,
+`pilotwave.multiindex`, ...)."""
 
 from .errors import (
     ExpressionSyntaxError,

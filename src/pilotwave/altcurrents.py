@@ -21,24 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr
 from .currents import VectorField, _real_sum
 from .errors import DimensionMismatchError, PilotwaveError
 from .grids import DerivativeCache, GridState, spectral_divergence
 from .multiindex import MultiIndex
 from .operators import DifferentialOperator, require_hermitian
-
-
-def momentum_form_coefficients(H: DifferentialOperator) -> dict[MultiIndex, expr.CoefficientExpression]:
-    """Convert stored h_n coefficients of D^n into g_n coefficients of p^n.
-
-    p^n = (-i d/dq)^n, so g_n = h_n / (-i)^n = h_n * i^n; the conversion is
-    exact on the expression tree.
-    """
-    out = {}
-    for n, coef in H.terms.items():
-        out[n] = expr.const(1j ** n.order(), H.dim) * coef
-    return out
 
 
 def born_jordan_current(H: DifferentialOperator, state: GridState) -> VectorField:

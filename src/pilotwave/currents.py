@@ -1,20 +1,15 @@
 """The conserved probability current of a Hermitian differential operator.
 
-Two equivalent constructions are provided.  `derive_current_table` builds the
-symbolic bilinear-form coefficients
+`derive_current_table` builds the symbolic bilinear-form coefficients
 
     J_{i,nm} = i sum_{r >= n+m+e_i} (-1)^(|r+n|+1) (r!/|r|!)
                (|r-n-e_i|!/(r-n-e_i)!) (|n|!/n!) C(r-n-e_i, m) D^(r-n-m-e_i) h_r
 
-so that j_i = sum_{n,m} J_{i,nm} D^n(psi) D^m(conj psi), while
-`eval_current_direct` evaluates the nested-sum form
-
-    j_i = i sum_{n >= e_i} sum_{0 <= m <= n-e_i} (-1)^|m| (n!/|n|!) (|m|!/m!)
-          (|n-m-e_i|!/(n-m-e_i)!) D^m(conj(psi) h_n) D^(n-m-e_i) psi
-
-directly on the grid.  Both satisfy div j = I with the source
-I = 2 Re(i conj(psi) H psi) = -d/dt |psi|^2, and both are real because the
-table obeys J_{i,nm} = conj(J_{i,mn}) for Hermitian input.
+so that j_i = sum_{n,m} J_{i,nm} D^n(psi) D^m(conj psi), which `eval_current`
+evaluates on the grid.  The current satisfies div j = I with the source
+I = 2 Re(i conj(psi) H psi) = -d/dt |psi|^2, and it is real because the
+table obeys J_{i,nm} = conj(J_{i,mn}) for Hermitian input.  The test suite
+checks it against the paper's nested-sum form evaluated directly on the grid.
 
 Multinomial weights are computed as exact rationals and embedded as complex
 constants only at expression-construction time.
@@ -31,9 +26,7 @@ import numpy as np
 from . import expr
 from .errors import DimensionMismatchError, GridError, HamiltonianFormatError, PilotwaveError
 from .expr import CoefficientExpression
-from .grids import (
-    DerivativeCache, Grid, GridState, check_integer, spectral_derivative, spectral_divergence,
-)
+from .grids import DerivativeCache, Grid, GridState, check_integer, spectral_divergence
 from .multiindex import MultiIndex, binom_multi, indices_up_to, multinomial
 from .operators import DifferentialOperator, apply as apply_operator, require_hermitian
 
@@ -159,12 +152,6 @@ def _weight(r: MultiIndex, n: MultiIndex, m: MultiIndex, e_i: MultiIndex) -> Fra
     return Fraction(sign * multinomial(rne) * multinomial(n) * binom_multi(rne, m), multinomial(r))
 
 
-def _exchange_weight(n: MultiIndex, m: MultiIndex, e_i: MultiIndex) -> Fraction:
-    """Exact weight (-1)^|m| (n!/|n|!) (|m|!/m!) (|n-m-e_i|!/(n-m-e_i)!) of
-    one term of the derivative-exchange identity and the nested-sum current."""
-    return Fraction((-1) ** m.order() * multinomial(m) * multinomial(n - m - e_i), multinomial(n))
-
-
 def derive_current_table(H: DifferentialOperator) -> CurrentTable:
     """Symbolic current coefficients, completely determined by the Hamiltonian.
 
@@ -215,15 +202,6 @@ def _real_sum(grid: Grid, axes_terms, what: str) -> VectorField:
     return VectorField(grid, [c.real for c in raw])
 
 
-def _exchange_terms(prefactor, dphi: DerivativeCache, dchi: DerivativeCache, n: MultiIndex, axis: int):
-    """The terms (prefactor w) D^m phi D^(n-m-e_i) chi, w = _exchange_weight(n, m, e_i),
-    of the exchange sum along the 1-based `axis`; none when n_i = 0."""
-    e_i = MultiIndex.unit(axis, n.dim)
-    for m in indices_up_to(n - e_i) if n.entries[axis - 1] else ():
-        w = prefactor * complex(_exchange_weight(n, m, e_i))
-        yield w * dphi.derivative(m) * dchi.derivative(n - m - e_i)
-
-
 def eval_current(table: CurrentTable, state: GridState) -> VectorField:
     """Evaluate j_i = sum_{n,m} J_{i,nm} D^n(psi) D^m(conj psi) on the grid at the state's time.
 
@@ -242,70 +220,7 @@ def eval_current(table: CurrentTable, state: GridState) -> VectorField:
     ), "eval_current")
 
 
-def eval_current_direct(H: DifferentialOperator, state: GridState) -> VectorField:
-    """Evaluate the nested-sum current form at the state's time, without building a table."""
-    H = require_hermitian(H)
-    grid = state.grid
-    coef_grids = H.realize(grid).coefficient_grids(state.t)
-    dpsi = DerivativeCache(state.values, grid)
-    psi_bar = np.conjugate(state.values)
-    dphis = [(n, DerivativeCache(psi_bar * coef_grids[n], grid)) for n in H.terms]
-    return _real_sum(grid, (
-        (term for n, dphi in dphis for term in _exchange_terms(1j, dphi, dpsi, n, axis))
-        for axis in range(1, H.dim + 1)
-    ), "eval_current_direct")
-
-
 def source_term(H: DifferentialOperator, state: GridState) -> np.ndarray:
     """I = 2 Re(i conj(psi) H psi) at the state's time; equals -d/dt |psi|^2 and div j."""
     applied = apply_operator(H, state)
     return (2.0 * np.real(1j * np.conjugate(state.values) * applied.values))
-
-
-def identity_residual(phi: GridState, chi: GridState, n: MultiIndex) -> float:
-    """Max-norm defect of the derivative-exchange identity
-
-    phi D^n chi - (-1)^|n| chi D^n phi
-        = sum_i D^(e_i) [ sum_{0<=m<=n-e_i} (-1)^|m| (n!/|n|!) (|m|!/m!)
-          (|n-m-e_i|!/(n-m-e_i)!) D^m phi D^(n-m-e_i) chi ].
-    """
-    if phi.grid != chi.grid:
-        raise DimensionMismatchError("states must share one grid")
-    if n.dim != phi.dim:
-        raise DimensionMismatchError(f"multi-index dim {n.dim} != state dim {phi.dim}")
-    grid = phi.grid
-    dphi = DerivativeCache(phi.values, grid)
-    dchi = DerivativeCache(chi.values, grid)
-    lhs = phi.values * dchi.derivative(n) - (-1) ** n.order() * chi.values * dphi.derivative(n)
-    rhs = sum(spectral_derivative(sum(_exchange_terms(1, dphi, dchi, n, axis)), grid, MultiIndex.unit(axis, grid.dim))
-              for axis in range(1, grid.dim + 1) if n.entries[axis - 1])
-    return float(np.max(np.abs(lhs - rhs)))
-
-
-def current_1d_integral(before: GridState, after: GridState) -> np.ndarray:
-    """The unique decaying 1D current, -int_{left}^{q} d/dt |psi|^2 dq'.
-
-    Takes two snapshots at t -/+ delta; the time derivative is a centered
-    difference and the integral a cumulative trapezoid from the left edge.
-    The density must have decayed at the left boundary for uniqueness.
-    """
-    if before.dim != 1 or after.dim != 1:
-        raise DimensionMismatchError("integral current is defined for one dimension only")
-    if before.grid != after.grid:
-        raise DimensionMismatchError("snapshots must share one grid")
-    delta = after.t - before.t
-    if delta <= 0:
-        raise PilotwaveError("snapshots must be time-ordered")
-    rho_before = before.density()
-    rho_after = after.density()
-    edge = max(rho_before[0], rho_after[0])
-    peak = max(rho_before.max(), rho_after.max())
-    if peak == 0 or edge > 1e-12 * peak:
-        raise PilotwaveError(
-            f"density at the left boundary ({edge:.3e}) has not decayed below 1e-12 x peak"
-        )
-    drho_dt = (rho_after - rho_before) / delta
-    dx = before.grid.spacings[0]
-    cumulative = np.zeros_like(drho_dt)
-    cumulative[1:] = np.cumsum(0.5 * (drho_dt[1:] + drho_dt[:-1]) * dx)
-    return -cumulative

@@ -3,14 +3,12 @@
 On the periodic grid the inverse Laplacian is realized spectrally: the
 constant mode is removed (zero-mean convention, the standard solvability
 condition on compact domains) and every other mode is divided by -|k|^2.
-The free-space Green's function of Laplace's equation is provided for
-validation against the continuum kernel picture; the spectral route is the
-production path.
+The continuum picture, convolution with the free-space Green's function of
+Laplace's equation, is not used; the test suite keeps that kernel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,22 +21,6 @@ from .operators import DifferentialOperator, apply as apply_operator, require_he
 
 SOURCE_MEAN_REL = 1e-10
 RESIDUAL_REL = 1e-9
-
-
-def green_function(dim: int, q) -> float:
-    """Fundamental solution of the N-dimensional Laplacian at the point q.
-
-    (1/2pi) log|q| in two dimensions and
-    -Gamma(N/2-1) / (4 pi^(N/2) |q|^(N-2)) for N >= 3.
-    """
-    if dim < 2:
-        raise PilotwaveError("the Green's function is defined for dimension >= 2")
-    r = float(np.linalg.norm(np.asarray(q, dtype=float)))
-    if r == 0.0:
-        raise PilotwaveError("Green's function is singular at the origin")
-    if dim == 2:
-        return math.log(r) / (2.0 * math.pi)
-    return -math.gamma(dim / 2.0 - 1.0) / (4.0 * math.pi ** (dim / 2.0) * r ** (dim - 2))
 
 
 @dataclass

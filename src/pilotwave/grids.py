@@ -30,8 +30,11 @@ def _is_power_of_two(n: int) -> bool:
 
 
 def check_integer(value, name: str) -> int:
-    """`value` as an int if it is an integer (numpy integers included), else ValueError naming `name`."""
+    """`value` as an int if it is an integer (numpy integers included, bool not), else ValueError
+    naming `name`."""
     try:
+        if isinstance(value, bool):
+            raise TypeError(value)
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -63,7 +66,7 @@ class Grid:
 
     def __post_init__(self):
         lengths = tuple(float(x) for x in self.lengths)
-        shape = tuple(int(s) for s in self.shape)
+        shape = tuple(check_integer(s, "points per axis") for s in self.shape)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "shape", shape)
         if len(lengths) != len(shape):

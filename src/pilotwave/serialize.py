@@ -35,9 +35,11 @@ def snapshot_from_json(text: str) -> GridState:
         if check_integer(doc["dimension"], "dimension") != grid.dim or not math.isfinite(time):
             raise ValueError(f"need dimension {grid.dim} and a finite time, got {doc['dimension']} and {time}")
         pairs = np.asarray(doc["values"], dtype=float)
+        if pairs.shape != (math.prod(grid.shape), 2):
+            raise ValueError(f"values of shape {pairs.shape} are not {math.prod(grid.shape)} [re, im] pairs")
         values = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(grid.shape)
         return GridState(grid, values, time)
-    except (KeyError, ValueError, TypeError, IndexError, PilotwaveError) as exc:
+    except (KeyError, ValueError, TypeError, PilotwaveError) as exc:
         raise HamiltonianFormatError(f"bad snapshot document: {exc}") from exc
 
 

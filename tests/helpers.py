@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import indices_of_max_order
 from pilotwave import cli, expr, operators
 from pilotwave.currents import CurrentTable, eval_current
 from pilotwave.expr import CoefficientExpression
 from pilotwave.grids import Grid, GridState
-from pilotwave.multiindex import indices_of_max_order
 from pilotwave.operators import DifferentialOperator, SamplingSpec, hermitize
 from pilotwave.trajectories import NODE_EPS, Ensemble
 

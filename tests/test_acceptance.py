@@ -16,25 +16,20 @@ from helpers import (
     random_hermitian_operator,
     visibly_non_hermitian_operator,
 )
-from pilotwave import expr
-from pilotwave.altcurrents import born_jordan_current, compare_fields, second_order_current
-from pilotwave.currents import (
-    current_1d_integral,
-    derive_current_table,
-    eval_current,
-    eval_current_direct,
-    identity_residual,
-    source_term,
-)
-from pilotwave.epstein import nonlocal_current
-from pilotwave.grids import Grid, spectral_divergence
-from pilotwave.multiindex import (
-    MultiIndex,
+from oracles import (
     check_combinatorial_identity,
     check_combinatorial_identity_1d,
+    current_1d_integral,
+    eval_current_direct,
+    identity_residual,
     indices_of_max_order,
-    indices_up_to,
 )
+from pilotwave import expr
+from pilotwave.altcurrents import born_jordan_current, compare_fields, second_order_current
+from pilotwave.currents import derive_current_table, eval_current, source_term
+from pilotwave.epstein import nonlocal_current
+from pilotwave.grids import Grid, spectral_divergence
+from pilotwave.multiindex import MultiIndex, indices_up_to
 from pilotwave.operators import hermiticity_violations, load_hamiltonian, require_hermitian
 from pilotwave.solver import EvolutionSpec, continuity_residual, evolve, norm_drift
 from pilotwave.states import gaussian, plane_wave

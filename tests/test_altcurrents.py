@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import band_limited_state, centered_spec, grid_meshes, random_hermitian_operator
+from oracles import momentum_form_coefficients
 from pilotwave import expr
-from pilotwave.altcurrents import (
-    born_jordan_current,
-    compare_fields,
-    momentum_form_coefficients,
-    second_order_current,
-)
+from pilotwave.altcurrents import born_jordan_current, compare_fields, second_order_current
 from pilotwave.currents import derive_current_table, eval_current
 from pilotwave.errors import DimensionMismatchError, PilotwaveError
 from pilotwave.grids import Grid, spectral_derivative

@@ -706,6 +706,7 @@ def test_run_above_max_rk4_steps_exits_3(ham, tmp_path, capsys):
 QUARTIC = 'dim = 1\nterm [4] = "0.05"\nterm [2] = "-0.5"\nterm [0] = "(q1-20)^2/8"\n'
 
 
+@pytest.mark.filterwarnings("default::RuntimeWarning")
 @pytest.mark.parametrize("command", ["simulate", "equivariance"])
 def test_overflowing_spectral_radius_exits_3(command, ham, tmp_path, capsys):
     """On a 1e-100 box, k_max^4 overflows a float: the estimate is refused, not raised."""

@@ -12,18 +12,21 @@ from helpers import (
     random_hermitian_operator,
     record_function_argument_sizes,
 )
+from oracles import (
+    _exchange_weight,
+    current_1d_integral,
+    eval_current_direct,
+    identity_residual,
+    indices_of_max_order,
+)
 from pilotwave import expr
 from pilotwave.altcurrents import born_jordan_current
 from pilotwave.currents import (
     CurrentTable,
     VectorField,
-    _exchange_weight,
     _weight,
-    current_1d_integral,
     derive_current_table,
     eval_current,
-    eval_current_direct,
-    identity_residual,
     source_term,
 )
 from pilotwave.errors import (
@@ -34,7 +37,7 @@ from pilotwave.errors import (
 )
 from pilotwave.expr import CoefficientExpression
 from pilotwave.grids import Grid
-from pilotwave.multiindex import MultiIndex, binom_multi, indices_of_max_order, indices_up_to
+from pilotwave.multiindex import MultiIndex, binom_multi, indices_up_to
 from pilotwave.operators import hermitize, load_hamiltonian, require_hermitian
 from pilotwave.solver import EvolutionSpec, evolve
 from pilotwave.states import gaussian, ho_eigenstate, plane_wave, superposition

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import band_limited_state, centered_spec, grid_meshes, random_hermitian_operator
+from oracles import green_function
 from pilotwave.currents import derive_current_table, eval_current, source_term
-from pilotwave.epstein import green_function, nonlocal_current, poisson_solve
+from pilotwave.epstein import nonlocal_current, poisson_solve
 from pilotwave.errors import PilotwaveError
 from pilotwave.grids import Grid, spectral_divergence
 from pilotwave.operators import load_hamiltonian, require_hermitian

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from helpers import grid_meshes
+from oracles import indices_of_max_order
 from pilotwave import expr
 from pilotwave.errors import EvaluationDomainError, GridError
-from pilotwave.grids import DerivativeCache, Grid, _symbol, spectral_derivative
-from pilotwave.multiindex import MultiIndex, indices_of_max_order
+from pilotwave.grids import DerivativeCache, Grid, _symbol, check_integer, spectral_derivative
+from pilotwave.multiindex import MultiIndex
 
 
 def symbol_rebuilt_per_call(grid: Grid, n: MultiIndex) -> np.ndarray:
@@ -119,6 +120,16 @@ def test_grid_refuses_more_than_max_grid_points():
         Grid((1.0,) * 3, (1024,) * 3)
     with pytest.raises(GridError, match="MAX_GRID_POINTS"):
         Grid((1.0,) * 3, (512, 256, 256))
+
+
+@pytest.mark.parametrize("read, message", [
+    (lambda: Grid((40.0,), (64.9,)), "points per axis must be an integer, got 64.9"),
+    (lambda: check_integer(True, "dimension"), "dimension must be an integer, got True"),
+], ids=["fractional-points", "bool"])
+def test_integer_reads_refuse_a_fraction_and_a_bool(read, message):
+    """Neither is truncated to an int: 64.9 points is not 64, and True is not 1."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        read()
 
 
 # Axis-vector evaluation: a coefficient computed on the sparse vectors must be

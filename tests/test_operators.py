@@ -11,9 +11,10 @@ from helpers import (
     record_function_argument_sizes,
     visibly_non_hermitian_operator,
 )
+from oracles import eval_current_direct
 from pilotwave import expr
 from pilotwave.altcurrents import born_jordan_current, second_order_current
-from pilotwave.currents import derive_current_table, eval_current_direct
+from pilotwave.currents import derive_current_table
 from pilotwave.epstein import nonlocal_current
 from pilotwave.errors import (
     DimensionMismatchError,

@@ -235,7 +235,11 @@ def _snapshot_doc(**changes):
     _snapshot_doc(values=[0, 1, 2, 3]),
     _snapshot_doc(dimension=2),
     _snapshot_doc(time=float("nan")),
-], ids=["negative-length", "shape-3", "nan-value", "flat-values", "dimension-2", "nan-time"])
+    _snapshot_doc(shape=[4.5]),
+    _snapshot_doc(values=[[0, 0, 9.0], [1, 0.5, 9.0], [2, 0.5, 9.0], [3, 0.5, 9.0]]),
+    _snapshot_doc(dimension=True),
+], ids=["negative-length", "shape-3", "nan-value", "flat-values", "dimension-2", "nan-time",
+        "fractional-shape", "three-number-rows", "bool-dimension"])
 def test_snapshot_from_json_refuses_a_malformed_document(text):
     with pytest.raises(HamiltonianFormatError, match="bad snapshot document"):
         snapshot_from_json(text)

@@ -82,6 +82,27 @@ def test_velocity_node_error():
         velocity(psi, j, [20.0])
 
 
+@pytest.mark.parametrize("text,grid,wavevector,dt", [
+    ('dim = 1\nterm [4] = "0.05"\nterm [2] = "-0.5"\n', Grid((40.0,), (128,)), [1.0], 0.002),
+    ('dim = 2\nterm [2,0] = "-0.5"\nterm [0,2] = "-0.5"\nterm [0,0] = "0.1*cos(0.3*q1)"\n',
+     Grid((12.0, 12.0), (32, 32)), [0.5, -0.3], 0.01),
+], ids=["1d-quartic", "2d-cosine-potential"])
+def test_flow_field_velocity_is_the_guidance_velocity_at_each_snapshot(text, grid, wavevector, dt):
+    """What integrate_trajectories integrates is, at each snapshot time, bitwise
+    trajectories.velocity of that snapshot and its current, away from nodes."""
+    H = load_hamiltonian(text)
+    table = derive_current_table(H)
+    snaps = evolve(H, gaussian(grid, wavevector=wavevector), EvolutionSpec(dt=dt, steps=40, stride=10))
+    flow = _FlowField(snaps, table)
+    points = np.random.default_rng(4).uniform(-1.5, 1.5, (50, grid.dim)) + np.asarray(grid.center())
+    assert len(snaps) == 5
+    for s in snaps:
+        vel, nodes = flow.velocities(points, s.t, np.ones(len(points), dtype=bool))
+        assert not nodes.any()
+        want = np.array([velocity(s, eval_current(table, s), q) for q in points])
+        assert vel.tobytes() == want.tobytes()
+
+
 def test_sample_density_uniform_ks():
     grid = Grid((10.0,), (64,))
     rho = np.ones(64)

@@ -36,7 +36,7 @@ import threading
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
+from ._numpy import np
 
 from . import altcurrents, serialize, svgplot
 from .currents import derive_current_table, eval_current
@@ -268,14 +268,20 @@ def _resolve_grid(args, dim: int, spec) -> Grid:
 
 def _load_problem(args, min_points: int = 1):
     """(H, psi, grid): the state and grid are resolved first, then H is
-    verified once, on the grid's box [0, L_1) x ... x [0, L_N)."""
+    verified once, on the grid's box [0, L_1) x ... x [0, L_N), and realized
+    on the grid, whose numerical gate refuses a grid where H's derivative
+    factors overflow.  A grid too coarse to apply H (which `compare`'s
+    canonical method does not need) is not realized."""
     H = _load_operator(args)
     if not args.state:
         raise HamiltonianFormatError("this command needs --state <file>")
     spec = parse_state_spec(_read(args.state), min_points)
     grid = _resolve_grid(args, H.dim, spec)
     psi = build_state(spec, grid)
-    return require_hermitian(H, SamplingSpec(lengths=grid.lengths)), psi, grid
+    H = require_hermitian(H, SamplingSpec(lengths=grid.lengths))
+    if min(grid.shape) >= MIN_POINTS_PER_AXIS:
+        H.realize(grid)
+    return H, psi, grid
 
 
 def _auto_spec(args, H: DifferentialOperator, grid: Grid) -> EvolutionSpec:

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+from ._numpy import np
 
 from . import expr
 from .errors import DimensionMismatchError, GridError, HamiltonianFormatError, PilotwaveError

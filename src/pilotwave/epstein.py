@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from ._numpy import np
 
 from .currents import VectorField
 from .errors import DimensionMismatchError, PilotwaveError

@@ -3,9 +3,9 @@
 Coefficient functions of the configuration variables q1..qN and time t are
 held as small immutable ASTs of seven node kinds: Const, Coord (q_a),
 TimeVar (t), Binary (+ - * /), Pow (integer exponent), Neg and Call (exp,
-sin, cos, log, sqrt and conj).  Two tables drive every walker: `_BINARY`
-maps an operator to its arithmetic and `_FUNCTIONS` a function name to its
-numpy ufunc, for evaluation and constant folding alike.  One printer,
+sin, cos, log, sqrt and conj).  `_BINARY` maps an operator to its
+arithmetic and `_FUNCTIONS` a function name to its cmath function; the
+parser and the printer take their names from them.  One printer,
 `_print`, writes a tree in either of two spellings: plain text
 (`to_string` and error messages, which `parse` reads back) and TeX
 (`to_latex`).  The algebra deliberately stops far short of a CAS: smart
@@ -14,19 +14,26 @@ drop additive/multiplicative zeros so Leibniz expansions stay compact,
 and expression equality is decided numerically on random sample points
 rather than by canonicalization.
 
-One tree walker, `_eval`, computes values: over grid meshes, at a single
-point and over a batch of sample points alike, always on complex numpy
-arrays.  A fault is a divide-by-zero, invalid or overflow floating-point
-error; it raises EvaluationDomainError naming the innermost subexpression
-whose operation faulted.
+One tree walker, `_walk`, computes values with one of two tables.  The
+grid table applies numpy's ufuncs to complex arrays under errstate(raise):
+it serves `evaluate`, `evaluate_on` and `held_on`, over grid meshes and at
+a single point alike.  The scalar table applies Python complex arithmetic
+and cmath to one point: it serves the sampled checks and constant folding,
+and it refuses the inf and nan that Python's arithmetic returns silently on
+overflow.  A fault is a divide-by-zero, invalid or overflow error; in either
+table it raises EvaluationDomainError naming the innermost subexpression
+whose operation faulted, in numpy's words ("overflow encountered in
+multiply").  numpy is imported only when a grid is first evaluated.
 
 The sampled checks, `approx_equal` and the exact-zero test `vanishes`, take
 their settings from one `SamplingSpec`: they draw q uniformly from the
 periodic box [0, L_1) x ... x [0, L_N) of a grid (by default
 [0, DEFAULT_LENGTH) per axis, the CLI's default domain) and t from [0, 1).
-They draw all their points in one call to the random generator,
-bit-identical to drawing them point by point.  The spec refuses fewer than
-one sample, and a tolerance that is negative or not finite, when it is built.
+The points are numpy's `default_rng(seed).random` draws bit for bit, from a
+pure-Python SeedSequence and PCG64.  Each check walks them one at a time in
+the scalar table and stops at the first point that decides its verdict.
+The spec refuses fewer than one sample, and a tolerance that is negative or
+not finite, when it is built.
 
 Grammar (whitespace-insensitive, ^ binds tightest, then unary minus, then
 * and /, then + and -)::
@@ -44,13 +51,16 @@ round-trips; it is never required in hand-written Hamiltonian files.
 
 from __future__ import annotations
 
+import cmath
+import functools
+import itertools
+import math
 import operator
 import re
 from dataclasses import dataclass, replace
 from typing import Union
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     DimensionMismatchError,
     EvaluationDomainError,
@@ -105,8 +115,19 @@ class Call:
 Node = Union[Const, Coord, TimeVar, Binary, Pow, Neg, Call]
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _log(z: complex) -> complex:
+    if z:
+        return cmath.log(z)
+    raise FloatingPointError("divide by zero")  # numpy's fault for log(0), where cmath raises ValueError
+
+
+# Each function in Python complex arithmetic: the scalar table's functions,
+# and the names that the parser, the printer and `call` accept.
 _FUNCTIONS = {
-    "exp": np.exp, "sin": np.sin, "cos": np.cos, "log": np.log, "sqrt": np.sqrt, "conj": np.conjugate,
+    "exp": cmath.exp, "sin": cmath.sin, "cos": cmath.cos, "log": _log, "sqrt": cmath.sqrt,
+    "conj": complex.conjugate,
 }
 
 _ZERO = Const(0j)
@@ -123,22 +144,21 @@ def _is_const(node, value=None):
 # Smart constructors (light simplification only: constant folding, identity
 # and annihilator elimination)
 
-def _fold(node: Node, compute) -> Node:
-    """Const(compute()), or `node` itself if computing it faults or gives
-    inf/nan, so that evaluating the node names the fault.  The operators fold
-    in Python complex arithmetic: numpy's differs in the last bit for some
-    products and quotients, which would change derived tables."""
+def _fold(node: Node) -> Node:
+    """Const(value of `node`, a tree of constants), or `node` itself if
+    computing it faults, so that evaluating the node names the fault.  Folds
+    compute in the scalar table: numpy's arithmetic differs in the last bit
+    for some products and quotients, which would change derived tables."""
     try:
-        value = complex(compute())
-    except ArithmeticError:
+        return Const(_walk(node, (), None, _SCALAR))
+    except EvaluationDomainError:
         return node
-    return Const(value) if np.isfinite(value) else node
 
 
 def _binary(op: str, a: Node, b: Node) -> Node:
     """Binary(op, a, b), folded to a constant when both sides are constants."""
     if isinstance(a, Const) and isinstance(b, Const):
-        return _fold(Binary(op, a, b), lambda: _BINARY[op](a.value, b.value))
+        return _fold(Binary(op, a, b))
     return Binary(op, a, b)
 
 
@@ -195,7 +215,7 @@ def _pow(base: Node, exponent: int) -> Node:
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        return _fold(Pow(base, exponent), lambda: base.value ** exponent)
+        return _fold(Pow(base, exponent))
     return Pow(base, exponent)
 
 
@@ -203,8 +223,7 @@ def _call(func: str, arg: Node) -> Node:
     if func == "conj":
         return _conj(arg)
     if isinstance(arg, Const):
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            return _fold(Call(func, arg), lambda: _FUNCTIONS[func](arg.value))
+        return _fold(Call(func, arg))
     return Call(func, arg)
 
 
@@ -267,6 +286,100 @@ def _diff(node: Node, axis: int) -> Node:
 # ---------------------------------------------------------------------------
 # Evaluation
 
+def _walk(node: Node, coords, t, table: dict):
+    """Value of `node` at `coords` (one value or array per axis) and time `t`,
+    computed with `table`: `_SCALAR` or `_grid_table()`."""
+    kind = type(node)
+    if kind is Const:
+        return table["const"](node.value)
+    if kind is Coord:
+        return coords[node.axis - 1]
+    if kind is TimeVar:
+        return t
+    if kind is _Held:
+        return node.value
+    # A fault in a child is converted by the child, so this names the
+    # innermost node whose own operation faulted.
+    try:
+        if kind is Binary:
+            return table["binary"][node.op](_walk(node.left, coords, t, table), _walk(node.right, coords, t, table))
+        if kind is Call:
+            return table["functions"][node.func](_walk(node.arg, coords, t, table))
+        if kind is Neg:
+            return -_walk(node.arg, coords, t, table)
+        return table["power"](_walk(node.base, coords, t, table), node.exponent)
+    except ArithmeticError as exc:
+        raise EvaluationDomainError(table["fault"](exc, node), _print(node, _PLAIN)[0]) from exc
+
+
+def _finite(op):
+    """`op`, refusing a result that is inf or nan, which Python complex arithmetic returns
+    silently on overflow."""
+    def checked(a, b):
+        value = op(a, b)
+        if cmath.isfinite(value):
+            return value
+        raise OverflowError
+
+    return checked
+
+
+def _divide(a: complex, b: complex) -> complex:
+    if b:
+        return a / b
+    raise FloatingPointError("divide by zero" if a else "invalid value")  # numpy's faults for x/0 and 0/0
+
+
+# numpy's name of each operator's ufunc, for the scalar table's fault texts
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
+
+
+def _scalar_fault(exc: ArithmeticError, node: Node) -> str:
+    """numpy's text for the fault `exc` of the scalar table at `node`, as
+    numpy's walk of one point gives it: there q is an array of one point and
+    t a 0-d array.  An operator with no array operand runs numpy's scalar
+    math ("scalar multiply"), and an array to the power 2 or -1 runs square
+    or reciprocal.  A power of 0 to a negative exponent is numpy's invalid
+    value; every other fault that Python raises by type is an overflow."""
+    kind = {OverflowError: "overflow", ZeroDivisionError: "invalid value"}.get(type(exc), str(exc))
+    if isinstance(node, Call):
+        name = node.func
+    elif isinstance(node, Pow):
+        name = {2: "square", -1: "reciprocal"}.get(node.exponent, "power") if _is_array(node.base) else "scalar power"
+    else:
+        name = _UFUNCS[node.op] if _is_array(node.left) or _is_array(node.right) else "scalar " + _UFUNCS[node.op]
+    return f"{kind} encountered in {name}"
+
+
+def _is_array(node: Node) -> bool:
+    """Whether numpy's walk of one point holds an array at `node`."""
+    return isinstance(node, TimeVar) or _contains(node, Coord)
+
+
+# The scalar table: Python complex numbers at one point, for the sampled
+# checks and for constant folding.
+_SCALAR = {
+    "const": complex,
+    "binary": {op: _finite(_divide if op == "/" else f) for op, f in _BINARY.items()},
+    "power": _finite(operator.pow),
+    "functions": _FUNCTIONS,
+    "fault": _scalar_fault,
+}
+
+
+@functools.cache
+def _grid_table() -> dict:
+    """The grid table: numpy ufuncs on complex arrays, run under errstate(raise)
+    by `_eval`.  Built on first use, so that importing this module does not import numpy."""
+    return {
+        "const": np.complex128,  # so that unfolded constants fault too
+        "binary": _BINARY,
+        "power": operator.pow,
+        "functions": {func: getattr(np, "conjugate" if func == "conj" else func) for func in _FUNCTIONS},
+        "fault": lambda exc, node: str(exc),
+    }
+
+
 def _eval(node: Node, coords, t):
     """Value of `node` at the points given by one coordinate array per axis
     and a time `t` (a float or an array); all of them broadcast together.
@@ -276,30 +389,7 @@ def _eval(node: Node, coords, t):
     """
     coords = [np.asarray(c, dtype=complex) for c in coords]
     with np.errstate(divide="raise", invalid="raise", over="raise"):
-        return _walk(node, coords, np.asarray(t, dtype=complex))
-
-
-def _walk(node: Node, coords, t):
-    if isinstance(node, Const):
-        return np.complex128(node.value)  # so that unfolded constants fault too
-    if isinstance(node, Coord):
-        return coords[node.axis - 1]
-    if isinstance(node, TimeVar):
-        return t
-    # A fault in a child is converted by the child, so this names the
-    # innermost node whose own operation faulted.
-    try:
-        if isinstance(node, Binary):
-            return _BINARY[node.op](_walk(node.left, coords, t), _walk(node.right, coords, t))
-        if isinstance(node, Neg):
-            return -_walk(node.arg, coords, t)
-        if isinstance(node, Pow):
-            return _walk(node.base, coords, t) ** node.exponent
-        if isinstance(node, Call):
-            return _FUNCTIONS[node.func](_walk(node.arg, coords, t))
-    except ArithmeticError as exc:
-        raise EvaluationDomainError(str(exc), _print(node, _PLAIN)[0]) from exc
-    return node.value  # _Held
+        return _walk(node, coords, np.asarray(t, dtype=complex), _grid_table())
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,15 +400,16 @@ class _Held:
     value: object
 
 
-def _has_time(node) -> bool:
-    if isinstance(node, TimeVar):
+def _contains(node: Node, leaf: type) -> bool:
+    """True when `node` has a leaf of type `leaf` (Coord or TimeVar)."""
+    if isinstance(node, leaf):
         return True
     if isinstance(node, Binary):
-        return _has_time(node.left) or _has_time(node.right)
+        return _contains(node.left, leaf) or _contains(node.right, leaf)
     if isinstance(node, (Neg, Call)):
-        return _has_time(node.arg)
+        return _contains(node.arg, leaf)
     if isinstance(node, Pow):
-        return _has_time(node.base)
+        return _contains(node.base, leaf)
     return False
 
 
@@ -327,7 +418,7 @@ def _hold(node: Node, coords):
     `coords`; a subtree that faults there stays, so that it faults as before."""
     if isinstance(node, (Const, Coord, TimeVar)):
         return node
-    if not _has_time(node):
+    if not _contains(node, TimeVar):
         try:
             return _Held(node, _eval(node, coords, 0.0))
         except EvaluationDomainError:
@@ -512,7 +603,7 @@ class _Parser:
         kind, value, line, col = self._advance()
         if kind == "num":
             number = float(value)
-            if np.isinf(number):
+            if math.isinf(number):
                 raise ExpressionSyntaxError(f"number {value} is out of range", line, col)
             return Const(complex(number))
         if kind == "op" and value == "(":
@@ -682,83 +773,133 @@ class SamplingSpec:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
         if check_integer(self.seed, "seed") < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not (np.isfinite(self.tol) and self.tol >= 0):
+        if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be non-negative and finite, got {self.tol}")
 
-    def _draw(self, dim: int, budget: int = 1):
-        """`budget * samples` points of the box [0, L_1) x ... x [0, L_N) x [0, 1):
-        q as rows and t."""
+    def _points(self, dim: int):
+        """The sample points without end, each as (q, t) in complex numbers:
+        row k of numpy's default_rng(seed).random((count, dim + 1)), bit for
+        bit, with q_a = L_a * row[a] and t = row[dim]."""
         lengths = [DEFAULT_LENGTH] * dim if self.lengths is None else self.lengths
         box = [check_length(float(L)) for L in lengths]
         if len(box) != dim:
             raise DimensionMismatchError(f"sampling box has {len(box)} lengths for dimension {dim}")
-        u = np.random.default_rng(self.seed).random((budget * self.samples, dim + 1))
-        return np.asarray(box) * u[:, :dim], u[:, dim]
+        draws = _pcg64_doubles(self.seed)
+        return ((tuple(complex(L * next(draws)) for L in box), complex(next(draws))) for _ in itertools.count())
+
+
+# numpy's SeedSequence and PCG64 generator (O'Neill, "PCG: A Family of Simple
+# Fast Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", HMC-CS-2014-0905), so that the sample points are numpy's draws
+# without importing numpy.
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(constant: int, multiplier: int):
+    """SeedSequence's hash of 32-bit words, whose constant moves on with each word."""
+    def hashmix(value: int) -> int:
+        nonlocal constant
+        value ^= constant
+        constant = constant * multiplier & _MASK32
+        value = value * constant & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _seed_state(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64): the seed's
+    32-bit words, least significant first, mixed into a pool of four."""
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    output = _hasher(0x8B51F9DD, 0x58F38DED)
+    words = [output(pool[i % 4]) for i in range(8)]
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _pcg64_doubles(seed: int):
+    """numpy's default_rng(seed).random() draws without end: (next64 >> 11) * 2^-53 each,
+    where next64 steps the 128-bit LCG and applies the XSL-RR output function."""
+    high, low, inc_high, inc_low = _seed_state(seed)
+    inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+    state = ((inc + (high << 64 | low)) * _PCG64_MULTIPLIER + inc) & _MASK128
+    while True:
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+        word, rotation = (state >> 64 ^ state) & _MASK64, state >> 122
+        yield (((word >> rotation | word << (64 - rotation)) & _MASK64) >> 11) * 2.0**-53
 
 
 def approx_equal(a: CoefficientExpression, b: CoefficientExpression, spec: SamplingSpec = SamplingSpec()) -> bool:
     """Numerical expression equality on reproducible random sample points.
 
-    True iff |a-b| <= tol*(1+|a|+|b|) at `spec.samples` points drawn from
-    `spec`'s box.  Points where either side faults are skipped: a divide,
-    invalid or overflow error, which `evaluate` reports with the faulting
-    subexpression.  A 10x oversampling budget is drawn; fewer than `samples`
-    valid points in it raise SamplingError unless they already show a
-    mismatch.
-
-    The budget is drawn at once and scaled as Generator.uniform scales, so
-    row k holds exactly the q and t that drawing the points one at a time
-    would give for the k-th attempt.  Each side is evaluated over all rows
-    in one call of the same walker that `evaluate` and `evaluate_on` use,
-    and the first `samples` rows where neither side faults are compared.
+    True iff |a-b| <= tol*(1+|a|+|b|) at the first `spec.samples` points of
+    `spec` where neither side faults.  A fault is a divide, invalid or
+    overflow error, named with its subexpression as `evaluate` names it.  The
+    points are walked one at a time in the scalar table, and the first
+    mismatch ends the check.  Fewer than `samples` valid points among the
+    first 10 x `samples` raise SamplingError naming a's first fault, or b's
+    if a has none.
     """
     a._check_dim(b)
-    q, t = spec._draw(a.dim, budget=10)
-    va, faults_a, fault_a = _sample(a, q, t)
-    vb, faults_b, fault_b = _sample(b, q, t)
-    valid = np.flatnonzero(~(faults_a | faults_b))[:spec.samples]
-    va, vb = va[valid], vb[valid]
-    if np.any(np.abs(va - vb) > spec.tol * (1.0 + np.abs(va) + np.abs(vb))):
-        return False
-    if valid.size < spec.samples:
-        raise SamplingError(
-            f"only {valid.size}/{spec.samples} valid sample points after {q.shape[0]} draws "
-            f"(first fault: {fault_a or fault_b})"
-        )
-    return True
+    budget, valid = 10 * spec.samples, 0
+    fault_a = fault_b = None
+    for q, t in itertools.islice(spec._points(a.dim), budget):
+        try:
+            va = _walk(a.node, q, t, _SCALAR)
+        except EvaluationDomainError as exc:
+            fault_a = fault_a or exc
+            continue
+        try:
+            vb = _walk(b.node, q, t, _SCALAR)
+        except EvaluationDomainError as exc:
+            fault_b = fault_b or exc
+            continue
+        if _modulus(va - vb) > spec.tol * (1.0 + _modulus(va) + _modulus(vb)):
+            return False
+        valid += 1
+        if valid == spec.samples:
+            return True
+    raise SamplingError(
+        f"only {valid}/{spec.samples} valid sample points after {budget} draws (first fault: {fault_a or fault_b})"
+    )
+
+
+def _modulus(z: complex) -> float:
+    """|z|, inf where it exceeds the float range (numpy's abs), where abs() raises."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 def vanishes(e: CoefficientExpression, spec: SamplingSpec = SamplingSpec()) -> bool:
     """True iff `e` is exactly 0 at the first `spec.samples` points that
-    `approx_equal` draws with the same spec.  A point where `e` faults
-    counts as nonzero, so pruning by this test drops only genuine zeros."""
-    values, faults, _ = _sample(e, *spec._draw(e.dim))
-    return not (faults.any() or values.any())
-
-
-def _sample(e: CoefficientExpression, q: np.ndarray, t: np.ndarray):
-    """Values of `e` at the points (q[k], t[k]), a mask of the faulting ones
-    and the error of the first fault (None without one).
-
-    One walk over all points; only if that faults is each point evaluated
-    on its own, to find which ones fault.
-    """
-    try:
-        return np.broadcast_to(_eval(e.node, q.T, t), t.shape), np.zeros(t.shape, dtype=bool), None
-    except EvaluationDomainError:
-        pass
-    values = np.zeros(t.shape, dtype=complex)
-    faults = np.zeros(t.shape, dtype=bool)
-    first = None
-    for k, (point, when) in enumerate(zip(q, t)):
+    `approx_equal` draws with the same spec; it stops at the first point
+    where `e` is not.  A point where `e` faults counts as nonzero, so pruning
+    by this test drops only genuine zeros."""
+    for q, t in itertools.islice(spec._points(e.dim), spec.samples):
         try:
-            values[k] = e.evaluate(point, when)
-        except EvaluationDomainError as exc:
-            faults[k] = True
-            first = first or exc
-    return values, faults, first
+            if _walk(e.node, q, t, _SCALAR):
+                return False
+        except EvaluationDomainError:
+            return False
+    return True
 
 
 def contains_time(e: CoefficientExpression) -> bool:
     """True when the expression references t anywhere."""
-    return _has_time(e.node)
+    return _contains(e.node, TimeVar)

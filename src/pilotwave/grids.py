@@ -11,7 +11,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 
-import numpy as np
+from ._numpy import np
 
 from .errors import DimensionMismatchError, GridError
 from .multiindex import MultiIndex
@@ -66,7 +66,10 @@ class Grid:
 
     def __post_init__(self):
         lengths = tuple(float(x) for x in self.lengths)
-        shape = tuple(check_integer(s, "points per axis") for s in self.shape)
+        try:
+            shape = tuple(check_integer(s, "points per axis") for s in self.shape)
+        except ValueError as exc:
+            raise GridError(str(exc)) from None
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "shape", shape)
         if len(lengths) != len(shape):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
+from ._numpy import np
 
 from . import expr
 from .errors import (
@@ -149,6 +149,11 @@ class OperatorApplier:
     the nodes that contain t are evaluated at each requested t.  Derivative
     terms with a constant coefficient are applied together through one
     Fourier multiplier sum_n c_n (i k)^n, so they cost one inverse FFT in all.
+
+    It is also the numerical gate of every grid command: each axis's
+    derivative factors (i k_a)^p up to H's order on that axis, and the folded
+    multiplier, are built here, and a non-finite one raises StabilityError
+    naming the grid.
     """
 
     def __init__(self, H: DifferentialOperator, grid: Grid):
@@ -171,8 +176,19 @@ class OperatorApplier:
             if n.order() > 0 and coef.constant_value() is not None
         }
         self._multiplier = None
-        if self._folded:
-            self._multiplier = sum(c * _symbol(grid, n) for n, c in self._folded.items())
+        orders = [max((n.entries[a] for n in H.terms), default=0) for a in range(grid.dim)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            gated = {
+                f"derivative factor (i k_{a + 1})^{p}": grid.derivative_factor(a, p)
+                for a, order in enumerate(orders) for p in range(1, order + 1)
+            }
+            if self._folded:
+                self._multiplier = sum(c * _symbol(grid, n) for n, c in self._folded.items())
+                gated["the folded multiplier"] = self._multiplier
+        for name, values in gated.items():
+            if not np.isfinite(values).all():
+                raise StabilityError(f"{name} is not finite on the grid of {grid.shape} points over "
+                                     f"{grid.lengths}; widen the domain")
 
     def coefficient_grids(self, t: float) -> dict[MultiIndex, np.ndarray]:
         """Each h_n on the grid at time t, static first; the one place coefficients become grids."""

@@ -6,7 +6,7 @@ import itertools
 import json
 import math
 
-import numpy as np
+from ._numpy import np
 
 from .errors import HamiltonianFormatError, PilotwaveError
 from .grids import Grid, GridState, check_integer

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._numpy import np
 
 from .errors import NormDriftError, StabilityError
 from .grids import GridState, check_integer

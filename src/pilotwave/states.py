@@ -23,7 +23,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
-import numpy as np
+from ._numpy import np
 
 from . import expr
 from .errors import GridError, HamiltonianFormatError

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from ._numpy import np
 
 from .currents import CurrentTable, VectorField, derive_current_table, eval_current
 from .errors import (

@@ -68,8 +68,8 @@ def count_hermiticity_checks(monkeypatch) -> list:
 
 def record_function_argument_sizes(monkeypatch) -> list:
     """Record the element count of the argument of every exp/sin/cos/log/sqrt/
-    conj call that expression evaluation makes (every entry of
-    `expr._FUNCTIONS`, which the walker looks up at call time)."""
+    conj call that grid evaluation makes (every function of the grid table,
+    which the walker looks up at call time)."""
     sizes = []
 
     def recording(function):
@@ -79,8 +79,9 @@ def record_function_argument_sizes(monkeypatch) -> list:
 
         return call
 
-    for name, function in list(expr._FUNCTIONS.items()):
-        monkeypatch.setitem(expr._FUNCTIONS, name, recording(function))
+    functions = expr._grid_table()["functions"]
+    for name, function in list(functions.items()):
+        monkeypatch.setitem(functions, name, recording(function))
     return sizes
 
 

@@ -10,6 +10,11 @@ and the nested-sum form of the current
           (|n-m-e_i|!/(n-m-e_i)!) D^m(conj(psi) h_n) D^(n-m-e_i) psi,
 
 which `eval_current_direct` evaluates on the grid without building a table.
+
+It also keeps the sampled checks as numpy batches: `approx_equal` and
+`vanishes` draw every point with numpy's generator and evaluate each side
+over all of them in one grid-table walk, where the package walks the scalar
+table one point at a time.
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ import numpy as np
 
 from pilotwave import expr
 from pilotwave.currents import VectorField, _real_sum
-from pilotwave.errors import DimensionMismatchError, PilotwaveError
-from pilotwave.grids import DerivativeCache, GridState, spectral_derivative
+from pilotwave.errors import DimensionMismatchError, EvaluationDomainError, PilotwaveError, SamplingError
+from pilotwave.expr import CoefficientExpression, SamplingSpec, _eval
+from pilotwave.grids import DEFAULT_LENGTH, DerivativeCache, GridState, check_length, spectral_derivative
 from pilotwave.multiindex import MultiIndex, binom_multi, indices_up_to, multinomial
 from pilotwave.operators import DifferentialOperator, require_hermitian
 
@@ -195,3 +201,77 @@ def momentum_form_coefficients(H: DifferentialOperator) -> dict[MultiIndex, expr
     for n, coef in H.terms.items():
         out[n] = expr.const(1j ** n.order(), H.dim) * coef
     return out
+
+
+def _draw(spec: SamplingSpec, dim: int, budget: int = 1):
+    """`budget * samples` points of the box [0, L_1) x ... x [0, L_N) x [0, 1):
+    q as rows and t."""
+    lengths = [DEFAULT_LENGTH] * dim if spec.lengths is None else spec.lengths
+    box = [check_length(float(L)) for L in lengths]
+    if len(box) != dim:
+        raise DimensionMismatchError(f"sampling box has {len(box)} lengths for dimension {dim}")
+    u = np.random.default_rng(spec.seed).random((budget * spec.samples, dim + 1))
+    return np.asarray(box) * u[:, :dim], u[:, dim]
+
+
+def approx_equal(a: CoefficientExpression, b: CoefficientExpression, spec: SamplingSpec = SamplingSpec()) -> bool:
+    """Numerical expression equality on reproducible random sample points.
+
+    True iff |a-b| <= tol*(1+|a|+|b|) at `spec.samples` points drawn from
+    `spec`'s box.  Points where either side faults are skipped: a divide,
+    invalid or overflow error, which `evaluate` reports with the faulting
+    subexpression.  A 10x oversampling budget is drawn; fewer than `samples`
+    valid points in it raise SamplingError unless they already show a
+    mismatch.
+
+    The budget is drawn at once and scaled as Generator.uniform scales, so
+    row k holds exactly the q and t that drawing the points one at a time
+    would give for the k-th attempt.  Each side is evaluated over all rows
+    in one call of the same walker that `evaluate` and `evaluate_on` use,
+    and the first `samples` rows where neither side faults are compared.
+    """
+    a._check_dim(b)
+    q, t = _draw(spec, a.dim, budget=10)
+    va, faults_a, fault_a = _sample(a, q, t)
+    vb, faults_b, fault_b = _sample(b, q, t)
+    valid = np.flatnonzero(~(faults_a | faults_b))[:spec.samples]
+    va, vb = va[valid], vb[valid]
+    if np.any(np.abs(va - vb) > spec.tol * (1.0 + np.abs(va) + np.abs(vb))):
+        return False
+    if valid.size < spec.samples:
+        raise SamplingError(
+            f"only {valid.size}/{spec.samples} valid sample points after {q.shape[0]} draws "
+            f"(first fault: {fault_a or fault_b})"
+        )
+    return True
+
+
+def vanishes(e: CoefficientExpression, spec: SamplingSpec = SamplingSpec()) -> bool:
+    """True iff `e` is exactly 0 at the first `spec.samples` points that
+    `approx_equal` draws with the same spec.  A point where `e` faults
+    counts as nonzero, so pruning by this test drops only genuine zeros."""
+    values, faults, _ = _sample(e, *_draw(spec, e.dim))
+    return not (faults.any() or values.any())
+
+
+def _sample(e: CoefficientExpression, q: np.ndarray, t: np.ndarray):
+    """Values of `e` at the points (q[k], t[k]), a mask of the faulting ones
+    and the error of the first fault (None without one).
+
+    One walk over all points; only if that faults is each point evaluated
+    on its own, to find which ones fault.
+    """
+    try:
+        return np.broadcast_to(_eval(e.node, q.T, t), t.shape), np.zeros(t.shape, dtype=bool), None
+    except EvaluationDomainError:
+        pass
+    values = np.zeros(t.shape, dtype=complex)
+    faults = np.zeros(t.shape, dtype=bool)
+    first = None
+    for k, (point, when) in enumerate(zip(q, t)):
+        try:
+            values[k] = e.evaluate(point, when)
+        except EvaluationDomainError as exc:
+            faults[k] = True
+            first = first or exc
+    return values, faults, first

@@ -390,6 +390,31 @@ def test_each_command_checks_hermiticity_once(command, ham, tmp_path, monkeypatc
     assert len(calls) == 1
 
 
+def test_check_and_derive_never_import_numpy(ham):
+    """The symbolic commands run without numpy: in a fresh interpreter, check,
+    both derive formats and derive --hermitize leave no numpy module behind,
+    whether the operator is Hermitian or not and whether a check faults."""
+    files = [ham("drive.ham", 'dim = 2\nterm [2,0] = "-0.5*(1+0.2*cos(q1))"\nterm [0,2] = "-0.5"\n'
+                 'term [1,0] = "0.3*i*sin(q2)"\nterm [0,0] = "sqrt(2+cos(q1))*log(3+sin(q2)) + exp(-t)"\n'),
+             ham("ho.ham", HO), ham("big.ham", 'dim = 1\nterm [0] = "1e200*1e200*q1"\n')]
+    script = (
+        "import contextlib, io, sys\n"
+        "from pilotwave.cli import main\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    for path in sys.argv[1:]:\n"
+        "        for argv in (['check'], ['derive'], ['derive', '--format', 'latex'], ['derive', '--hermitize']):\n"
+        "            codes.append(main([*argv, path]))\n"
+        "print(codes, sorted(name for name in sys.modules if name.startswith('numpy.')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, *files], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[0] == str([1, 1, 1, 0] + [0, 0, 0, 0] + [3, 3, 3, 3]) + " []"
+
+
 def test_traced_derive_records_one_hermiticity_span(ham, tmp_path):
     """perfbench/tracing.py wraps pilotwave functions by name; a rename
     breaks traced benchmark runs, so one traced call runs here."""
@@ -706,19 +731,18 @@ def test_run_above_max_rk4_steps_exits_3(ham, tmp_path, capsys):
 QUARTIC = 'dim = 1\nterm [4] = "0.05"\nterm [2] = "-0.5"\nterm [0] = "(q1-20)^2/8"\n'
 
 
-@pytest.mark.filterwarnings("default::RuntimeWarning")
-@pytest.mark.parametrize("command", ["simulate", "equivariance"])
+@pytest.mark.parametrize("command", ["simulate", "equivariance", "compare"])
 def test_overflowing_spectral_radius_exits_3(command, ham, tmp_path, capsys):
-    """On a 1e-100 box, k_max^4 overflows a float: the estimate is refused, not raised."""
+    """On a 1e-100 box, k_max^4 overflows a float: every grid command refuses the
+    grid at its numerical gate, with one error line and no numpy warning."""
     argv = [command, ham("quartic.ham", QUARTIC), "--state", ham("g.st", "state = gaussian\nwidth = 1e-101\n"),
             "--grid", "64", "--domain", "1e-100"]
     assert main(argv + (["--out", str(tmp_path / "run")] if command == "simulate" else [])) == 3
     err = capsys.readouterr().err
-    assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        "error: spectral-radius estimate inf at t=0.0 is not finite on the grid of (64,) points over "
+    assert err.splitlines() == [
+        "error: derivative factor (i k_1)^4 is not finite on the grid of (64,) points over "
         "(1e-100,); widen the domain"
     ]
-    assert "Traceback" not in err
 
 
 ONE_APPLIER_COMMANDS = {

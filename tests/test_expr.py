@@ -1,9 +1,11 @@
 import cmath
+import itertools
 import re
 
 import numpy as np
 import pytest
 
+import oracles
 from pilotwave import expr
 from pilotwave.errors import (
     EvaluationDomainError,
@@ -268,12 +270,14 @@ def verdict(check, a, b, **kwargs):
         return "gives up"
 
 
-def test_batched_approx_equal_matches_per_point_loop():
-    # A narrow bump at c is seen only if a drawn point lands near c, so
-    # these verdicts depend on exactly which points are drawn and kept.
-    # On the box [0, 4), exp(800*(q1-2)) overflows for q1 > 2.89 and
-    # exp(10000*(q1-0.2)) for q1 > 0.27, so those pairs skip many points or
-    # run out of them.
+def bump_pairs():
+    """(a, b, SamplingSpec fields) whose verdicts depend on exactly which points are drawn and kept.
+
+    A narrow bump at c is seen only if a drawn point lands near c.  On the
+    box [0, 4), exp(800*(q1-2)) overflows for q1 > 2.89 and
+    exp(10000*(q1-0.2)) for q1 > 0.27, so those pairs skip many points or
+    run out of them.
+    """
     pairs = [
         (expr.parse("log(q1^2)", 1), expr.parse("2*log(sqrt(q1^2))", 1), {}),
         (expr.parse("1/(q1-q1)", 1), expr.parse("1/(q1-q1)", 1), {}),
@@ -290,13 +294,102 @@ def test_batched_approx_equal_matches_per_point_loop():
             pairs.append((a, b, {"lengths": (4.0,), **kwargs}))
         shifted = expr.parse(f"q1*q2 + {bump}*exp(-(q2 - 2)^2)", 2)
         pairs.append((expr.parse("q1*q2", 2), shifted, {"samples": 8, "lengths": (4.0, 4.0)}))
+    return pairs
+
+
+def test_batched_approx_equal_matches_per_point_loop():
     seen = []
     for seed in (2024, 5):
-        for a, b, kwargs in pairs:
+        for a, b, kwargs in bump_pairs():
             expected = verdict(reference_approx_equal, a, b, seed=seed, **kwargs)
             assert verdict(expr.approx_equal, a, b, spec=SamplingSpec(seed=seed, **kwargs)) == expected, (a, b)
             seen.append(expected)
     assert {True, False, "gives up"} <= set(seen)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2**32 + 1, 2**130 + 7], ids=["0", "1", "2024", "2^32+1", "2^130+7"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sample_points_are_numpys_draws_bit_for_bit(seed, dim):
+    """The pure-Python SeedSequence and PCG64 give default_rng(seed).random's
+    doubles, and the sample points are those rows scaled to the box.  2^32+1
+    has two 32-bit entropy words, and 2^130+7 has five, more than the four
+    words of SeedSequence's pool."""
+    count = 40
+    draws = expr._pcg64_doubles(seed)
+    rows = np.array([[next(draws) for _ in range(dim + 1)] for _ in range(count)])
+    assert rows.tobytes() == np.random.default_rng(seed).random((count, dim + 1)).tobytes()
+    spec = SamplingSpec(seed=seed, samples=4, lengths=(3.0, 0.7, 1e-3)[:dim])
+    points = list(itertools.islice(spec._points(dim), 10 * spec.samples))
+    q, t = oracles._draw(spec, dim, budget=10)
+    assert np.array([p for p, _ in points]).tobytes() == q.astype(complex).tobytes()
+    assert np.array([when for _, when in points]).tobytes() == t.astype(complex).tobytes()
+
+
+def random_ast(rng, depth):
+    """A random expression in q1, q2 and t: sums, differences, products, exp, negation and conjugates."""
+    if depth == 0:
+        choice = rng.integers(0, 3)
+        if choice == 0:
+            return expr.const(complex(rng.normal(), rng.normal()), 2)
+        if choice == 1:
+            return expr.parse(f"q{int(rng.integers(1, 3))}", 2)
+        return expr.parse("t", 2)
+    a = random_ast(rng, depth - 1)
+    b = random_ast(rng, depth - 1)
+    op = rng.integers(0, 6)
+    if op == 0:
+        return a + b
+    if op == 1:
+        return a - b
+    if op == 2:
+        return a * b
+    if op == 3:
+        return expr.call("exp", expr.const(0.1, 2) * a)
+    if op == 4:
+        return -a
+    return a.conjugate() + b
+
+
+def sampled_verdict(check, a, b, spec):
+    try:
+        return check(a, b, spec)
+    except SamplingError as exc:
+        return str(exc)
+
+
+def test_scalar_verdicts_match_the_numpy_batch_oracle():
+    """The point-by-point scalar checks give the verdicts, and the SamplingError
+    texts, of the numpy batch over the whole 10x budget."""
+    rng = np.random.default_rng(23)
+    pairs = bump_pairs()
+    for _ in range(60):
+        e = random_ast(rng, int(rng.integers(1, 4)))
+        pairs.append((e, expr.parse(e.to_string(), 2), {"seed": int(rng.integers(1 << 30))}))
+        pairs.append((e, e + expr.parse("1e-6*exp(-(q1 - 20)^2)", 2), {}))
+    seen = []
+    for a, b, kwargs in pairs:
+        spec = SamplingSpec(**kwargs)
+        expected = sampled_verdict(oracles.approx_equal, a, b, spec)
+        assert sampled_verdict(expr.approx_equal, a, b, spec) == expected, (a, b)
+        for e in (a, b, a - b):
+            assert expr.vanishes(e, spec) == oracles.vanishes(e, spec), e
+        seen.append(expected if isinstance(expected, bool) else "gives up")
+    assert {True, False, "gives up"} <= set(seen)
+
+
+@pytest.mark.parametrize("text, point", [
+    ("1e200*1e200*q1", 1.0), ("1/q1", 0.0), ("log(q1)", 0.0), ("exp(10000*q1)", 1.0),
+])
+def test_scalar_faults_read_as_numpys(text, point):
+    """A fault of the scalar table has numpy's text, at a point and in a SamplingError."""
+    e = expr.parse(text, 1)
+    with pytest.raises(EvaluationDomainError) as grid:
+        e.evaluate((point,), 0.5)
+    with pytest.raises(EvaluationDomainError) as scalar:
+        expr._walk(e.node, (complex(point),), 0.5 + 0j, expr._SCALAR)
+    assert str(scalar.value) == str(grid.value)
+    spec = SamplingSpec()
+    assert sampled_verdict(expr.approx_equal, e, e, spec) == sampled_verdict(oracles.approx_equal, e, e, spec)
 
 
 @pytest.mark.parametrize("func", ["exp", "sin", "cos", "log", "sqrt"])
@@ -326,32 +419,8 @@ def test_roundtrip_through_printer():
 
 def test_roundtrip_random_asts():
     rng = np.random.default_rng(23)
-
-    def random_expr(depth):
-        if depth == 0:
-            choice = rng.integers(0, 3)
-            if choice == 0:
-                return expr.const(complex(rng.normal(), rng.normal()), 2)
-            if choice == 1:
-                return expr.parse(f"q{int(rng.integers(1, 3))}", 2)
-            return expr.parse("t", 2)
-        a = random_expr(depth - 1)
-        b = random_expr(depth - 1)
-        op = rng.integers(0, 6)
-        if op == 0:
-            return a + b
-        if op == 1:
-            return a - b
-        if op == 2:
-            return a * b
-        if op == 3:
-            return expr.call("exp", expr.const(0.1, 2) * a)
-        if op == 4:
-            return -a
-        return a.conjugate() + b
-
     for _ in range(60):
-        e = random_expr(int(rng.integers(1, 4)))
+        e = random_ast(rng, int(rng.integers(1, 4)))
         back = expr.parse(e.to_string(), 2)
         assert expr.approx_equal(e, back, SamplingSpec(seed=int(rng.integers(1 << 30)), tol=1e-9))
 

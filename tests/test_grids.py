@@ -122,13 +122,15 @@ def test_grid_refuses_more_than_max_grid_points():
         Grid((1.0,) * 3, (512, 256, 256))
 
 
-@pytest.mark.parametrize("read, message", [
-    (lambda: Grid((40.0,), (64.9,)), "points per axis must be an integer, got 64.9"),
-    (lambda: check_integer(True, "dimension"), "dimension must be an integer, got True"),
-], ids=["fractional-points", "bool"])
-def test_integer_reads_refuse_a_fraction_and_a_bool(read, message):
-    """Neither is truncated to an int: 64.9 points is not 64, and True is not 1."""
-    with pytest.raises(ValueError, match=f"^{message}$"):
+@pytest.mark.parametrize("read, error, message", [
+    (lambda: Grid((40.0,), (64.9,)), GridError, "points per axis must be an integer, got 64.9"),
+    (lambda: check_integer(True, "dimension"), ValueError, "dimension must be an integer, got True"),
+    (lambda: Grid((40.0,), (True,)), GridError, "points per axis must be an integer, got True"),
+], ids=["fractional-points", "bool", "bool-points"])
+def test_integer_reads_refuse_a_fraction_and_a_bool(read, error, message):
+    """Neither is truncated to an int: 64.9 points is not 64, and True is not 1.
+    A grid refuses either as it refuses every other bad point count."""
+    with pytest.raises(error, match=f"^{message}$"):
         read()
 
 

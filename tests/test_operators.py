@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from helpers import (
     record_function_argument_sizes,
     visibly_non_hermitian_operator,
 )
-from oracles import eval_current_direct
+from oracles import approx_equal as batch_approx_equal, eval_current_direct, vanishes as batch_vanishes
 from pilotwave import expr
 from pilotwave.altcurrents import born_jordan_current, second_order_current
 from pilotwave.currents import derive_current_table
@@ -234,6 +237,32 @@ def test_vacuous_sampling_is_refused(spec, name):
 def test_exact_sampling_tolerance_is_legal():
     assert not hermiticity_violations(op_1d({2: "-0.5", 0: "q1^2"}), SamplingSpec(tol=0.0))
     assert hermiticity_violations(op_1d({1: "-i*q1"}), SamplingSpec(tol=0.0))
+
+
+def benchmark_operators(out: Path):
+    """(H, box length) for every Hamiltonian file of the benchmark's inputs, seeds 1-3."""
+    spec = importlib.util.spec_from_file_location("inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    lengths = {"sim2d-driven": inputs.SIM2D_LENGTH, "equiv1d-quartic": inputs.EQUIV1D_LENGTH,
+               "symbolic2d-order6": inputs.SYMBOLIC_LENGTH}
+    for workload, length in lengths.items():
+        for seed in (1, 2, 3):
+            files = inputs.write_inputs(workload, seed, out / f"{workload}-{seed}")
+            yield from ((load_hamiltonian(text), length) for name, text in files.items() if name.endswith(".ham"))
+
+
+def test_benchmark_slot_verdicts_match_the_numpy_batch_oracle(tmp_path):
+    """Each slot's Hermiticity verdict and zero test, on the default box and on the
+    run's box, for the raw and the hermitized benchmark operators."""
+    for H, length in benchmark_operators(tmp_path):
+        for op in (H, hermitize(H)):
+            adj = adjoint(op)
+            for spec in (SamplingSpec(), SamplingSpec(lengths=(length,) * op.dim)):
+                for n in set(op.terms) | set(adj.terms):
+                    a, b = op.coefficient(n), adj.coefficient(n)
+                    assert expr.approx_equal(a, b, spec) == batch_approx_equal(a, b, spec), (n, a)
+                    assert expr.vanishes(a - b, spec) == batch_vanishes(a - b, spec), (n, a)
 
 
 def test_hermitize_examples():

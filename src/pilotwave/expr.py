@@ -29,8 +29,8 @@ The sampled checks, `approx_equal` and the exact-zero test `vanishes`, take
 their settings from one `SamplingSpec`: they draw q uniformly from the
 periodic box [0, L_1) x ... x [0, L_N) of a grid (by default
 [0, DEFAULT_LENGTH) per axis, the CLI's default domain) and t from [0, 1).
-The points are numpy's `default_rng(seed).random` draws bit for bit, from a
-pure-Python SeedSequence and PCG64.  Each check walks them one at a time in
+The points are `random.Random(seed).random` draws, a stream Python keeps the
+same for an int seed on every version.  Each check walks them one at a time in
 the scalar table and stops at the first point that decides its verdict.
 The spec refuses fewer than one sample, and a tolerance that is negative or
 not finite, when it is built.
@@ -56,6 +56,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 import re
 from dataclasses import dataclass, replace
 from typing import Union
@@ -769,78 +770,26 @@ class SamplingSpec:
     lengths: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if check_integer(self.samples, "samples") < 1:
+        object.__setattr__(self, "samples", check_integer(self.samples, "samples"))
+        if self.samples < 1:
             raise ValueError(f"samples must be at least 1, got {self.samples}")
-        if check_integer(self.seed, "seed") < 0:
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
+        if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be non-negative and finite, got {self.tol}")
 
     def _points(self, dim: int):
         """The sample points without end, each as (q, t) in complex numbers:
-        row k of numpy's default_rng(seed).random((count, dim + 1)), bit for
-        bit, with q_a = L_a * row[a] and t = row[dim]."""
+        `random.Random(seed).random()` draws dim + 1 doubles per point, in
+        order q_1..q_N then t, with q_a = L_a * draw.  Python guarantees that
+        stream for an int seed on every version."""
         lengths = [DEFAULT_LENGTH] * dim if self.lengths is None else self.lengths
         box = [check_length(float(L)) for L in lengths]
         if len(box) != dim:
             raise DimensionMismatchError(f"sampling box has {len(box)} lengths for dimension {dim}")
-        draws = _pcg64_doubles(self.seed)
-        return ((tuple(complex(L * next(draws)) for L in box), complex(next(draws))) for _ in itertools.count())
-
-
-# numpy's SeedSequence and PCG64 generator (O'Neill, "PCG: A Family of Simple
-# Fast Space-Efficient Statistically Good Algorithms for Random Number
-# Generation", HMC-CS-2014-0905), so that the sample points are numpy's draws
-# without importing numpy.
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(constant: int, multiplier: int):
-    """SeedSequence's hash of 32-bit words, whose constant moves on with each word."""
-    def hashmix(value: int) -> int:
-        nonlocal constant
-        value ^= constant
-        constant = constant * multiplier & _MASK32
-        value = value * constant & _MASK32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x: int, y: int) -> int:
-    result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-    return result ^ result >> 16
-
-
-def _seed_state(seed: int) -> list[int]:
-    """numpy's SeedSequence(seed).generate_state(4, np.uint64): the seed's
-    32-bit words, least significant first, mixed into a pool of four."""
-    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    output = _hasher(0x8B51F9DD, 0x58F38DED)
-    words = [output(pool[i % 4]) for i in range(8)]
-    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-def _pcg64_doubles(seed: int):
-    """numpy's default_rng(seed).random() draws without end: (next64 >> 11) * 2^-53 each,
-    where next64 steps the 128-bit LCG and applies the XSL-RR output function."""
-    high, low, inc_high, inc_low = _seed_state(seed)
-    inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
-    state = ((inc + (high << 64 | low)) * _PCG64_MULTIPLIER + inc) & _MASK128
-    while True:
-        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
-        word, rotation = (state >> 64 ^ state) & _MASK64, state >> 122
-        yield (((word >> rotation | word << (64 - rotation)) & _MASK64) >> 11) * 2.0**-53
+        draw = random.Random(self.seed).random
+        return ((tuple(complex(L * draw()) for L in box), complex(draw())) for _ in itertools.count())
 
 
 def approx_equal(a: CoefficientExpression, b: CoefficientExpression, spec: SamplingSpec = SamplingSpec()) -> bool:

@@ -60,8 +60,12 @@ def gaussian(grid: Grid, center=None, width=1.0, wavevector=None) -> GridState:
     phase = np.zeros(grid.shape)
     envelope = np.zeros(grid.shape)
     for q, c, sigma, k in zip(grid.axis_vectors(), center, widths, ks):
-        envelope = envelope - (q - c) ** 2 / (4.0 * sigma ** 2)
-        phase = phase + k * q
+        square, phase = (q - c) ** 2, phase + k * q
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                envelope = envelope - square / (4.0 * sigma ** 2)
+        except (FloatingPointError, OverflowError):
+            raise HamiltonianFormatError(f"width {sigma} is out of range: (q - c)^2/(4 width^2) overflows") from None
     return GridState(grid, np.exp(envelope + 1j * phase)).normalized()
 
 

@@ -12,14 +12,15 @@ and the nested-sum form of the current
 which `eval_current_direct` evaluates on the grid without building a table.
 
 It also keeps the sampled checks as numpy batches: `approx_equal` and
-`vanishes` draw every point with numpy's generator and evaluate each side
-over all of them in one grid-table walk, where the package walks the scalar
-table one point at a time.
+`vanishes` draw every point up front and evaluate each side over all of
+them in one grid-table walk, where the package walks the scalar table one
+point at a time.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
@@ -210,7 +211,8 @@ def _draw(spec: SamplingSpec, dim: int, budget: int = 1):
     box = [check_length(float(L)) for L in lengths]
     if len(box) != dim:
         raise DimensionMismatchError(f"sampling box has {len(box)} lengths for dimension {dim}")
-    u = np.random.default_rng(spec.seed).random((budget * spec.samples, dim + 1))
+    rng = random.Random(spec.seed)
+    u = np.array([[rng.random() for _ in range(dim + 1)] for _ in range(budget * spec.samples)])
     return np.asarray(box) * u[:, :dim], u[:, dim]
 
 
@@ -224,11 +226,12 @@ def approx_equal(a: CoefficientExpression, b: CoefficientExpression, spec: Sampl
     valid points in it raise SamplingError unless they already show a
     mismatch.
 
-    The budget is drawn at once and scaled as Generator.uniform scales, so
-    row k holds exactly the q and t that drawing the points one at a time
-    would give for the k-th attempt.  Each side is evaluated over all rows
-    in one call of the same walker that `evaluate` and `evaluate_on` use,
-    and the first `samples` rows where neither side faults are compared.
+    The budget is drawn at once from random.Random(seed), q_1..q_N then t
+    per row, each q_a scaled by L_a, so row k holds exactly the q and t that
+    drawing the points one at a time would give for the k-th attempt.  Each
+    side is evaluated over all rows in one call of the same walker that
+    `evaluate` and `evaluate_on` use, and the first `samples` rows where
+    neither side faults are compared.
     """
     a._check_dim(b)
     q, t = _draw(spec, a.dim, budget=10)

@@ -745,6 +745,21 @@ def test_overflowing_spectral_radius_exits_3(command, ham, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("width", ["1e-200", "1e-160", "1e300"])
+def test_a_width_whose_envelope_faults_is_a_usage_error(width, ham):
+    """(q - c)^2/(4 width^2) divides by zero at 1e-200 (width^2 underflows to 0),
+    and overflows at 1e-160 and in width^2 at 1e300: the width is refused with
+    exit 2 and one error line, in a process without pytest's warning filters."""
+    argv = ["compare", ham("quartic.ham", QUARTIC), "--state", ham("g.st", f"state = gaussian\nwidth = {width}\n"),
+            "--grid", "16", "--methods", "canonical"]
+    done = subprocess.run([sys.executable, "-m", "pilotwave.cli", *argv],
+                          capture_output=True, text=True, env=_subprocess_env(), timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        f"error: width {float(width)} is out of range: (q - c)^2/(4 width^2) overflows"
+    ]
+
+
 ONE_APPLIER_COMMANDS = {
     "simulate without --dt": [
         "simulate", "{free}", "--state", "{gauss}", "--grid", "128", "--steps", "20",

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import random
 import re
 
 import numpy as np
@@ -227,7 +228,7 @@ def test_constants_that_fault_stay_unfolded(text, faulting):
 
 def test_sampling_error_names_the_first_fault():
     # overflows for q1 > 0.071 in the first term and q1 < -0.071 in the
-    # second; the first faulting draw of seed 2024 is q1 = 0.70, the last -1.86
+    # second; the first draw of seed 2024 in the box [0, 40) is q1 = 18.80
     e = expr.parse("exp(10000*q1) + exp(-10000*q1)", 1)
     with pytest.raises(SamplingError, match=r"\(first fault: overflow .* in 'exp\(10000\.0\*q1\)'\)$"):
         expr.approx_equal(e, e, SamplingSpec(seed=2024))
@@ -241,17 +242,17 @@ def test_finite_constants_still_fold():
 
 
 def reference_approx_equal(a, b, samples=32, seed=2024, tol=1e-9, lengths=None):
-    """approx_equal as a per-point loop: q and t drawn with rng.uniform per
-    attempt, one evaluate call per side and point, a redraw on a fault."""
+    """approx_equal as a per-point loop: q and t drawn from random.Random(seed)
+    per attempt, one evaluate call per side and point, a redraw on a fault."""
     box = np.full(a.dim, DEFAULT_LENGTH) if lengths is None else np.asarray(lengths, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     valid = attempts = 0
     while valid < samples:
         if attempts >= 10 * samples:
             raise SamplingError(f"only {valid}/{samples} valid sample points")
         attempts += 1
-        q = rng.uniform(0.0, box, a.dim)
-        t = rng.uniform(0.0, 1.0)
+        q = box * np.array([rng.random() for _ in range(a.dim)])
+        t = rng.random()
         try:
             va = a.evaluate(q, t)
             vb = b.evaluate(q, t)
@@ -309,20 +310,46 @@ def test_batched_approx_equal_matches_per_point_loop():
 
 @pytest.mark.parametrize("seed", [0, 1, 2024, 2**32 + 1, 2**130 + 7], ids=["0", "1", "2024", "2^32+1", "2^130+7"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_sample_points_are_numpys_draws_bit_for_bit(seed, dim):
-    """The pure-Python SeedSequence and PCG64 give default_rng(seed).random's
-    doubles, and the sample points are those rows scaled to the box.  2^32+1
-    has two 32-bit entropy words, and 2^130+7 has five, more than the four
-    words of SeedSequence's pool."""
-    count = 40
-    draws = expr._pcg64_doubles(seed)
-    rows = np.array([[next(draws) for _ in range(dim + 1)] for _ in range(count)])
-    assert rows.tobytes() == np.random.default_rng(seed).random((count, dim + 1)).tobytes()
+def test_sample_points_are_the_oracles_rows_bit_for_bit(seed, dim):
+    """Point k is row k of the numpy-batch oracle's draw, scaled to the box.
+    2^32+1 and 2^130+7 are seeds longer than one 32-bit word."""
     spec = SamplingSpec(seed=seed, samples=4, lengths=(3.0, 0.7, 1e-3)[:dim])
     points = list(itertools.islice(spec._points(dim), 10 * spec.samples))
     q, t = oracles._draw(spec, dim, budget=10)
     assert np.array([p for p, _ in points]).tobytes() == q.astype(complex).tobytes()
     assert np.array([when for _, when in points]).tobytes() == t.astype(complex).tobytes()
+
+
+DEFAULT_POINTS = {
+    1: [((18.803628737242825,), 0.7282642914232076),
+        ((12.1500543356543,), 0.8872982690000151),
+        ((16.40354357874903,), 0.7166143935816427)],
+    2: [((18.803628737242825, 29.130571656928304), 0.3037513583913575),
+        ((35.4919307600006, 16.40354357874903), 0.7166143935816427),
+        ((10.60884551202669, 9.806665967746921), 0.8125816265884215)],
+    3: [((18.803628737242825, 29.130571656928304, 12.1500543356543), 0.8872982690000151),
+        ((16.40354357874903, 28.664575743265708, 10.60884551202669), 0.24516664919367304),
+        ((32.50326506353686, 19.932055280855998, 16.634884037771617), 0.727759134886051)],
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_default_sample_points_are_pinned(dim):
+    """random.Random(seed).random() keeps its stream for an int seed across
+    Python versions, so the default points are the same on every version."""
+    points = list(itertools.islice(SamplingSpec()._points(dim), 3))
+    assert points == [(tuple(map(complex, q)), complex(t)) for q, t in DEFAULT_POINTS[dim]]
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint32(7)], ids=["int64", "uint32"])
+def test_numpy_integer_seed_samples_as_its_int(seed):
+    spec, plain = SamplingSpec(seed=seed, samples=np.int64(8)), SamplingSpec(seed=7, samples=8)
+    assert type(spec.seed) is int and type(spec.samples) is int
+    assert list(itertools.islice(spec._points(2), 80)) == list(itertools.islice(plain._points(2), 80))
+    x, y = expr.parse("q1*q2", 2), expr.parse("q2*q1 + 1e-3*exp(-(q1 - 20)^2)", 2)
+    for check, args in ((expr.approx_equal, (x, expr.parse("q2*q1", 2))), (expr.approx_equal, (x, y)),
+                        (expr.vanishes, (x - x,)), (expr.vanishes, (y - x,))):
+        assert check(*args, spec) == check(*args, plain)
 
 
 def random_ast(rng, depth):

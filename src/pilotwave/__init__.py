@@ -25,7 +25,7 @@ from .states import build_state, parse_state_spec
 from .currents import derive_current_table, eval_current
 from .epstein import nonlocal_current
 from .solver import EvolutionSpec, default_stride, evolve, norm_drift
-from .trajectories import equivariance_test, integrate_trajectories, sample_density
+from .trajectories import check_count, equivariance_test, integrate_trajectories, sample_density
 
 __version__ = "0.1.0"
 
@@ -54,6 +54,7 @@ __all__ = [
     "default_stride",
     "evolve",
     "norm_drift",
+    "check_count",
     "equivariance_test",
     "integrate_trajectories",
     "sample_density",

@@ -9,8 +9,9 @@ that no grid axis accepts, and an equivariance --dt, --steps or --stride
 without both --dt and --steps, all refused before any work; and a state
 file's grid or domain entry that no grid axis accepts, or a preset value out
 of its range, such as levels = [-1] or mass = 0, refused before any file is
-written), 3 numerical failure (including a grid above grids.MAX_GRID_POINTS
-or a run above solver.MAX_RK4_STEPS, refused at setup).  A closed standard
+written), 3 numerical failure (including a grid above grids.MAX_GRID_POINTS,
+a run above solver.MAX_RK4_STEPS or a particle count above
+trajectories.MAX_PARTICLES, refused at setup).  A closed standard
 output, as in `pilotwave derive H.ham | head`, ends the command quietly with
 its own code.  An output that cannot be written, such as a simulate --out
 that names a file or a derive --out in a missing directory, is a usage
@@ -61,6 +62,7 @@ from .operators import (
 from .solver import EvolutionSpec, default_stride, evolve, norm_drift
 from .states import parse_state_spec, build_state
 from .trajectories import (
+    check_count,
     equivariance_test,
     integrate_trajectories,
     sample_density,
@@ -97,9 +99,9 @@ def _write(path, text: str) -> None:
         raise HamiltonianFormatError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_snapshot(out_dir: Path, index: int, state: GridState, csv: bool) -> None:
+def _write_snapshot(out_dir: Path, index: int, state: GridState) -> None:
     _write(out_dir / f"snapshot_{index:04d}.json", serialize.snapshot_to_json(state))
-    if csv:
+    if math.prod(state.grid.shape) <= serialize.CSV_POINT_LIMIT:
         _write(out_dir / f"snapshot_{index:04d}.csv", serialize.snapshot_to_csv(state))
 
 
@@ -115,7 +117,7 @@ def _feed(pending, fd: int) -> None:
         pass  # the writer stopped at a write error, which it reports itself
 
 
-def _writer_process(data: int, errors: int, out_dir: Path, grid: Grid, csv: bool) -> None:
+def _writer_process(data: int, errors: int, out_dir: Path, grid: Grid) -> None:
     """The forked writer: write each state read from the pipe `data` until its
     end, then leave through os._exit, never returning into the caller's
     stack.  A write error's message goes to the pipe `errors` first."""
@@ -125,7 +127,7 @@ def _writer_process(data: int, errors: int, out_dir: Path, grid: Grid, csv: bool
         with open(data, "rb") as pipe:
             for index, record in enumerate(iter(lambda: pipe.read(size), b"")):
                 values = np.frombuffer(record, complex, offset=8).reshape(grid.shape)
-                _write_snapshot(out_dir, index, GridState(grid, values, struct.unpack_from("d", record)[0]), csv)
+                _write_snapshot(out_dir, index, GridState(grid, values, struct.unpack_from("d", record)[0]))
         code = 0
     except HamiltonianFormatError as exc:
         os.write(errors, str(exc).encode())
@@ -138,10 +140,10 @@ class _WriterStopped(Exception):
 
 
 @contextlib.contextmanager
-def _snapshot_writer(out_dir: Path, grid: Grid, csv: bool):
+def _snapshot_writer(out_dir: Path, grid: Grid):
     """Yield `(send, check)`: `send(state)` writes the run's next
-    snapshot_NNNN.json (and .csv when `csv`) in `out_dir`, and `check()`
-    raises the writer's error if it has already failed.
+    snapshot_NNNN.json (and .csv up to serialize.CSV_POINT_LIMIT points) in
+    `out_dir`, and `check()` raises the writer's error if it has already failed.
 
     Where os.fork exists, a forked process formats and writes the files while
     this one keeps working; a feeder thread passes it each state through a
@@ -154,7 +156,7 @@ def _snapshot_writer(out_dir: Path, grid: Grid, csv: bool):
     """
     if not hasattr(os, "fork"):
         indices = itertools.count()
-        yield lambda state: _write_snapshot(out_dir, next(indices), state, csv), lambda: None
+        yield lambda state: _write_snapshot(out_dir, next(indices), state), lambda: None
         return
     # Here, so the other commands import nothing more at startup.
     import select
@@ -168,7 +170,7 @@ def _snapshot_writer(out_dir: Path, grid: Grid, csv: bool):
     if pid == 0:
         os.close(data_write)
         os.close(errors_read)
-        _writer_process(data_read, errors_write, out_dir, grid, csv)
+        _writer_process(data_read, errors_write, out_dir, grid)
     os.close(data_read)
     os.close(errors_write)
     pending = SimpleQueue()
@@ -319,6 +321,8 @@ def cmd_derive(args) -> int:
 
 def cmd_simulate(args) -> int:
     H, psi0, grid = _load_problem(args, MIN_POINTS_PER_AXIS)
+    if args.trajectories:
+        check_count(args.trajectories)
     spec = _auto_spec(args, H, grid)
     out_dir = Path(args.out or "pilotwave-out")
     try:
@@ -326,8 +330,7 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         raise HamiltonianFormatError(f"cannot write {out_dir}: {exc}") from exc
 
-    csv = math.prod(grid.shape) <= serialize.CSV_POINT_LIMIT
-    with _snapshot_writer(out_dir, grid, csv) as (send, check):
+    with _snapshot_writer(out_dir, grid) as (send, check):
         snapshots = evolve(H, psi0, spec, on_snapshot=send)
         check()
         drifts = norm_drift(snapshots)

@@ -169,9 +169,7 @@ def derive_current_table(H: DifferentialOperator) -> CurrentTable:
                 continue
             for n in indices_up_to(budget):
                 for m in indices_up_to(budget - n):
-                    w = _weight(r, n, m, e_i)
-                    if w == 0:
-                        continue
+                    w = _weight(r, n, m, e_i)  # nonzero: m <= r - n - e_i
                     deriv = coef.differentiate(r - n - m - e_i)
                     contrib = expr.const(1j * complex(w), dim) * deriv
                     key = (n, m)

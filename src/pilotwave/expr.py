@@ -22,8 +22,9 @@ and cmath to one point: it serves the sampled checks and constant folding,
 and it refuses the inf and nan that Python's arithmetic returns silently on
 overflow.  A fault is a divide-by-zero, invalid or overflow error; in either
 table it raises EvaluationDomainError naming the innermost subexpression
-whose operation faulted, in numpy's words ("overflow encountered in
-multiply").  numpy is imported only when a grid is first evaluated.
+whose operation faulted, in the one wording of `_fault`: the kind of fault and
+the node's function, "power" or operator ("overflow encountered in multiply"),
+not the names of numpy's fast paths.  numpy is imported on first grid use.
 
 The sampled checks, `approx_equal` and the exact-zero test `vanishes`, take
 their settings from one `SamplingSpec`: they draw q uniformly from the
@@ -310,7 +311,22 @@ def _walk(node: Node, coords, t, table: dict):
             return -_walk(node.arg, coords, t, table)
         return table["power"](_walk(node.base, coords, t, table), node.exponent)
     except ArithmeticError as exc:
-        raise EvaluationDomainError(table["fault"](exc, node), _print(node, _PLAIN)[0]) from exc
+        raise EvaluationDomainError(_fault(exc, node), _print(node, _PLAIN)[0]) from exc
+
+
+# The name of each operator's ufunc, which names its faults in both tables
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
+
+
+def _fault(exc: ArithmeticError, node: Node) -> str:
+    """The text of the fault `exc` at `node`, the same in both tables: its kind
+    is numpy's errstate text up to " encountered", or "overflow" for a Python
+    OverflowError and "invalid value" for the ZeroDivisionError of 0 to a
+    negative power; its name is the node's function, "power", or the
+    operator's ufunc name."""
+    kind = {OverflowError: "overflow", ZeroDivisionError: "invalid value"}.get(type(exc), str(exc))
+    name = node.func if isinstance(node, Call) else "power" if isinstance(node, Pow) else _UFUNCS[node.op]
+    return f"{kind.split(' encountered')[0]} encountered in {name}"
 
 
 def _finite(op):
@@ -331,32 +347,6 @@ def _divide(a: complex, b: complex) -> complex:
     raise FloatingPointError("divide by zero" if a else "invalid value")  # numpy's faults for x/0 and 0/0
 
 
-# numpy's name of each operator's ufunc, for the scalar table's fault texts
-_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide"}
-
-
-def _scalar_fault(exc: ArithmeticError, node: Node) -> str:
-    """numpy's text for the fault `exc` of the scalar table at `node`, as
-    numpy's walk of one point gives it: there q is an array of one point and
-    t a 0-d array.  An operator with no array operand runs numpy's scalar
-    math ("scalar multiply"), and an array to the power 2 or -1 runs square
-    or reciprocal.  A power of 0 to a negative exponent is numpy's invalid
-    value; every other fault that Python raises by type is an overflow."""
-    kind = {OverflowError: "overflow", ZeroDivisionError: "invalid value"}.get(type(exc), str(exc))
-    if isinstance(node, Call):
-        name = node.func
-    elif isinstance(node, Pow):
-        name = {2: "square", -1: "reciprocal"}.get(node.exponent, "power") if _is_array(node.base) else "scalar power"
-    else:
-        name = _UFUNCS[node.op] if _is_array(node.left) or _is_array(node.right) else "scalar " + _UFUNCS[node.op]
-    return f"{kind} encountered in {name}"
-
-
-def _is_array(node: Node) -> bool:
-    """Whether numpy's walk of one point holds an array at `node`."""
-    return isinstance(node, TimeVar) or _contains(node, Coord)
-
-
 # The scalar table: Python complex numbers at one point, for the sampled
 # checks and for constant folding.
 _SCALAR = {
@@ -364,7 +354,6 @@ _SCALAR = {
     "binary": {op: _finite(_divide if op == "/" else f) for op, f in _BINARY.items()},
     "power": _finite(operator.pow),
     "functions": _FUNCTIONS,
-    "fault": _scalar_fault,
 }
 
 
@@ -377,7 +366,6 @@ def _grid_table() -> dict:
         "binary": _BINARY,
         "power": operator.pow,
         "functions": {func: getattr(np, "conjugate" if func == "conj" else func) for func in _FUNCTIONS},
-        "fault": lambda exc, node: str(exc),
     }
 
 

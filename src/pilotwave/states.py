@@ -19,6 +19,7 @@ entries; command-line flags take precedence over them.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -51,21 +52,44 @@ def _positive(value, name: str):
     raise HamiltonianFormatError(f"{name} must be positive and finite, got {value}")
 
 
+@contextlib.contextmanager
+def _in_range(value: str, formula: str):
+    """Run the block under errstate(raise): a division by zero, overflow or
+    invalid value in it, or a Python float's OverflowError, is a format error
+    naming `value`, the input at fault, and the `formula` that overflowed."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError):
+        raise HamiltonianFormatError(f"{value} is out of range: {formula} overflows") from None
+
+
+def _center(grid: Grid, center) -> list[float]:
+    """The per-axis center, the grid's own by default; a center whose squared
+    distance (q - c)^2 from a grid point overflows is refused."""
+    if center is None:
+        return grid.center()
+    center = _per_axis(center, grid.dim, "center")
+    for q, c in zip(grid.axis_vectors(), center):
+        with _in_range(f"center {c}", "(q - c)^2"):
+            (q - c) ** 2
+    return center
+
+
 def gaussian(grid: Grid, center=None, width=1.0, wavevector=None) -> GridState:
     """Normalized Gaussian packet; `width` is the density standard deviation."""
     dim = grid.dim
-    center = grid.center() if center is None else _per_axis(center, dim, "center")
+    center = _center(grid, center)
     widths = [_positive(w, "width") for w in _per_axis(width, dim, "width")]
     ks = [0.0] * dim if wavevector is None else _per_axis(wavevector, dim, "wavevector")
     phase = np.zeros(grid.shape)
     envelope = np.zeros(grid.shape)
     for q, c, sigma, k in zip(grid.axis_vectors(), center, widths, ks):
-        square, phase = (q - c) ** 2, phase + k * q
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                envelope = envelope - square / (4.0 * sigma ** 2)
-        except (FloatingPointError, OverflowError):
-            raise HamiltonianFormatError(f"width {sigma} is out of range: (q - c)^2/(4 width^2) overflows") from None
+        square = (q - c) ** 2
+        with _in_range(f"width {sigma}", "(q - c)^2/(4 width^2)"):
+            envelope = envelope - square / (4.0 * sigma ** 2)
+        with _in_range(f"wavevector {k}", "k q"):
+            phase = phase + k * q
     return GridState(grid, np.exp(envelope + 1j * phase)).normalized()
 
 
@@ -77,7 +101,8 @@ def plane_wave(grid: Grid, wavevector=None) -> GridState:
     phase = np.zeros(grid.shape)
     for q, L, k in zip(grid.axis_vectors(), grid.lengths, ks):
         unit = 2.0 * np.pi / L
-        phase = phase + unit * round(k / unit) * q
+        with _in_range(f"wavevector {k}", "k q"):
+            phase = phase + unit * round(k / unit) * q
     return GridState(grid, np.exp(1j * phase))
 
 
@@ -94,17 +119,19 @@ def ho_eigenstate(grid: Grid, levels=0, center=None, frequency=1.0, mass=1.0) ->
     levels = _per_axis(levels, dim, "levels")
     if not all(n.is_integer() and n >= 0 for n in levels):
         raise HamiltonianFormatError(f"levels must be non-negative integers, got {levels}")
-    center = grid.center() if center is None else _per_axis(center, dim, "center")
-    scale = math.sqrt(_positive(mass, "mass") * _positive(frequency, "frequency"))
+    center = _center(grid, center)
+    mw = _positive(_positive(mass, "mass") * _positive(frequency, "frequency"), "mass * frequency")
+    scale = math.sqrt(mw)
     values = np.ones(grid.shape, dtype=complex)
     for q, c, n in zip(grid.axis_vectors(), center, map(int, levels)):
         u = scale * (q - c)
         # pi^(1/4) psi_k: psi_0 = pi^(-1/4) e^(-u^2/2) and
         # psi_k+1 = sqrt(2/(k+1)) u psi_k - sqrt(k/(k+1)) psi_k-1
-        previous, current = 0.0, np.exp(-0.5 * u ** 2)
+        with np.errstate(over="ignore"):  # e^(-u^2/2) is 0 where u^2 overflows
+            previous, current = 0.0, np.exp(-0.5 * u ** 2)
         for k in range(n):
             previous, current = current, math.sqrt(2 / (k + 1)) * u * current - math.sqrt(k / (k + 1)) * previous
-        values = values * ((mass * frequency / math.pi) ** 0.25 * current)
+        values = values * ((mw / math.pi) ** 0.25 * current)
     return GridState(grid, values).normalized()
 
 

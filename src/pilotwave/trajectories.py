@@ -28,6 +28,10 @@ from .solver import EvolutionSpec, default_stride, evolve
 
 NODE_EPS = 1e-10
 MAX_TRUNCATED_FRACTION = 0.10
+# Most particles in one ensemble.  simulate keeps every particle's position at
+# each of about 100 snapshots and writes them as CSV rows, about 7 kB per
+# particle in 1D, so this many take under 1 GB.
+MAX_PARTICLES = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +104,17 @@ class Ensemble:
         return float(np.mean(self.truncated))
 
 
-def sample_density(rho: np.ndarray, grid: Grid, count: int, seed: int) -> Ensemble:
-    """Rejection sampling against the grid maximum, with multilinear density."""
+def check_count(count: int) -> None:
+    """Refuse a particle count below 1 or above MAX_PARTICLES."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > MAX_PARTICLES:
+        raise PilotwaveError(f"{count} particles exceed MAX_PARTICLES = {MAX_PARTICLES}")
+
+
+def sample_density(rho: np.ndarray, grid: Grid, count: int, seed: int) -> Ensemble:
+    """Rejection sampling against the grid maximum, with multilinear density."""
+    check_count(count)
     rho = np.asarray(rho, dtype=float)
     if rho.shape != grid.shape:
         raise DimensionMismatchError("density shape does not match grid")
@@ -328,8 +339,7 @@ def equivariance_test(
 
     A given `evolution_spec` fixes the schedule, and the run and the report
     end at its steps * dt instead of `horizon`."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    check_count(count)
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     H = require_hermitian(H)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import count_hermiticity_checks, no_child_left  # noqa: F401  (autouse fixture)
-from pilotwave import cli
+from pilotwave import cli, trajectories
 from pilotwave.cli import METHODS, main
 from pilotwave.currents import derive_current_table
 from pilotwave.expr import contains_time
@@ -719,6 +719,25 @@ def test_grid_above_max_grid_points_exits_3(ham, capsys):
     assert "1073741824 grid points exceed MAX_GRID_POINTS = 16777216" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("simulate", "--trajectories"), ("equivariance", "--count")])
+def test_a_particle_count_above_max_particles_exits_3_before_evolve(command, flag, ham, tmp_path, capsys, monkeypatch):
+    """A count no host can hold is refused at setup: evolve never runs and simulate
+    writes nothing, where numpy's allocation used to fail after both."""
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve ran before the particle count was checked")
+
+    monkeypatch.setattr(cli, "evolve", no_evolve)
+    monkeypatch.setattr(trajectories, "evolve", no_evolve)
+    out = tmp_path / "run"
+    argv = [command, ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), "--grid", "64",
+            flag, "1000000000000"] + (["--out", str(out)] if command == "simulate" else [])
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: 1000000000000 particles exceed MAX_PARTICLES = {trajectories.MAX_PARTICLES}"
+    ]
+    assert not out.exists()
+
+
 def test_run_above_max_rk4_steps_exits_3(ham, tmp_path, capsys):
     argv = [
         "simulate", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), "--grid", "64",
@@ -758,6 +777,26 @@ def test_a_width_whose_envelope_faults_is_a_usage_error(width, ham):
     assert done.stderr.splitlines() == [
         f"error: width {float(width)} is out of range: (q - c)^2/(4 width^2) overflows"
     ]
+
+
+@pytest.mark.parametrize("state, message", [
+    ("state = gaussian\ncenter = [1e200]\n", "center 1e+200 is out of range: (q - c)^2 overflows"),
+    ("state = gaussian\ncenter = [1e155]\n", "center 1e+155 is out of range: (q - c)^2 overflows"),
+    ("state = ho-eigenstate\ncenter = [1e200]\n", "center 1e+200 is out of range: (q - c)^2 overflows"),
+    ("state = gaussian\nwavevector = [1e308]\n", "wavevector 1e+308 is out of range: k q overflows"),
+    ("state = plane-wave\nwavevector = [1e308]\n", "wavevector 1e+308 is out of range: k q overflows"),
+    ("state = ho-eigenstate\nmass = 1e300\nfrequency = 1e300\n", "mass * frequency must be positive and finite, got inf"),
+], ids=["gaussian-center-1e200", "gaussian-center-1e155", "ho-center", "gaussian-wavevector", "plane-wave-wavevector",
+        "ho-scale"])
+def test_a_preset_value_that_overflows_is_a_usage_error(state, message, ham):
+    """A center, wavevector or oscillator scale whose arithmetic overflows on the grid
+    is refused with exit 2 and one error line naming it, in a process without
+    pytest's warning filters, where numpy's warnings would reach stderr."""
+    argv = ["compare", ham("quartic.ham", QUARTIC), "--state", ham("s.st", state),
+            "--grid", "16", "--methods", "canonical"]
+    done = subprocess.run([sys.executable, "-m", "pilotwave.cli", *argv],
+                          capture_output=True, text=True, env=_subprocess_env(), timeout=120)
+    assert (done.returncode, done.stderr.splitlines()) == (2, [f"error: {message}"])
 
 
 ONE_APPLIER_COMMANDS = {

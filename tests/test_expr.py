@@ -419,6 +419,32 @@ def test_scalar_faults_read_as_numpys(text, point):
     assert sampled_verdict(expr.approx_equal, e, e, spec) == sampled_verdict(oracles.approx_equal, e, e, spec)
 
 
+@pytest.mark.parametrize("text, q1, fault", [
+    ("exp(q1)^2", 400.0, "overflow encountered in power in 'exp(q1)^2'"),
+    ("q1^-1", 0.0, "invalid value encountered in power in 'q1^-1'"),
+    ("1e200*1e200*q1", 1.0, "overflow encountered in multiply in '1e+200*1e+200'"),
+])
+def test_a_grid_fault_is_named_by_its_node(text, q1, fault):
+    """A power faults as "power" and a product of constants as "multiply", not
+    by the names of numpy's fast paths ("square", "reciprocal", "scalar multiply")."""
+    with pytest.raises(EvaluationDomainError) as err:
+        expr.parse(text, 1).evaluate_on([np.array([1.0, q1])], 0.5)
+    assert str(err.value) == fault
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("exp(360 + 8*q1)^2", "overflow encountered in power in 'exp(360.0 + 8.0*q1)^2'"),
+    ("1e200*1e200*q1", "overflow encountered in multiply in '1e+200*1e+200'"),
+])
+def test_a_sampled_fault_is_named_by_its_node(text, fault):
+    """Both fault at every point of [0, 40), so the check names the first fault in
+    the words the grid uses."""
+    e = expr.parse(text, 1)
+    with pytest.raises(SamplingError) as err:
+        expr.approx_equal(e, e)
+    assert str(err.value) == f"only 0/32 valid sample points after 320 draws (first fault: {fault})"
+
+
 @pytest.mark.parametrize("func", ["exp", "sin", "cos", "log", "sqrt"])
 def test_functions_match_cmath(func):
     z = np.random.default_rng(41).uniform(-3.0, 3.0, (100, 2))

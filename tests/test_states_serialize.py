@@ -78,6 +78,14 @@ def test_ho_eigenstate_above_the_factorial_range(level):
     assert np.max(np.abs(residual)) < 1e-8 * (level + 0.5) * np.max(np.abs(psi.values))
 
 
+def test_a_narrow_oscillator_state_builds_without_warnings():
+    """Where u^2 = m w (q - c)^2 overflows, e^(-u^2/2) is 0: a state whose factor
+    overflows away from its center is still built, with no numpy warning
+    (a RuntimeWarning fails the test)."""
+    psi = ho_eigenstate(Grid((40.0,), (64,)), center=[20.0], mass=1e154, frequency=1e154)
+    assert np.count_nonzero(psi.values) == 1
+
+
 def test_ho_eigenstate_2d_energy():
     grid = Grid((20.0, 20.0), (128, 128))
     psi = ho_eigenstate(grid, [1, 2], center=[10.0, 10.0])

@@ -7,11 +7,11 @@ reported but does not set the exit code), 2 usage or parse error (including
 a numeric flag out of range, such as --seed -1, a --grid or --domain value
 that no grid axis accepts, and an equivariance --dt, --steps or --stride
 without both --dt and --steps, all refused before any work; and a state
-file's grid or domain entry that no grid axis accepts, or a preset value out
-of its range, such as levels = [-1] or mass = 0, refused before any file is
-written), 3 numerical failure (including a grid above grids.MAX_GRID_POINTS,
-a run above solver.MAX_RK4_STEPS or a particle count above
-trajectories.MAX_PARTICLES, refused at setup).  A closed standard
+file's grid or domain line, a preset value out of its range, such as
+levels = [-1] or mass = 0, or a state that is 0 at every grid point,
+refused before any file is written), 3 numerical failure (including a grid
+above grids.MAX_GRID_POINTS, a run above solver.MAX_RK4_STEPS or a particle
+count above trajectories.MAX_PARTICLES, refused at setup).  A closed standard
 output, as in `pilotwave derive H.ham | head`, ends the command quietly with
 its own code.  An output that cannot be written, such as a simulate --out
 that names a file or a derive --out in a missing directory, is a usage
@@ -254,9 +254,9 @@ def _axis_list(convert, check):
     return values
 
 
-def _resolve_grid(args, dim: int, spec) -> Grid:
-    points = args.grid or spec.grid_points or [DEFAULT_POINTS]
-    lengths = args.domain or spec.domain_lengths or [DEFAULT_LENGTH]
+def _resolve_grid(args, dim: int) -> Grid:
+    points = args.grid or [DEFAULT_POINTS]
+    lengths = args.domain or [DEFAULT_LENGTH]
     if len(points) == 1:
         points = points * dim
     if len(lengths) == 1:
@@ -268,7 +268,7 @@ def _resolve_grid(args, dim: int, spec) -> Grid:
     return Grid(tuple(lengths), tuple(points))
 
 
-def _load_problem(args, min_points: int = 1):
+def _load_problem(args):
     """(H, psi, grid): the state and grid are resolved first, then H is
     verified once, on the grid's box [0, L_1) x ... x [0, L_N), and realized
     on the grid, whose numerical gate refuses a grid where H's derivative
@@ -277,8 +277,8 @@ def _load_problem(args, min_points: int = 1):
     H = _load_operator(args)
     if not args.state:
         raise HamiltonianFormatError("this command needs --state <file>")
-    spec = parse_state_spec(_read(args.state), min_points)
-    grid = _resolve_grid(args, H.dim, spec)
+    spec = parse_state_spec(_read(args.state))
+    grid = _resolve_grid(args, H.dim)
     psi = build_state(spec, grid)
     H = require_hermitian(H, SamplingSpec(lengths=grid.lengths))
     if min(grid.shape) >= MIN_POINTS_PER_AXIS:
@@ -320,7 +320,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    H, psi0, grid = _load_problem(args, MIN_POINTS_PER_AXIS)
+    H, psi0, grid = _load_problem(args)
     if args.trajectories:
         check_count(args.trajectories)
     spec = _auto_spec(args, H, grid)
@@ -418,7 +418,7 @@ def cmd_equivariance(args) -> int:
             f"{', '.join(given)} given without {' and '.join(missing)}; a fixed schedule needs "
             "both --dt and --steps, or neither to let the program choose"
         )
-    H, psi0, grid = _load_problem(args, MIN_POINTS_PER_AXIS)
+    H, psi0, grid = _load_problem(args)
     report = equivariance_test(
         H,
         psi0,

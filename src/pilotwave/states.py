@@ -13,8 +13,7 @@ Superpositions list weighted components on repeated lines::
     component = 0.7071 | ho-eigenstate levels=[0] center=[20]
     component = (0.5+0.5*i) | gaussian center=[22] width=0.5
 
-A state file may also carry optional `grid = [512]` and `domain = [40.0]`
-entries; command-line flags take precedence over them.
+The grid and box come from --grid and --domain; a state file sets neither.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ from dataclasses import dataclass, field
 from ._numpy import np
 
 from . import expr
-from .errors import GridError, HamiltonianFormatError
-from .grids import Grid, GridState, check_length, check_points
+from .errors import HamiltonianFormatError
+from .grids import Grid, GridState
 from .operators import read_assignments
 
 
@@ -76,6 +75,14 @@ def _center(grid: Grid, center) -> list[float]:
     return center
 
 
+def _normalized(kind: str, state: GridState, center=None) -> GridState:
+    """`state.normalized()`, where a state that is 0 at every grid point is a format error."""
+    if state.norm_sq() == 0:
+        at = "" if center is None else f" with center {list(map(float, center))}"
+        raise HamiltonianFormatError(f"{kind}{at} is 0 at every grid point and cannot be normalized")
+    return state.normalized()
+
+
 def gaussian(grid: Grid, center=None, width=1.0, wavevector=None) -> GridState:
     """Normalized Gaussian packet; `width` is the density standard deviation."""
     dim = grid.dim
@@ -90,7 +97,7 @@ def gaussian(grid: Grid, center=None, width=1.0, wavevector=None) -> GridState:
             envelope = envelope - square / (4.0 * sigma ** 2)
         with _in_range(f"wavevector {k}", "k q"):
             phase = phase + k * q
-    return GridState(grid, np.exp(envelope + 1j * phase)).normalized()
+    return _normalized("gaussian", GridState(grid, np.exp(envelope + 1j * phase)), center)
 
 
 def plane_wave(grid: Grid, wavevector=None) -> GridState:
@@ -132,7 +139,7 @@ def ho_eigenstate(grid: Grid, levels=0, center=None, frequency=1.0, mass=1.0) ->
         for k in range(n):
             previous, current = current, math.sqrt(2 / (k + 1)) * u * current - math.sqrt(k / (k + 1)) * previous
         values = values * ((mw / math.pi) ** 0.25 * current)
-    return GridState(grid, values).normalized()
+    return _normalized("ho-eigenstate", GridState(grid, values), center)
 
 
 def superposition(components: list[tuple[complex, GridState]]) -> GridState:
@@ -144,15 +151,15 @@ def superposition(components: list[tuple[complex, GridState]]) -> GridState:
         if state.grid != grid:
             raise HamiltonianFormatError("superposition components must share one grid")
         total = total + complex(coef) * state.values
-    return GridState(grid, total).normalized()
+    return _normalized("superposition", GridState(grid, total))
 
 
 # ---------------------------------------------------------------------------
 # State-spec files
 
 # Each state kind, its preset function and the keys it takes, beside a file's
-# state, component, grid and domain lines; any other key is refused.  A
-# preset is called with the file's keys, so its signature holds the defaults.
+# state and component lines; any other key is refused.  A preset is called
+# with the file's keys, so its signature holds the defaults.
 _KINDS = {
     "gaussian": (gaussian, ("center", "width", "wavevector")),
     "plane-wave": (plane_wave, ("wavevector",)),
@@ -166,8 +173,6 @@ class StateSpec:
     kind: str
     params: dict = field(default_factory=dict)
     components: list = field(default_factory=list)  # (complex, kind, params)
-    grid_points: list[int] | None = None
-    domain_lengths: list[float] | None = None
 
 
 def _parse_value(text: str, where: str):
@@ -222,29 +227,11 @@ def _parse_component(text: str, where: str):
     return coef, kind, params
 
 
-def _axis_values(value: str, where: str, key: str, convert, check) -> list:
-    """The per-axis `grid` or `domain` entries, each valid for one grid axis."""
-    parsed = _parse_value(value, where)
-    try:
-        return [check(convert(v)) for v in (parsed if isinstance(parsed, list) else [parsed])]
-    except (ValueError, OverflowError, GridError) as exc:
-        raise HamiltonianFormatError(f"{where}: {key}: {exc}") from exc
-
-
-def _whole(value: float) -> int:
-    if value != int(value):
-        raise ValueError(f"points per axis must be an integer, got {value}")
-    return int(value)
-
-
-def parse_state_spec(text: str, min_points: int = 1) -> StateSpec:
-    """The state spec in `text`; a key other than `component` may appear only once, and a
-    `grid` entry must have at least `min_points` per axis."""
+def parse_state_spec(text: str) -> StateSpec:
+    """The state spec in `text`; a key other than `component` may appear only once."""
     kind = None
     params: dict = {}
     components: list = []
-    grid_points = None
-    domain_lengths = None
     key_lines: dict[str, str] = {}
     seen: set[str] = set()
     for where, key, value in read_assignments(text):
@@ -257,12 +244,8 @@ def parse_state_spec(text: str, min_points: int = 1) -> StateSpec:
             kind = value
         elif key == "component":
             components.append(_parse_component(value, where))
-        elif key == "grid":
-            grid_points = _axis_values(
-                value, where, key, _whole, lambda points: check_points(points, min_points)
-            )
-        elif key == "domain":
-            domain_lengths = _axis_values(value, where, key, float, check_length)
+        elif key in ("grid", "domain"):
+            raise HamiltonianFormatError(f"{where}: {key} is set with --{key}, not in a state file")
         else:
             params[key] = _parse_value(value, where)
             key_lines[key] = where
@@ -274,7 +257,7 @@ def parse_state_spec(text: str, min_points: int = 1) -> StateSpec:
         raise HamiltonianFormatError("superposition state lists no components")
     if kind != "superposition" and components:
         raise HamiltonianFormatError("component lines are only valid for superposition states")
-    return StateSpec(kind, params, components, grid_points, domain_lengths)
+    return StateSpec(kind, params, components)
 
 
 def build_state(spec: StateSpec, grid: Grid) -> GridState:

@@ -598,24 +598,25 @@ def test_invalid_numeric_flag_is_a_usage_error(command, flag, value, ham, capsys
 @pytest.mark.parametrize(
     "entry, message",
     [
-        ("grid = [3]", "grid: points per axis must be a power of two <= 1024, got 3"),
-        ("grid = [0]", "grid: points per axis must be a power of two <= 1024, got 0"),
-        ("domain = [-4]", "domain: domain lengths must be positive and finite, got -4.0"),
-        ("grid = [64.5]", "grid: points per axis must be an integer, got 64.5"),
+        ("grid = [3]", "grid is set with --grid, not in a state file"),
+        ("grid = [0]", "grid is set with --grid, not in a state file"),
+        ("domain = [-4]", "domain is set with --domain, not in a state file"),
+        ("grid = [64.5]", "grid is set with --grid, not in a state file"),
         ("widht = 0.2", "unknown key 'widht' for gaussian (it takes center, width, wavevector)"),
     ],
     ids=["grid-3", "grid-0", "domain-minus-4", "grid-64.5", "typo-widht"],
 )
 def test_invalid_state_file_grid_is_a_usage_error(entry, message, ham, capsys):
+    """Only --grid and --domain set the grid: a state file's grid or domain line is
+    refused whatever its value, as is a key its state kind does not take."""
     state = ham("bad.st", GAUSS + entry + "\n")
     assert main(["compare", ham("free.ham", FREE), "--state", state]) == 2
     assert f"line 5: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lines", [
-    ["width = 2.0"], ["grid = [64]", "grid = [32]"], ["domain = [20]", "domain = [30]"],
-    ["state = gaussian"],
-], ids=["width", "grid", "domain", "state"])
+    ["width = 2.0"], ["center = [22.0]"], ["wavevector = [2.0]"], ["state = gaussian"],
+], ids=["width", "center", "wavevector", "state"])
 def test_repeated_state_file_key_is_a_usage_error(lines, ham, capsys):
     """A second line for a key would silently win over the first."""
     state = ham("dup.st", GAUSS + "".join(line + "\n" for line in lines))
@@ -676,15 +677,14 @@ def test_empty_compare_method_list_is_a_usage_error(methods, ham, capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "equivariance"])
 def test_state_file_grid_below_the_operator_floor_is_a_usage_error(command, ham, tmp_path, capsys):
+    """The floor lives in --grid alone: a state file's grid line is refused."""
     state = ham("coarse.st", GAUSS + "grid = [8]\n")
     out = ["--out", str(tmp_path / "run")] if command == "simulate" else []
     assert main([command, ham("free.ham", FREE), "--state", state, *out]) == 2
-    assert "line 5: grid: need at least 16 points per axis to apply operators, got 8" in capsys.readouterr().err
+    assert "line 5: grid is set with --grid, not in a state file" in capsys.readouterr().err
 
 
 def test_compare_canonical_accepts_a_grid_below_the_operator_floor(ham, capsys):
-    coarse = ham("coarse.st", GAUSS + "grid = [8]\n")
-    assert main(["compare", ham("free.ham", FREE), "--state", coarse, "--methods", "canonical"]) == 0
     argv = ["compare", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), "--grid", "8"]
     assert main(argv) == 0
 
@@ -779,6 +779,9 @@ def test_a_width_whose_envelope_faults_is_a_usage_error(width, ham):
     ]
 
 
+ZERO = "is 0 at every grid point and cannot be normalized"
+
+
 @pytest.mark.parametrize("state, message", [
     ("state = gaussian\ncenter = [1e200]\n", "center 1e+200 is out of range: (q - c)^2 overflows"),
     ("state = gaussian\ncenter = [1e155]\n", "center 1e+155 is out of range: (q - c)^2 overflows"),
@@ -786,12 +789,18 @@ def test_a_width_whose_envelope_faults_is_a_usage_error(width, ham):
     ("state = gaussian\nwavevector = [1e308]\n", "wavevector 1e+308 is out of range: k q overflows"),
     ("state = plane-wave\nwavevector = [1e308]\n", "wavevector 1e+308 is out of range: k q overflows"),
     ("state = ho-eigenstate\nmass = 1e300\nfrequency = 1e300\n", "mass * frequency must be positive and finite, got inf"),
+    ("state = gaussian\ncenter = [1000]\n", f"gaussian with center [1000.0] {ZERO}"),
+    ("state = ho-eigenstate\ncenter = [1e154]\n", f"ho-eigenstate with center [1e+154] {ZERO}"),
+    ("state = superposition\ncomponent = 1 | gaussian center=[20]\ncomponent = -1 | gaussian center=[20]\n",
+     f"superposition {ZERO}"),
 ], ids=["gaussian-center-1e200", "gaussian-center-1e155", "ho-center", "gaussian-wavevector", "plane-wave-wavevector",
-        "ho-scale"])
+        "ho-scale", "gaussian-center-1000", "ho-center-1e154", "cancelling-superposition"])
 def test_a_preset_value_that_overflows_is_a_usage_error(state, message, ham):
-    """A center, wavevector or oscillator scale whose arithmetic overflows on the grid
-    is refused with exit 2 and one error line naming it, in a process without
-    pytest's warning filters, where numpy's warnings would reach stderr."""
+    """A center, wavevector or oscillator scale whose arithmetic overflows on the grid,
+    and a state that is 0 at every grid point (a center far outside the box, or
+    components that cancel), are refused with exit 2 and one error line naming
+    them, in a process without pytest's warning filters, where numpy's warnings
+    would reach stderr."""
     argv = ["compare", ham("quartic.ham", QUARTIC), "--state", ham("s.st", state),
             "--grid", "16", "--methods", "canonical"]
     done = subprocess.run([sys.executable, "-m", "pilotwave.cli", *argv],

@@ -14,7 +14,7 @@ from pilotwave.errors import (
     SamplingError,
 )
 from pilotwave.expr import SamplingSpec
-from pilotwave.grids import DEFAULT_LENGTH
+from pilotwave.grids import DEFAULT_LENGTH, Grid
 from pilotwave.multiindex import MultiIndex
 
 
@@ -232,6 +232,23 @@ def test_sampling_error_names_the_first_fault():
     e = expr.parse("exp(10000*q1) + exp(-10000*q1)", 1)
     with pytest.raises(SamplingError, match=r"\(first fault: overflow .* in 'exp\(10000\.0\*q1\)'\)$"):
         expr.approx_equal(e, e, SamplingSpec(seed=2024))
+
+
+def test_sampling_error_names_bs_fault_when_a_has_none():
+    a, b = expr.parse("q1", 1), expr.parse("1/(q1-q1)", 1)
+    with pytest.raises(SamplingError, match=r"\(first fault: divide by zero .* in '1\.0/0\.0'\)$"):
+        expr.approx_equal(a, b)
+
+
+def test_held_powers_evaluate_bitwise_as_unheld():
+    """Both powers have a base with t, so holding keeps each Pow and holds the
+    t-free parts of its base (exp(q2) in the first)."""
+    e = expr.parse("(cos(t)*q1 + exp(q2))^3 - (q2 + t + 1)^-2*sin(q1)", 2)
+    meshes = Grid((10.0, 20.0), (16, 32)).axis_vectors()
+    held = e.held_on(meshes)
+    assert isinstance(held.node.left, expr.Pow) and isinstance(held.node.left.base.right, expr._Held)
+    for t in (0.0, 0.3, 1.7):
+        assert held.evaluate_on(meshes, t).tobytes() == e.evaluate_on(meshes, t).tobytes()
 
 
 def test_finite_constants_still_fold():

@@ -1,4 +1,4 @@
-"""Three-dimensional trajectory machinery and CLI config precedence."""
+"""Three-dimensional trajectory machinery and CLI grid precedence."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from pilotwave.grids import Grid
 from pilotwave.multiindex import MultiIndex
 from pilotwave.operators import load_hamiltonian
 from pilotwave.solver import EvolutionSpec, evolve
-from pilotwave.states import gaussian, parse_state_spec
+from pilotwave.states import gaussian
 from pilotwave.trajectories import integrate_trajectories, interpolate, sample_density, velocity
 
 STD3D = (
@@ -61,18 +61,17 @@ def test_grid_dimension_cap():
 
 
 def test_cli_grid_precedence_flags_beat_state_file():
-    spec = parse_state_spec(
-        "state = gaussian\nwidth = 1.0\ngrid = [64]\ndomain = [10.0]\n"
-    )
+    """The flags set the grid, over the defaults; a state file sets none (its grid
+    and domain lines are refused)."""
     parser = build_parser()
     args = parser.parse_args(
         ["simulate", "h.ham", "--state", "s.st", "--grid", "128", "--domain", "20"]
     )
-    grid = _resolve_grid(args, 1, spec)
+    grid = _resolve_grid(args, 1)
     assert grid.shape == (128,)
     assert grid.lengths == (20.0,)
-    # without flags the state file wins over the defaults
+    # without flags the defaults apply
     args2 = parser.parse_args(["simulate", "h.ham", "--state", "s.st"])
-    grid2 = _resolve_grid(args2, 1, spec)
-    assert grid2.shape == (64,)
-    assert grid2.lengths == (10.0,)
+    grid2 = _resolve_grid(args2, 1)
+    assert grid2.shape == (256,)
+    assert grid2.lengths == (40.0,)

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -457,23 +458,28 @@ def test_load_hamiltonian():
     assert set(H.terms) == {MultiIndex((0,)), MultiIndex((2,))}
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        'term [2] = "-0.5"',  # dim missing
-        'dim = 1\nterm [2] = -0.5',  # unquoted
-        'dim = 1\nterm [2] = "-0.5"\nterm [2] = "1"',  # duplicate index
-        'dim = 2\nterm [2] = "-0.5"',  # wrong index arity
-        'dim = 1\nterm [one] = "-0.5"',  # bad index literal
-        'dim = 1\nterm [-1] = "-0.5"',  # negative index
-        'dim = 1\nterm [1] = "q7"',  # expression references missing axis
-        'dim = 0',  # bad dimension
-        'dim = 1\nwhat = 3',  # unknown key
-        'dim = 1\ndim = 2',  # duplicate dim
-    ],
-)
+# Each malformed Hamiltonian file and the whole message it is refused with.
+HAMILTONIAN_REJECTS = {
+    'term [2] = "-0.5"': "line 1: 'dim = N' must appear before any term",  # dim missing
+    'dim = 1\nterm [2] = -0.5': "line 2: expression must be double-quoted",  # unquoted
+    'dim = 1\nterm [2] = "-0.5"\nterm [2] = "1"': "line 3: duplicate term index [2]",
+    'dim = 2\nterm [2] = "-0.5"': "line 2: multi-index has 1 entries, expected 2",  # wrong index arity
+    'dim = 1\nterm [one] = "-0.5"': "line 2: bad multi-index '[one]'",
+    'dim = 1\nterm [-1] = "-0.5"': "line 2: multi-index entries must be non-negative",
+    'dim = 1\nterm [1] = "q7"': "line 2: variable q7 out of range for dimension 1 (line 1, column 1)",
+    'dim = 0': "line 1: dimension must be >= 1",
+    'dim = 1\nwhat = 3': "line 2: unknown key 'what'",
+    'dim = 1\ndim = 2': "line 2: duplicate dim declaration",
+    'dim = 1\nterm 2 = "-0.5"': "line 2: expected a bracketed multi-index, got '2'",
+    'dim = 1\nterm [] = "-0.5"': "line 2: empty multi-index",
+    '# neither dim nor a term\n': "missing 'dim = N' declaration",
+    'dim = 1\nterm [0] = "q1 $ 2"': "line 2: unexpected character '$' (line 1, column 4)",
+}
+
+
+@pytest.mark.parametrize("text", HAMILTONIAN_REJECTS)
 def test_load_hamiltonian_rejects(text):
-    with pytest.raises(HamiltonianFormatError):
+    with pytest.raises(HamiltonianFormatError, match=f"^{re.escape(HAMILTONIAN_REJECTS[text])}$"):
         load_hamiltonian(text)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -166,8 +167,6 @@ state = gaussian
 center = [18.0]
 width = 0.5
 wavevector = [1.0]
-grid = [512]
-domain = [40.0]
 """
 
 
@@ -176,8 +175,6 @@ def test_parse_state_spec():
     assert spec.kind == "gaussian"
     assert spec.params["center"] == [18.0]
     assert spec.params["width"] == 0.5
-    assert spec.grid_points == [512]
-    assert spec.domain_lengths == [40.0]
     grid = Grid((40.0,), (512,))
     psi = build_state(spec, grid)
     assert psi.norm_sq() == pytest.approx(1.0)
@@ -194,24 +191,35 @@ def test_superposition_state_file():
     assert psi.norm_sq() == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "width = 0.5",  # no state kind
-        "state = vortex",  # unknown kind
-        "state = gaussian\ncomponent = 1 | gaussian",  # components on non-superposition
-        "state = superposition",  # no components
-        "state = superposition\ncomponent = q1 | gaussian",  # non-constant coefficient
-        "state = plane-wave",  # missing wavevector
-        "state = gaussian\nwidth = [0.5, 0.7]",  # wrong arity for 1D grid
-        "wavevector = [1.0]\nstate = plane-wave\nlevels = [0]",  # key of another kind
-        "state = superposition\ncenter = [20]\ncomponent = 1 | gaussian",  # superposition takes no keys
-        "state = superposition\ncomponent = 1 | ho-eigenstate level=[1]",  # misspelt component key
-    ],
-)
+# Each malformed state file and the whole message it is refused with on a 1D grid.
+STATE_REJECTS = {
+    "width = 0.5": "missing 'state = <kind>' declaration",
+    "state = vortex": "line 1: unknown state kind 'vortex'",
+    "state = gaussian\ncomponent = 1 | gaussian": "component lines are only valid for superposition states",
+    "state = superposition": "superposition state lists no components",
+    "state = superposition\ncomponent = q1 | gaussian": "line 2: component coefficient must be a constant",
+    "state = plane-wave": "plane-wave state needs a wavevector",
+    "state = gaussian\nwidth = [0.5, 0.7]": "width needs 1 entries, got 2",  # wrong arity for 1D grid
+    "wavevector = [1.0]\nstate = plane-wave\nlevels = [0]":
+        "line 3: unknown key 'levels' for plane-wave (it takes wavevector)",
+    "state = superposition\ncenter = [20]\ncomponent = 1 | gaussian":
+        "line 2: unknown key 'center' for superposition (it takes only component lines)",
+    "state = superposition\ncomponent = 1 | ho-eigenstate level=[1]":
+        "line 2: unknown key 'level' for ho-eigenstate (it takes levels, center, frequency, mass)",
+    "state = gaussian\ncenter = [20": "line 2: unterminated list '[20'",
+    "state = gaussian\ncenter = [20, x]": "line 2: bad list '[20, x]'",
+    "state = gaussian\nwidth = wide": "line 2: bad numeric value 'wide'",
+    "state = superposition\ncomponent = 1 gaussian": "line 2: component must be 'coeff | kind key=value ...'",
+    "state = superposition\ncomponent = 1 |": "line 2: missing component kind",
+    "state = superposition\ncomponent = 1 | blob": "line 2: unknown component kind 'blob'",
+    "state = superposition\ncomponent = 1 | gaussian width": "line 2: expected key=value, got 'width'",
+}
+
+
+@pytest.mark.parametrize("text", STATE_REJECTS)
 def test_state_spec_rejects(text):
     grid = Grid((40.0,), (64,))
-    with pytest.raises(HamiltonianFormatError):
+    with pytest.raises(HamiltonianFormatError, match=f"^{re.escape(STATE_REJECTS[text])}$"):
         build_state(parse_state_spec(text), grid)
 
 

@@ -155,8 +155,7 @@ def _weight(r: MultiIndex, n: MultiIndex, m: MultiIndex, e_i: MultiIndex) -> Fra
 def derive_current_table(H: DifferentialOperator) -> CurrentTable:
     """Symbolic current coefficients, completely determined by the Hamiltonian.
 
-    Entries that are exactly 0 at every point of the SamplingSpec that H was
-    verified with are dropped."""
+    Only structurally zero entries, the literal 0, are dropped."""
     H = require_hermitian(H)
     dim = H.dim
     axes: list[dict[tuple[MultiIndex, MultiIndex], CoefficientExpression]] = []
@@ -174,7 +173,7 @@ def derive_current_table(H: DifferentialOperator) -> CurrentTable:
                     contrib = expr.const(1j * complex(w), dim) * deriv
                     key = (n, m)
                     table[key] = table[key] + contrib if key in table else contrib
-        axes.append({key: c for key, c in table.items() if not expr.vanishes(c, H.sampling)})
+        axes.append({key: c for key, c in table.items() if not c.is_structural_zero})
     return CurrentTable(dim, axes, provenance=repr(H))
 
 

@@ -9,10 +9,11 @@ parser and the printer take their names from them.  One printer,
 `_print`, writes a tree in either of two spellings: plain text
 (`to_string` and error messages, which `parse` reads back) and TeX
 (`to_latex`).  The algebra deliberately stops far short of a CAS: smart
-constructors (`_BUILD` maps an operator to its own) fold constants and
-drop additive/multiplicative zeros so Leibniz expansions stay compact,
-and expression equality is decided numerically on random sample points
-rather than by canonicalization.
+constructors (`_BUILD` maps an operator to its own) fold constants, drop
+additive/multiplicative zeros and fold a - a and a + (-1)*a to 0 so Leibniz
+expansions stay compact, and expression equality is decided numerically on
+random sample points rather than by canonicalization.  Zero is structural:
+an expression is 0 only when it folded to the literal 0.
 
 One tree walker, `_walk`, computes values with one of two tables.  The
 grid table applies numpy's ufuncs to complex arrays under errstate(raise):
@@ -26,13 +27,13 @@ whose operation faulted, in the one wording of `_fault`: the kind of fault and
 the node's function, "power" or operator ("overflow encountered in multiply"),
 not the names of numpy's fast paths.  numpy is imported on first grid use.
 
-The sampled checks, `approx_equal` and the exact-zero test `vanishes`, take
-their settings from one `SamplingSpec`: they draw q uniformly from the
-periodic box [0, L_1) x ... x [0, L_N) of a grid (by default
-[0, DEFAULT_LENGTH) per axis, the CLI's default domain) and t from [0, 1).
-The points are `random.Random(seed).random` draws, a stream Python keeps the
-same for an int seed on every version.  Each check walks them one at a time in
-the scalar table and stops at the first point that decides its verdict.
+The sampled check, `approx_equal`, takes its settings from one
+`SamplingSpec`: it draws q uniformly from the periodic box
+[0, L_1) x ... x [0, L_N) of a grid (by default [0, DEFAULT_LENGTH) per
+axis, the CLI's default domain) and t from [0, 1).  The points are
+`random.Random(seed).random` draws, a stream Python keeps the same for an
+int seed on every version.  The check walks them one at a time in the scalar
+table and stops at the first point that decides its verdict.
 The spec refuses fewer than one sample, and a tolerance that is negative or
 not finite, when it is built.
 
@@ -169,7 +170,15 @@ def _add(a: Node, b: Node) -> Node:
         return b
     if _is_const(b, 0):
         return a
+    if _is_negation(a, b) or _is_negation(b, a):
+        return _ZERO
     return _binary("+", a, b)
+
+
+def _is_negation(a: Node, b: Node) -> bool:
+    """True when b is (-1)*a for a non-constant a, the one like-terms rule."""
+    return (isinstance(b, Binary) and b.op == "*" and _is_const(b.left, -1) and b.right == a
+            and not isinstance(a, Const))
 
 
 def _sub(a: Node, b: Node) -> Node:
@@ -821,20 +830,6 @@ def _modulus(z: complex) -> float:
         return abs(z)
     except OverflowError:
         return math.inf
-
-
-def vanishes(e: CoefficientExpression, spec: SamplingSpec = SamplingSpec()) -> bool:
-    """True iff `e` is exactly 0 at the first `spec.samples` points that
-    `approx_equal` draws with the same spec; it stops at the first point
-    where `e` is not.  A point where `e` faults counts as nonzero, so pruning
-    by this test drops only genuine zeros."""
-    for q, t in itertools.islice(spec._points(e.dim), spec.samples):
-        try:
-            if _walk(e.node, q, t, _SCALAR):
-                return False
-        except EvaluationDomainError:
-            return False
-    return True
 
 
 def contains_time(e: CoefficientExpression) -> bool:

@@ -8,9 +8,10 @@ which after a Leibniz expansion gives coefficients
     adj(h)_n = sum_{m >= n} (-1)^|m| C(m,n) D^(m-n) conj(h_m),
 
 and Hermiticity is exactly the fixed-point condition h_n = adj(h)_n.  That
-condition, and the pruning of exactly-zero terms, are decided by
-`expr.approx_equal` and `expr.vanishes` on the points of an
-`expr.SamplingSpec`, which is imported here for callers of these checks.
+condition is decided by `expr.approx_equal` on the points of an
+`expr.SamplingSpec`, which is imported here for callers of the check.  Only
+a structurally zero coefficient, the literal 0, is dropped from an operator,
+so no term depends on where the check samples.
 """
 
 from __future__ import annotations
@@ -117,18 +118,15 @@ def hermitize(H: DifferentialOperator) -> DifferentialOperator:
 
 class HermitianOperator(DifferentialOperator):
     """An operator that passed the sampled Hermiticity check when it was built;
-    get one from `require_hermitian`.  `sampling` is the SamplingSpec it was
-    verified with.  It keeps the checked operator's terms except those that
-    are exactly 0 at every sample point of `sampling`, and its repr is the
-    provenance of a derived current table."""
+    get one from `require_hermitian`.  It keeps every term of the checked
+    operator, and its repr is the provenance of a derived current table."""
 
     def __init__(self, H: DifferentialOperator, check: SamplingSpec | None = None):
         bad = hermiticity_violations(H, check)
         if bad:
             slots = ", ".join(str(n) for n in bad)
             raise NonHermitianError(f"Hamiltonian is not Hermitian; violated slots: {slots}")
-        self.sampling = check or SamplingSpec()
-        super().__init__(H.dim, {n: c for n, c in H._terms.items() if not expr.vanishes(c, self.sampling)})
+        super().__init__(H.dim, H._terms)
 
 
 def require_hermitian(H: DifferentialOperator, check: SamplingSpec | None = None) -> HermitianOperator:

@@ -11,10 +11,10 @@ and the nested-sum form of the current
 
 which `eval_current_direct` evaluates on the grid without building a table.
 
-It also keeps the sampled checks as numpy batches: `approx_equal` and
-`vanishes` draw every point up front and evaluate each side over all of
-them in one grid-table walk, where the package walks the scalar table one
-point at a time.
+It also keeps the sampled check as a numpy batch: `approx_equal` draws
+every point up front and evaluates each side over all of them in one
+grid-table walk, where the package walks the scalar table one point at a
+time.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def momentum_form_coefficients(H: DifferentialOperator) -> dict[MultiIndex, expr
     return out
 
 
-def _draw(spec: SamplingSpec, dim: int, budget: int = 1):
+def _draw(spec: SamplingSpec, dim: int, budget: int):
     """`budget * samples` points of the box [0, L_1) x ... x [0, L_N) x [0, 1):
     q as rows and t."""
     lengths = [DEFAULT_LENGTH] * dim if spec.lengths is None else spec.lengths
@@ -247,14 +247,6 @@ def approx_equal(a: CoefficientExpression, b: CoefficientExpression, spec: Sampl
             f"(first fault: {fault_a or fault_b})"
         )
     return True
-
-
-def vanishes(e: CoefficientExpression, spec: SamplingSpec = SamplingSpec()) -> bool:
-    """True iff `e` is exactly 0 at the first `spec.samples` points that
-    `approx_equal` draws with the same spec.  A point where `e` faults
-    counts as nonzero, so pruning by this test drops only genuine zeros."""
-    values, faults, _ = _sample(e, *_draw(spec, e.dim))
-    return not (faults.any() or values.any())
 
 
 def _sample(e: CoefficientExpression, q: np.ndarray, t: np.ndarray):

@@ -65,6 +65,21 @@ def test_check_samples_the_default_box(ham, capsys):
     assert "slot n = [0]" in out and "slot n = [1]" in out
 
 
+def test_a_first_order_bump_is_derived_and_evolved(ham, tmp_path, capsys):
+    """exp(-10000*(q1-20.3)^2) is exactly 0.0 in doubles except within 0.273 of
+    20.3, where most of the 32 sample points never land.  derive keeps it in
+    the provenance and the table, and simulate evolves it: a real first-order
+    coefficient does not conserve the norm, so the run ends on norm drift."""
+    path = ham("bump.ham", 'dim = 1\nterm [2] = "-0.5"\nterm [1] = "exp(-10000*(q1-20.3)^2)"\n')
+    assert main(["derive", path]) == 0
+    table = json.loads(capsys.readouterr().out)
+    assert table["provenance"] == "DifferentialOperator(dim=1, {[1]: exp(-10000.0*(q1 - 20.3)^2), [2]: -0.5})"
+    assert {"n": [0], "m": [0], "expression": "i*exp(-10000.0*(q1 - 20.3)^2)"} in table["axes"][0]["entries"]
+    state = ham("g.st", "state = gaussian\ncenter = [20.3]\nwidth = 1\nwavevector = [1]\n")
+    assert main(["simulate", path, "--state", state, "--grid", "1024", "--out", str(tmp_path / "run")]) == 3
+    assert "error: norm drift 2.018e-05 at t=0.00307604 exceeds 1e-06" in capsys.readouterr().err
+
+
 def test_check_malformed_exits_2(ham, capsys):
     assert main(["check", ham("bad.ham", "dim = \n")]) == 2
     assert main(["check", str("no-such-file.ham")]) == 2

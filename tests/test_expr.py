@@ -198,9 +198,6 @@ def test_overflow_is_a_fault():
     # every sample point overflows, so no point is valid
     with pytest.raises(SamplingError):
         expr.approx_equal(square, square + 1)
-    # inf - 2*inf is nan, which no tolerance test rejects: a nonzero term
-    # must not be pruned as zero
-    assert not expr.vanishes(expr.parse("(1e300*q1)*(1e300*q1) - (1e300*q1)*(1e300*q1)*2", 1))
 
 
 @pytest.mark.parametrize(
@@ -364,9 +361,8 @@ def test_numpy_integer_seed_samples_as_its_int(seed):
     assert type(spec.seed) is int and type(spec.samples) is int
     assert list(itertools.islice(spec._points(2), 80)) == list(itertools.islice(plain._points(2), 80))
     x, y = expr.parse("q1*q2", 2), expr.parse("q2*q1 + 1e-3*exp(-(q1 - 20)^2)", 2)
-    for check, args in ((expr.approx_equal, (x, expr.parse("q2*q1", 2))), (expr.approx_equal, (x, y)),
-                        (expr.vanishes, (x - x,)), (expr.vanishes, (y - x,))):
-        assert check(*args, spec) == check(*args, plain)
+    for other in (expr.parse("q2*q1", 2), y):
+        assert expr.approx_equal(x, other, spec) == expr.approx_equal(x, other, plain)
 
 
 def random_ast(rng, depth):
@@ -415,8 +411,6 @@ def test_scalar_verdicts_match_the_numpy_batch_oracle():
         spec = SamplingSpec(**kwargs)
         expected = sampled_verdict(oracles.approx_equal, a, b, spec)
         assert sampled_verdict(expr.approx_equal, a, b, spec) == expected, (a, b)
-        for e in (a, b, a - b):
-            assert expr.vanishes(e, spec) == oracles.vanishes(e, spec), e
         seen.append(expected if isinstance(expected, bool) else "gives up")
     assert {True, False, "gives up"} <= set(seen)
 
@@ -524,6 +518,13 @@ def test_simplification_keeps_structure_light():
     assert same.to_string() == "q1"
     folded = expr.parse("2*3 + 1", 1)
     assert folded.constant_value() == 7.0
+    # a + (-1)*a is the one like-terms fold, in either order
+    x, y, minus = expr.parse("exp(q1)*q2", 2), expr.parse("q2", 2), expr.const(-1, 2)
+    assert (x + minus * x).is_structural_zero and (minus * x + x).is_structural_zero
+    assert expr.parse("q1 + -1*q1", 1).is_structural_zero
+    assert (x + expr.const(-2, 2) * x).to_string() == "exp(q1)*q2 + -2.0*exp(q1)*q2"
+    assert (x + minus * y).to_string() == "exp(q1)*q2 + -1.0*q2"
+    assert (expr.const(2.5, 2) + expr.const(-2.5, 2)).is_structural_zero
 
 
 def test_latex_smoke():
@@ -600,8 +601,6 @@ def test_sampled_checks_refuse_fewer_than_one_sample(samples):
     a, b = expr.parse("q1", 1), expr.parse("q1 + 1", 1)
     with pytest.raises(ValueError, match="samples must be at least 1"):
         expr.approx_equal(a, b, SamplingSpec(samples=samples))
-    with pytest.raises(ValueError, match="samples must be at least 1"):
-        expr.vanishes(b, SamplingSpec(samples=samples))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])

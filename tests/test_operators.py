@@ -15,7 +15,7 @@ from helpers import (
     record_function_argument_sizes,
     visibly_non_hermitian_operator,
 )
-from oracles import approx_equal as batch_approx_equal, eval_current_direct, vanishes as batch_vanishes
+from oracles import approx_equal as batch_approx_equal, eval_current_direct
 from pilotwave import expr
 from pilotwave.altcurrents import born_jordan_current, second_order_current
 from pilotwave.currents import derive_current_table
@@ -172,6 +172,12 @@ def test_pruning_keeps_a_bump_away_from_the_origin():
     H = random_hermitian_operator(np.random.default_rng(1), 2, 6, (10, 10))
     assert len(H.terms) == 4
     assert require_hermitian(H, SamplingSpec(lengths=(20.0, 20.0))).terms == H.terms
+    # a Hermitian potential that is exactly 0.0 in doubles except within 0.273
+    # of 20.3, where the 32 sample points of most seeds never land
+    bump = load_hamiltonian('dim = 1\nterm [2] = "-0.5"\nterm [0] = "exp(-10000*(q1-20.3)^2)"\n')
+    assert len(bump.terms) == 2
+    for spec in [SamplingSpec(seed=seed) for seed in range(8)] + [None]:
+        assert require_hermitian(bump, spec).terms == bump.terms
 
 
 def test_pruning_keeps_a_small_drive():
@@ -191,12 +197,12 @@ def test_pruning_keeps_a_small_drive():
 
 
 def test_pruning_drops_exact_cancellations():
+    # hermitize's [1] slot is 0.5*(q1 + -1.0*q1), which folds to 0 where it is built
     sym = hermitize(load_hamiltonian('dim = 1\nterm [2] = "-0.5"\nterm [1] = "q1"\n'))
-    assert MultiIndex((1,)) in sym.terms  # q1 - q1 is not folded structurally
-    verified = require_hermitian(sym)
-    assert {n: c.constant_value() for n, c in verified.terms.items()} == {
+    assert {n: c.constant_value() for n, c in sym.terms.items()} == {
         MultiIndex((0,)): -0.5, MultiIndex((2,)): -0.5
     }
+    assert require_hermitian(sym).terms == sym.terms
 
 
 @pytest.mark.parametrize("lengths, error", [
@@ -225,9 +231,8 @@ def test_sampling_seed_is_checked_at_construction(seed, message):
     ({"tol": -1e-9}, "tol"), ({"samples": 2.5}, "samples must be an integer"),
 ])
 def test_vacuous_sampling_is_refused(spec, name):
-    """Zero points or an unbounded tolerance would call -i*q1 d/dq1 Hermitian,
-    and pruning at zero points would drop every term.  A fractional count is
-    refused when the spec is built."""
+    """Zero points or an unbounded tolerance would call -i*q1 d/dq1 Hermitian.
+    A fractional count is refused when the spec is built."""
     qp = op_1d({1: "-i*q1"})
     with pytest.raises(ValueError, match=name):
         hermiticity_violations(qp, SamplingSpec(**spec))
@@ -254,8 +259,8 @@ def benchmark_operators(out: Path):
 
 
 def test_benchmark_slot_verdicts_match_the_numpy_batch_oracle(tmp_path):
-    """Each slot's Hermiticity verdict and zero test, on the default box and on the
-    run's box, for the raw and the hermitized benchmark operators."""
+    """Each slot's Hermiticity verdict, on the default box and on the run's box,
+    for the raw and the hermitized benchmark operators."""
     for H, length in benchmark_operators(tmp_path):
         for op in (H, hermitize(H)):
             adj = adjoint(op)
@@ -263,7 +268,6 @@ def test_benchmark_slot_verdicts_match_the_numpy_batch_oracle(tmp_path):
                 for n in set(op.terms) | set(adj.terms):
                     a, b = op.coefficient(n), adj.coefficient(n)
                     assert expr.approx_equal(a, b, spec) == batch_approx_equal(a, b, spec), (n, a)
-                    assert expr.vanishes(a - b, spec) == batch_vanishes(a - b, spec), (n, a)
 
 
 def test_hermitize_examples():
@@ -500,7 +504,7 @@ def axis_operator() -> DifferentialOperator:
 
 
 def test_applier_evaluates_one_axis_functions_on_axis_vectors(monkeypatch):
-    H = axis_operator()  # built first: its sampled pruning calls the functions too
+    H = axis_operator()  # building an operator evaluates no coefficient; the applier does
     sizes = record_function_argument_sizes(monkeypatch)
     applier = OperatorApplier(H, Grid((10.0, 10.0), (64, 64)))
     # the static sin(q2), and the dynamic coefficient's t-free cos(q1) twice, held

@@ -10,13 +10,13 @@ without both --dt and --steps, all refused before any work; and a state
 file's grid or domain line, a preset value out of its range, such as
 levels = [-1] or mass = 0, or a state that is 0 at every grid point,
 refused before any file is written), 3 numerical failure (including a grid
-above grids.MAX_GRID_POINTS, a run above solver.MAX_RK4_STEPS or a particle
-count above trajectories.MAX_PARTICLES, refused at setup).  A closed standard
-output, as in `pilotwave derive H.ham | head`, ends the command quietly with
-its own code.  An output that cannot be written, such as a simulate --out
-that names a file or a derive --out in a missing directory, is a usage
-error (exit 2) naming the path; simulate checks its directory before it
-evolves.  simulate's snapshot files are written by a second process as they
+above grids.MAX_GRID_POINTS, an RK4 or Chebyshev run above
+solver.MAX_RK4_STEPS or a particle count above trajectories.MAX_PARTICLES,
+refused at setup).  A closed standard output, as in `pilotwave derive H.ham
+| head`, ends the command quietly with its own code.  An output that cannot
+be written, such as a simulate --out that names a file or a derive --out in
+a missing directory, is a usage error (exit 2) naming the path; simulate
+checks its directory before it evolves.  simulate's snapshot files are written by a second process as they
 are taken, so a run stopped with exit 3 keeps the snapshots it reached, and
 only a finished run writes summary.json.  A snapshot that process cannot
 write ends the run with exit 2 at the next snapshot, or once evolve returns,

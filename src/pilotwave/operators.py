@@ -151,7 +151,8 @@ class OperatorApplier:
     It is also the numerical gate of every grid command: each axis's
     derivative factors (i k_a)^p up to H's order on that axis, and the folded
     multiplier, are built here, and a non-finite one raises StabilityError
-    naming the grid.
+    naming the grid.  `eigh` diagonalizes the grid matrix for the solver's
+    dense path when that matrix is Hermitian by construction.
     """
 
     def __init__(self, H: DifferentialOperator, grid: Grid):
@@ -239,6 +240,33 @@ class OperatorApplier:
             elif n not in self._folded:
                 spread += self._term_bound(n, coef_grid)
         return max(low - spread, -radius), min(high + spread, radius)
+
+    def eigh(self):
+        """`np.linalg.eigh` of the grid matrix F^-1 diag(multiplier) F + diag(h_0) on C-order flattened
+        values, or None unless H has no explicit t, every derivative term is folded into the
+        multiplier, and h_0 and the multiplier are exactly real on the grid, so that the matrix is
+        Hermitian.  It is the block circulant of ifftn(multiplier) plus the diagonal, real when the
+        multiplier is even in k."""
+        size = math.prod(self.grid.shape)
+        diagonal = np.zeros(size)
+        multiplier = self._multiplier if self._multiplier is not None else np.zeros(self.grid.shape)
+        if self._dynamic or np.any(multiplier.imag):
+            return None
+        for n, coef_grid in self._static.items():
+            if n.order() == 0:
+                if np.any(coef_grid.imag):
+                    return None
+                diagonal = coef_grid.real.ravel()
+            elif n not in self._folded:
+                return None
+        kernel = np.fft.ifftn(multiplier)
+        if np.array_equal(multiplier, np.roll(np.flip(multiplier), 1, axis=tuple(range(self.grid.dim)))):
+            kernel = kernel.real
+        coords = np.unravel_index(np.arange(size), self.grid.shape)
+        matrix = kernel.ravel()[np.ravel_multi_index([c[:, None] - c for c in coords], self.grid.shape,
+                                                     mode="wrap")]
+        matrix[np.diag_indices(size)] += diagonal
+        return np.linalg.eigh(matrix)
 
 
 def apply(H: DifferentialOperator, state: GridState) -> GridState:

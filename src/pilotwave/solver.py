@@ -1,16 +1,20 @@
 """Time evolution of i d/dt psi = H psi on the periodic grid.
 
-A time-independent H is propagated exactly: each snapshot interval tau
-applies the Chebyshev series exp(-i H tau) = e^(-i c tau) sum_k c_k
-T_k((H - c)/h) (Tal-Ezer and Kosloff 1984), where [c - h, c + h] is the
-operator's spectral interval, when that series is shorter than the 4 * stride
-applications RK4 would spend.  A constant H (h = 0) is the phase e^(-i c tau)
-alone.  Otherwise classic fourth-order Runge-Kutta applies the operator at
-substep times, so time-dependent coefficients are supported, and dt * R must
-respect the RK4 stability limit, checked at setup, where R = sum_n max|h_n|
-k_max^n bounds the norm of the grid operator.  Norm drift is monitored at
-every snapshot on both paths and aborts the run when it exceeds
-NORM_DRIFT_LIMIT.
+Three propagators.  A time-independent H is propagated exactly: each
+snapshot interval tau applies the Chebyshev series exp(-i H tau) =
+e^(-i c tau) sum_k c_k T_k((H - c)/h) (Tal-Ezer and Kosloff 1984), where
+[c - h, c + h] is the operator's spectral interval, when that series is
+shorter than the 4 * stride applications RK4 would spend.  A constant H
+(h = 0) is the phase e^(-i c tau) alone.  Otherwise classic fourth-order
+Runge-Kutta applies the operator at substep times, so time-dependent
+coefficients are supported, and dt * R must respect the RK4 stability
+limit, checked at setup, where R = sum_n max|h_n| k_max^n bounds the norm
+of the grid operator.  On a small grid, where either path would apply H
+more often than a diagonalization costs, a Hermitian grid matrix with
+constant-coefficient derivatives is diagonalized once (the Fourier grid
+Hamiltonian, Marston and Balint-Kurti 1989) and every snapshot is
+U exp(-i lambda t) U^dagger psi0.  Norm drift is monitored at every
+snapshot on every path and aborts the run when it exceeds NORM_DRIFT_LIMIT.
 """
 
 from __future__ import annotations
@@ -29,8 +33,15 @@ RK4_STABILITY_LIMIT = 2.8
 NORM_DRIFT_LIMIT = 1e-6
 # At 0.5 ms per step (a 256-point 1D p^4 operator on a 2-vCPU host) this
 # budget is over 8 minutes; a larger count means a grid too fine for RK4.
-# It counts schedule steps on both propagators.
+# It counts schedule steps on the RK4 and Chebyshev paths, and snapshot
+# intervals on the dense path.
 MAX_RK4_STEPS = 10**6
+# The dense path's grid limit.  With single-threaded OpenBLAS on a 2-core x86
+# host, eigh of a complex grid matrix takes 28 ms at 256 points, 0.24 s at 512
+# and 1.7 s at 1,024: about 500, 3,700 and 33,000 applications of a 1D p^4
+# operator, against the N^2 / 32 = 2,048, 8,192 and 32,768 the path requires.
+# A real symmetric matrix takes a sixth of that or less.
+MAX_DENSE_POINTS = 1024
 # Chebyshev terms below this magnitude end the series; the FFT that computes
 # the coefficients has a noise floor near 1e-16.
 CHEBYSHEV_CUTOFF = 1e-15
@@ -111,32 +122,63 @@ def _snapshot_steps(spec: EvolutionSpec):
         yield spec.steps
 
 
+def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """matrix @ vector for a complex vector; a real matrix multiplies the real and imaginary parts
+    as two columns instead of being cast to a complex copy."""
+    if np.iscomplexobj(matrix):
+        return matrix @ vector
+    return (matrix @ vector.view(float).reshape(-1, 2)).view(complex).ravel()
+
+
 def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec,
            on_snapshot=None) -> list[GridState]:
     """Propagate the state, returning snapshots every `stride` steps.
 
     The initial state and the final step are always included.  Each snapshot
-    is an immutable copy stamped with its time psi0.t + step * dt.  A
-    time-independent H takes the Chebyshev path when its series for one
-    snapshot interval is shorter than 4 * stride; every other input takes RK4.
+    is an immutable copy stamped with its time psi0.t + step * dt.  Of the
+    two step-by-step propagators a time-independent H takes the Chebyshev
+    path when its series for one snapshot interval is shorter than
+    4 * stride, and every other input takes RK4.  The dense path replaces
+    either one when the grid has at most MAX_DENSE_POINTS points N, the path
+    it replaces would apply H at least N^2 / 32 times, there are at most
+    MAX_RK4_STEPS snapshot intervals, and `OperatorApplier.eigh` gives
+    H = U diag(lambda) U^dagger: every snapshot is then
+    U exp(-i lambda step dt) U^dagger psi0, straight from psi0.
+    MAX_RK4_STEPS and the RK4 stability limit apply to the other two paths.
     `on_snapshot(snapshot)`, when given, is called with each snapshot as it is
     taken, after the setup checks and after that snapshot's norm check, so a
     run that fails has handed over every snapshot it reached.
     """
-    if spec.steps > MAX_RK4_STEPS:
-        raise StabilityError(
-            f"{spec.steps} RK4 steps exceed MAX_RK4_STEPS = {MAX_RK4_STEPS}; "
-            "coarsen the grid or shorten the run"
-        )
     applier = H.realize(psi0.grid)
+    dt = spec.dt
+    full, last = divmod(spec.steps, spec.stride)
     series = None
-    if not H.is_time_dependent():
+    applications = 4 * spec.steps
+    # above MAX_RK4_STEPS neither step-by-step path may run, so no series is built
+    if not H.is_time_dependent() and spec.steps <= MAX_RK4_STEPS:
         low, high = applier.spectral_interval(psi0.t)
         center, half_width = (low + high) / 2, (high - low) / 2
-        series = chebyshev_coefficients(half_width * spec.stride * spec.dt)
-    if series is None or len(series) >= 4 * spec.stride:
-        series = None
-        _check_dt(spec.dt, applier.spectral_radius(psi0.t))
+        series = chebyshev_coefficients(half_width * spec.stride * dt)
+        last_series = chebyshev_coefficients(half_width * last * dt) if last else series
+        if len(series) < 4 * spec.stride:
+            applications = full * len(series) + (len(last_series) if last else 0)
+        else:
+            series = None
+    points = psi0.values.size
+    dense = None
+    if points <= MAX_DENSE_POINTS and applications >= points**2 / 32 and full + (last > 0) <= MAX_RK4_STEPS:
+        dense = applier.eigh()
+    if dense is None:
+        if spec.steps > MAX_RK4_STEPS:
+            raise StabilityError(
+                f"{spec.steps} RK4 steps exceed MAX_RK4_STEPS = {MAX_RK4_STEPS}; "
+                "coarsen the grid or shorten the run"
+            )
+        if series is None:
+            _check_dt(dt, applier.spectral_radius(psi0.t))
+    else:
+        energies, vectors = dense
+        amplitudes = _matvec(vectors.T, psi0.values.ravel().conj()).conj()
 
     def rhs(values: np.ndarray, t: float) -> np.ndarray:
         return -1j * applier(values, t)
@@ -153,10 +195,12 @@ def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec,
 
     take(psi0.copy())
     values = psi0.values.copy()
-    dt = spec.dt
     start = 0
     for stop in _snapshot_steps(spec):
-        if series is None:
+        if dense is not None:
+            phases = np.exp(-1j * energies * (stop * dt))
+            values = _matvec(vectors, phases * amplitudes).reshape(psi0.grid.shape)
+        elif series is None:
             for step in range(start, stop):
                 t = psi0.t + step * dt
                 k1 = rhs(values, t)
@@ -165,8 +209,7 @@ def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec,
                 k4 = rhs(values + dt * k3, t + dt)
                 values = values + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            last = stop - start != spec.stride
-            interval = chebyshev_coefficients(half_width * (stop - start) * dt) if last else series
+            interval = series if stop - start == spec.stride else last_series
             values = _propagate(applier, values, interval, center, half_width, (stop - start) * dt, psi0.t)
         start = stop
         t = psi0.t + stop * dt

@@ -22,6 +22,14 @@ QP = 'dim = 1\nterm [1] = "-i*q1"\n'
 P4 = 'dim = 1\nterm [4] = "1"\n'
 STD2D = 'dim = 2\nterm [2,0] = "-0.5"\nterm [0,2] = "-0.5"\n'
 HO = 'dim = 1\nterm [2] = "-0.5"\nterm [0] = "(q1-20)^2/2"\n'
+# -(1/2) d/dq a(q) d/dq + (q-20)^2/2 with a = 1 + 0.1 cos(pi q / 10): the variable
+# mass keeps it on the step-by-step paths
+VARIABLE_MASS_HO = (
+    'dim = 1\nterm [2] = "-0.5 - 0.05*cos(0.3141592653589793*q1)"\n'
+    'term [1] = "0.05*0.3141592653589793*sin(0.3141592653589793*q1)"\nterm [0] = "(q1-20)^2/2"\n'
+)
+# the free particle with a drive: explicit t keeps it on RK4
+DRIVEN_FREE = FREE + 'term [0] = "0.1*cos(t)"\n'
 
 GAUSS = "state = gaussian\ncenter = [18.0]\nwidth = 0.5\nwavevector = [1.0]\n"
 GAUSS2D = "state = gaussian\ncenter = [10.0, 10.0]\nwidth = 1.0\nwavevector = [1.0, 2.0]\n"
@@ -78,6 +86,23 @@ def test_a_first_order_bump_is_derived_and_evolved(ham, tmp_path, capsys):
     state = ham("g.st", "state = gaussian\ncenter = [20.3]\nwidth = 1\nwavevector = [1]\n")
     assert main(["simulate", path, "--state", state, "--grid", "1024", "--out", str(tmp_path / "run")]) == 3
     assert "error: norm drift 2.018e-05 at t=0.00307604 exceeds 1e-06" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule, drift", [
+    ([], "1.392e-06 at t=0.01"),
+    (["--dt", "1e-3", "--steps", "1000", "--stride", "1"], "1.113e-06 at t=0.008"),
+], ids=["series", "rk4"])
+def test_a_complex_potential_is_not_diagonalized(schedule, drift, ham, tmp_path, capsys):
+    """An anti-Hermitian bump that the sampled check misses.  At stride 1 RK4
+    would apply H 4,000 times, above 256^2 / 32, but h_0 is not real, so the
+    run is not diagonalized: eigh reads one triangle of the matrix and would
+    evolve only its Hermitian part.  Both step-by-step paths end on norm drift."""
+    path = ham("bump.ham", 'dim = 1\nterm [2] = "-0.5"\n'
+                           'term [0] = "(q1-20)^2/8 + 1e-3*i*exp(-100*(q1-20.3)^2)"\n')
+    state = ham("g.st", "state = gaussian\ncenter = [20]\nwidth = 1\nwavevector = [1]\n")
+    argv = ["simulate", path, "--state", state, "--grid", "256", *schedule, "--out", str(tmp_path / "run")]
+    assert main(argv) == 3
+    assert f"error: norm drift {drift} exceeds 1e-06" in capsys.readouterr().err
 
 
 def test_check_malformed_exits_2(ham, capsys):
@@ -755,7 +780,7 @@ def test_a_particle_count_above_max_particles_exits_3_before_evolve(command, fla
 
 def test_run_above_max_rk4_steps_exits_3(ham, tmp_path, capsys):
     argv = [
-        "simulate", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), "--grid", "64",
+        "simulate", ham("driven.ham", DRIVEN_FREE), "--state", ham("gauss.st", GAUSS), "--grid", "64",
         "--dt", "1e-9", "--steps", "1000001", "--out", str(tmp_path / "run"),
     ]
     assert main(argv) == 3
@@ -855,13 +880,13 @@ def test_each_command_realizes_an_operator_once_per_grid(command, ham, tmp_path,
     assert len(built) == 1
 
 
-def _traced_equivariance_counts(ham, tmp_path) -> dict:
+def _traced_equivariance_counts(ham, tmp_path, hamiltonian=HO) -> dict:
     """Counters of perfbench/tracing.py around `equivariance` on the 1D
     oscillator ground state: 64 points, 200 particles, horizon 0.1."""
     spans = tmp_path / "spans.json"
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "tracing.py"), "--spans", str(spans), "--",
-         "equivariance", ham("ho.ham", HO), "--state", ham("ground.st", GROUND), "--grid", "64",
+         "equivariance", ham("ho.ham", hamiltonian), "--state", ham("ground.st", GROUND), "--grid", "64",
          "--domain", "40", "--count", "200", "--horizon", "0.1"],
         env=_subprocess_env(), capture_output=True, text=True, timeout=300,
     )
@@ -873,9 +898,10 @@ def test_traced_equivariance_counts_each_layer(ham, tmp_path):
     """perfbench/tracing.py measures the wrapped names; work routed around
     them would read 0 in the per-layer metrics.  The static coefficients are
     evaluated once for the whole run, and the table entries once per
-    snapshot."""
-    counts = _traced_equivariance_counts(ham, tmp_path)
-    H = require_hermitian(load_hamiltonian(HO))
+    snapshot.  The variable mass keeps the run on RK4, whose applications
+    are counted."""
+    counts = _traced_equivariance_counts(ham, tmp_path, VARIABLE_MASS_HO)
+    H = require_hermitian(load_hamiltonian(VARIABLE_MASS_HO))
     entries = sum(len(axis) for axis in derive_current_table(H).axes)
     steps = counts["solver.rk4_steps"]
     assert steps == 100  # the step floor: dt from the stability bound needs fewer
@@ -971,9 +997,12 @@ def test_forked_snapshot_writer_matches_the_inline_path(ham, tmp_path, capsys, m
 
 def test_norm_drift_mid_run_keeps_the_snapshots_it_reached(ham, tmp_path, capsys):
     """RK4 at dt = 0.25 on 16 points drifts past the limit at the eighth
-    snapshot: the seven before it are written, summary.json is not."""
+    snapshot: the seven before it are written, summary.json is not.  The
+    drive, 1e-30 cos(t), is far below the rounding of any value here, but its
+    explicit t keeps the run on RK4."""
     out = tmp_path / "run"
-    argv = ["simulate", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), "--grid", "16",
+    driven = FREE + 'term [0] = "1e-30*cos(t)"\n'
+    argv = ["simulate", ham("free.ham", driven), "--state", ham("gauss.st", GAUSS), "--grid", "16",
             "--domain", "40", "--dt", "0.25", "--steps", "40", "--stride", "2", "--out", str(out)]
     assert main(argv) == 3
     assert "norm drift 1.094e-06 at t=3.5 exceeds 1e-06" in capsys.readouterr().err

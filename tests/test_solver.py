@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_propagator
+from pilotwave import solver
 from pilotwave.currents import derive_current_table, eval_current
 from pilotwave.errors import NormDriftError, StabilityError
 from pilotwave.grids import Grid, GridState, spectral_derivative
@@ -229,6 +230,12 @@ LATTICE_2D = (
     'term [0,0] = "0.4*cos(0.6283185307179586*q1) + 0.3*sin(1.2566370614359172*q2)"\n'
 )
 DRIVEN_1D = FREE_1D + 'term [0] = "0.1*cos(0.15707963267948966*q1)*cos(t)"\n'
+# the quartic plus (f p + p f) / 2 with f = 1e-3 sin(w q): a derivative term
+# with a variable coefficient keeps it off the dense path
+VARIABLE_QUARTIC_1D = (
+    'dim = 1\nterm [4] = "0.05"\nterm [2] = "-0.5"\nterm [1] = "-1e-3*i*sin(0.15707963267948966*q1)"\n'
+    'term [0] = "(q1-20)^2/8 - 5e-4*i*0.15707963267948966*cos(0.15707963267948966*q1)"\n'
+)
 # a large negative offset: the interval's center is far from 0
 SHIFTED_QUARTIC_1D = 'dim = 1\nterm [4] = "0.05"\nterm [2] = "-0.5"\nterm [0] = "(q1-20)^2/8 - 500"\n'
 
@@ -321,7 +328,7 @@ def test_stride_one_steps_rk4(monkeypatch):
 
 
 def test_snapshot_cadence_takes_the_series(monkeypatch):
-    H = load_hamiltonian(QUARTIC_1D)
+    H = load_hamiltonian(VARIABLE_QUARTIC_1D)
     calls = count_applications(monkeypatch)
     spec = equiv1d_like_spec(H, horizon=0.2)
     evolve(H, gaussian(EQUIV1D_GRID, center=[18.0], width=0.5, wavevector=[1.0]), spec)
@@ -419,6 +426,81 @@ def test_shifted_series_equals_the_series_on_the_full_interval(monkeypatch):
     monkeypatch.setattr(OperatorApplier, "spectral_interval", lambda self, t: (-radius, radius))
     reference = evolve(H, psi0, spec)
     assert max(relative_error(a.values, b.values) for a, b in zip(shifted, reference)) <= 1e-11
+
+
+@pytest.mark.parametrize("text, grid", [(QUARTIC_1D, EQUIV1D_GRID), (LATTICE_2D, Grid((10.0, 20.0), (16, 32)))],
+                         ids=["1d-real", "2d-complex"])
+def test_eigh_diagonalizes_the_applier(text, grid):
+    H = load_hamiltonian(text)
+    assert not hermiticity_violations(H)
+    applier = H.realize(grid)
+    energies, vectors = applier.eigh()
+    assert np.iscomplexobj(vectors) == (grid.dim == 2)
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    diagonalized = vectors @ (energies * (vectors.conj().T @ values.reshape(-1)))
+    assert relative_error(diagonalized, applier(values, 0.0).reshape(-1)) <= 1e-12
+
+
+@pytest.mark.parametrize("text", [
+    FREE_1D + 'term [0] = "0.1*cos(t)"\n',
+    VARIABLE_MASS_1D,
+    FREE_1D + 'term [0] = "(q1-20)^2/8 + 1e-3*i*exp(-100*(q1-20.3)^2)"\n',
+    FREE_1D + 'term [1] = "1"\n',
+], ids=["explicit-t", "variable-mass", "complex-potential", "complex-multiplier"])
+def test_eigh_needs_a_hermitian_grid_matrix(text):
+    assert load_hamiltonian(text).realize(Grid((40.0,), (64,))).eigh() is None
+
+
+@pytest.mark.parametrize("text, grid, state, spec", [
+    (QUARTIC_1D, EQUIV1D_GRID, {"center": [18.0], "width": 0.5, "wavevector": [1.0]}, None),
+    (LATTICE_2D, Grid((10.0, 10.0), (16, 16)), {"center": [5.0, 4.0], "width": 1.2, "wavevector": [0.6, -0.6]},
+     (2000, 20)),
+], ids=["1d", "2d"])
+def test_dense_snapshots_agree_with_the_series(text, grid, state, spec, monkeypatch):
+    """The Chebyshev series is the independent reference: each dense snapshot
+    is within 1e-10 of it, relative in the max-norm, at the same time."""
+    H = load_hamiltonian(text)
+    psi0 = gaussian(grid, **state)
+    if spec is None:
+        spec = equiv1d_like_spec(H, horizon=1.0)
+    else:
+        spec = EvolutionSpec(dt=1.0 / H.realize(grid).spectral_radius(0.0), steps=spec[0], stride=spec[1])
+    calls = count_applications(monkeypatch)
+    dense = evolve(H, psi0, spec)
+    assert calls == []
+    monkeypatch.setattr(solver, "MAX_DENSE_POINTS", 0)
+    series = evolve(H, psi0, spec)
+    assert math.prod(grid.shape) ** 2 / 32 <= len(calls) < 4 * spec.steps
+    assert [s.t for s in dense] == [s.t for s in series]
+    for a, b in zip(dense, series):
+        assert np.max(np.abs(a.values - b.values)) <= 1e-10 * np.max(np.abs(b.values))
+
+
+def test_the_dense_path_is_bounded_by_snapshots_not_steps(monkeypatch):
+    """2 * 10^6 steps in 100 snapshot intervals run with no application of H;
+    with stride 1 the step-by-step paths' refusal applies."""
+    H = load_hamiltonian(FREE_1D)
+    grid = Grid((40.0,), (64,))
+    psi0 = gaussian(grid, center=[20.0], width=1.0, wavevector=[1.0])
+    calls = count_applications(monkeypatch)
+    snaps = evolve(H, psi0, EvolutionSpec(dt=1e-6, steps=2 * 10**6, stride=2 * 10**4))
+    assert calls == [] and len(snaps) == 101
+    exact = dense_propagator(H, grid, snaps[-1].t) @ psi0.values.reshape(-1)
+    assert relative_error(snaps[-1].values.reshape(-1), exact) <= 1e-12
+    with pytest.raises(StabilityError, match=r"^2000000 RK4 steps exceed MAX_RK4_STEPS = 1000000; "
+                                             "coarsen the grid or shorten the run$"):
+        evolve(H, psi0, EvolutionSpec(dt=1e-6, steps=2 * 10**6, stride=1))
+
+
+def test_a_run_above_the_step_budget_builds_no_series(monkeypatch):
+    """Off the dense path a run above MAX_RK4_STEPS is refused before its
+    series is built: one interval of 2 * 10^6 steps of dt = 1 would need about
+    10^7 terms here."""
+    monkeypatch.setattr(solver, "chebyshev_coefficients", lambda a: pytest.fail(f"series for a = {a}"))
+    psi0 = gaussian(Grid((8.0,), (64,)), center=[4.5], width=0.6, wavevector=[1.0])
+    with pytest.raises(StabilityError, match=r"^2000000 RK4 steps exceed MAX_RK4_STEPS = 1000000; "):
+        evolve(load_hamiltonian(VARIABLE_MASS_1D), psi0, EvolutionSpec(dt=1.0, steps=2 * 10**6, stride=2 * 10**6))
 
 
 def count_ffts(monkeypatch) -> list:

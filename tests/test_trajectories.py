@@ -291,15 +291,31 @@ def test_equivariance_reproducible():
 QUARTIC_1D = 'dim = 1\nterm [4] = "0.05"\nterm [2] = "-0.5"\nterm [0] = "(q1-20)^2/8"\n'
 
 
-def test_equivariance_refuses_a_run_above_the_step_budget(monkeypatch):
+def test_equivariance_diagonalizes_a_run_above_the_step_budget(monkeypatch):
     """The p^4 operator on 1024 points would need 2,095,129 RK4 steps to
-    T = 1; the run is refused before the first operator application."""
+    T = 1, above MAX_RK4_STEPS.  One diagonalization gives its 100 snapshot
+    intervals without an operator application, and the run is valid."""
     applications = []
     monkeypatch.setattr(OperatorApplier, "__call__", lambda self, values, t: applications.append(t))
     grid = Grid((40.0,), (1024,))
     psi0 = gaussian(grid, center=[18.0], width=0.5, wavevector=[1.0])
-    with pytest.raises(StabilityError, match=r"^2095129 RK4 steps exceed MAX_RK4_STEPS = 1000000"):
-        equivariance_test(load_hamiltonian(QUARTIC_1D), psi0, count=100, horizon=1.0, seed=0)
+    report = equivariance_test(load_hamiltonian(QUARTIC_1D), psi0, count=100, horizon=1.0, seed=0)
+    assert report.valid and report.horizon == 1.0
+    assert applications == []
+
+
+def test_equivariance_refuses_a_run_above_the_step_budget(monkeypatch):
+    """A drive of 1e-9 cos(t) keeps the same p^4 run on RK4, where it would
+    need 2,095,129 steps; the run is refused before the first operator
+    application."""
+    applications = []
+    monkeypatch.setattr(OperatorApplier, "__call__", lambda self, values, t: applications.append(t))
+    grid = Grid((40.0,), (1024,))
+    psi0 = gaussian(grid, center=[18.0], width=0.5, wavevector=[1.0])
+    driven = QUARTIC_1D.replace('^2/8"', '^2/8 + 1e-9*cos(t)"')
+    with pytest.raises(StabilityError, match=r"^2095129 RK4 steps exceed MAX_RK4_STEPS = 1000000; "
+                                             "coarsen the grid or shorten the run$"):
+        equivariance_test(load_hamiltonian(driven), psi0, count=100, horizon=1.0, seed=0)
     assert applications == []
 
 

@@ -216,22 +216,3 @@ class DerivativeCache:
             hit = np.fft.ifftn(spectrum * self.grid.derivative_factor(axis, entries[axis]), axes=(axis,))
             self._cache[n] = hit
         return hit
-
-
-def spectral_derivative(values: np.ndarray, grid: Grid, n: MultiIndex) -> np.ndarray:
-    """Mixed partial D^n of grid samples by trigonometric interpolation."""
-    if n.dim != grid.dim:
-        raise DimensionMismatchError(f"multi-index dim {n.dim} != grid dim {grid.dim}")
-    if n.order() == 0:
-        return np.asarray(values, dtype=complex).copy()
-    return DerivativeCache(values, grid).derivative(n)
-
-
-def spectral_divergence(components, grid: Grid) -> np.ndarray:
-    """Divergence of a (real or complex) vector field, returned real."""
-    if len(components) != grid.dim:
-        raise DimensionMismatchError(f"{len(components)} components for grid dim {grid.dim}")
-    total = np.zeros(grid.shape, dtype=complex)
-    for axis, comp in enumerate(components, start=1):
-        total += spectral_derivative(np.asarray(comp, dtype=complex), grid, MultiIndex.unit(axis, grid.dim))
-    return total.real

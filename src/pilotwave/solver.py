@@ -20,7 +20,7 @@ snapshot on every path and aborts the run when it exceeds NORM_DRIFT_LIMIT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ._numpy import np
 
@@ -138,9 +138,10 @@ def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec,
     is an immutable copy stamped with its time psi0.t + step * dt.  Of the
     two step-by-step propagators a time-independent H takes the Chebyshev
     path when its series for one snapshot interval is shorter than
-    4 * stride, and every other input takes RK4.  The dense path replaces
-    either one when the grid has at most MAX_DENSE_POINTS points N, the path
-    it replaces would apply H at least N^2 / 32 times, there are at most
+    4 * stride, and every other input takes RK4; a stride above steps runs
+    as stride = steps.  The dense path replaces either one when the grid has
+    at most MAX_DENSE_POINTS points N, the path it replaces would apply H at
+    least N^2 / 32 times, there are at most
     MAX_RK4_STEPS snapshot intervals, and `OperatorApplier.eigh` gives
     H = U diag(lambda) U^dagger: every snapshot is then
     U exp(-i lambda step dt) U^dagger psi0, straight from psi0.
@@ -151,19 +152,23 @@ def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec,
     """
     applier = H.realize(psi0.grid)
     dt = spec.dt
+    # a stride above steps is the same run as stride = steps: snapshots at 0 and at steps
+    spec = replace(spec, stride=min(spec.stride, spec.steps))
     full, last = divmod(spec.steps, spec.stride)
     series = None
     applications = 4 * spec.steps
-    # above MAX_RK4_STEPS neither step-by-step path may run, so no series is built
+    # No series is built above MAX_RK4_STEPS, where neither step-by-step path may run, nor at
+    # h dt >= 4: a series for h tau has more than h tau terms, never fewer than RK4's 4 * stride.
     if not H.is_time_dependent() and spec.steps <= MAX_RK4_STEPS:
         low, high = applier.spectral_interval(psi0.t)
         center, half_width = (low + high) / 2, (high - low) / 2
-        series = chebyshev_coefficients(half_width * spec.stride * dt)
-        last_series = chebyshev_coefficients(half_width * last * dt) if last else series
-        if len(series) < 4 * spec.stride:
-            applications = full * len(series) + (len(last_series) if last else 0)
-        else:
-            series = None
+        if half_width * dt < 4:
+            series = chebyshev_coefficients(half_width * spec.stride * dt)
+            if len(series) < 4 * spec.stride:
+                last_series = chebyshev_coefficients(half_width * last * dt) if last else series
+                applications = full * len(series) + (len(last_series) if last else 0)
+            else:
+                series = None
     points = psi0.values.size
     dense = None
     if points <= MAX_DENSE_POINTS and applications >= points**2 / 32 and full + (last > 0) <= MAX_RK4_STEPS:
@@ -227,26 +232,3 @@ def norm_drift(snapshots: list[GridState]) -> list[float]:
     """Relative norm drift of each snapshot against the first."""
     norm0 = snapshots[0].norm_sq()
     return [_relative_drift(s.norm_sq(), norm0) for s in snapshots]
-
-
-def continuity_residual(snapshots: list[GridState], current_provider, normalized: bool = True) -> float:
-    """Defect of d/dt |psi|^2 + div j at the middle snapshot.
-
-    The time derivative is a centered difference of the neighbouring
-    snapshots; j comes from `current_provider(state)`.  With `normalized`
-    the max-norm defect is divided by max |d/dt rho|; stationary states
-    should be checked with normalized=False since the scale vanishes.
-    """
-    if len(snapshots) < 3:
-        raise ValueError("need at least three consecutive snapshots")
-    mid = len(snapshots) // 2
-    before, middle, after = snapshots[mid - 1], snapshots[mid], snapshots[mid + 1]
-    drho_dt = (after.density() - before.density()) / (after.t - before.t)
-    div = current_provider(middle).divergence()
-    residual = float(np.max(np.abs(drho_dt + div)))
-    if not normalized:
-        return residual
-    scale = float(np.max(np.abs(drho_dt)))
-    if scale == 0.0:
-        return residual
-    return residual / scale

@@ -19,7 +19,7 @@ import pytest
 
 from oracles import indices_of_max_order
 from pilotwave import cli, expr, operators
-from pilotwave.currents import CurrentTable, eval_current
+from pilotwave.currents import CurrentTable, derive_current_table, eval_current, source_term
 from pilotwave.expr import CoefficientExpression
 from pilotwave.grids import Grid, GridState
 from pilotwave.operators import DifferentialOperator, SamplingSpec, hermitize
@@ -252,6 +252,19 @@ def dense_propagator(H: DifferentialOperator, grid: Grid, t: float) -> np.ndarra
     assert np.linalg.norm(M - M.conj().T) <= 1e-12 * np.linalg.norm(M)
     energies, vectors = np.linalg.eigh(M)
     return (vectors * np.exp(-1j * energies * t)) @ vectors.conj().T
+
+
+def continuity_identity_defect(H: DifferentialOperator, snapshots: list[GridState], relative: bool = True) -> float:
+    """Largest max-norm defect of the identity div j = I = 2 Re(i conj(psi) H psi) over the
+    evolved snapshots (all but the first), each divided by its max |I| when `relative`; a
+    stationary state, whose source vanishes, is checked with relative=False."""
+    table = derive_current_table(H)
+    worst = 0.0
+    for snap in snapshots[1:]:
+        source = source_term(H, snap)
+        defect = float(np.max(np.abs(eval_current(table, snap).divergence() - source)))
+        worst = max(worst, defect / float(np.max(np.abs(source))) if relative else defect)
+    return worst
 
 
 # ---------------------------------------------------------------------------

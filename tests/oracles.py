@@ -31,7 +31,7 @@ from pilotwave import expr
 from pilotwave.currents import VectorField, _real_sum
 from pilotwave.errors import DimensionMismatchError, EvaluationDomainError, PilotwaveError, SamplingError
 from pilotwave.expr import CoefficientExpression, SamplingSpec, _eval
-from pilotwave.grids import DEFAULT_LENGTH, DerivativeCache, GridState, check_length, spectral_derivative
+from pilotwave.grids import DEFAULT_LENGTH, DerivativeCache, GridState, check_length
 from pilotwave.multiindex import MultiIndex, binom_multi, indices_up_to, multinomial
 from pilotwave.operators import DifferentialOperator, require_hermitian
 
@@ -142,7 +142,8 @@ def identity_residual(phi: GridState, chi: GridState, n: MultiIndex) -> float:
     dphi = DerivativeCache(phi.values, grid)
     dchi = DerivativeCache(chi.values, grid)
     lhs = phi.values * dchi.derivative(n) - (-1) ** n.order() * chi.values * dphi.derivative(n)
-    rhs = sum(spectral_derivative(sum(_exchange_terms(1, dphi, dchi, n, axis)), grid, MultiIndex.unit(axis, grid.dim))
+    rhs = sum(DerivativeCache(sum(_exchange_terms(1, dphi, dchi, n, axis)), grid)
+              .derivative(MultiIndex.unit(axis, grid.dim))
               for axis in range(1, grid.dim + 1) if n.entries[axis - 1])
     return float(np.max(np.abs(lhs - rhs)))
 

@@ -12,6 +12,7 @@ import numpy as np
 from helpers import (
     band_limited_state,
     centered_spec,
+    continuity_identity_defect,
     inner_product_hermitian,
     random_hermitian_operator,
     visibly_non_hermitian_operator,
@@ -26,12 +27,12 @@ from oracles import (
 )
 from pilotwave import expr
 from pilotwave.altcurrents import born_jordan_current, compare_fields, second_order_current
-from pilotwave.currents import derive_current_table, eval_current, source_term
+from pilotwave.currents import VectorField, derive_current_table, eval_current, source_term
 from pilotwave.epstein import nonlocal_current
-from pilotwave.grids import Grid, spectral_divergence
+from pilotwave.grids import Grid
 from pilotwave.multiindex import MultiIndex, indices_up_to
 from pilotwave.operators import hermiticity_violations, load_hamiltonian, require_hermitian
-from pilotwave.solver import EvolutionSpec, continuity_residual, evolve, norm_drift
+from pilotwave.solver import EvolutionSpec, evolve, norm_drift
 from pilotwave.states import gaussian, plane_wave
 from pilotwave.trajectories import equivariance_test, velocity
 
@@ -200,23 +201,19 @@ def test_criterion_06_continuity():
             worst_spectral,
             np.max(np.abs(j.divergence() - I)) / max(np.max(np.abs(I)), 1e-30),
         )
-    # evolve-based: centered-difference density derivative vs div j
+    # evolve-based: the same identity at the evolved snapshots
     H_free = load_hamiltonian(FREE_1D)
     grid = Grid((40.0,), (512,))
     psi0 = gaussian(grid, center=[19.0], width=0.6, wavevector=[1.0])
-    snaps = evolve(H_free, psi0, EvolutionSpec(dt=1e-3, steps=20, stride=10))
-    table = derive_current_table(H_free)
-    res_std = continuity_residual(snaps, lambda s: eval_current(table, s))
+    res_std = continuity_identity_defect(H_free, evolve(H_free, psi0, EvolutionSpec(dt=1e-3, steps=20, stride=10)))
     H4 = load_hamiltonian(P4_1D)
     grid4 = Grid((40.0,), (128,))
     psi4 = gaussian(grid4, center=[20.0], width=1.5, wavevector=[0.5])
-    snaps4 = evolve(H4, psi4, EvolutionSpec(dt=1e-4, steps=20, stride=10))
-    table4 = derive_current_table(H4)
-    res_p4 = continuity_residual(snaps4, lambda s: eval_current(table4, s))
+    res_p4 = continuity_identity_defect(H4, evolve(H4, psi4, EvolutionSpec(dt=1e-4, steps=20, stride=10)))
     report(
         6,
         "continuity",
-        worst_spectral < 1e-8 and res_std < 1e-3 and res_p4 < 1e-3,
+        worst_spectral < 1e-8 and res_std < 1e-8 and res_p4 < 1e-8,
         f"spectral {worst_spectral:.2e}; evolve standard {res_std:.2e}, quartic {res_p4:.2e}",
     )
 
@@ -258,7 +255,7 @@ def test_criterion_08_epstein_construction():
     peak2 = np.max(np.abs(I2))
     cont2 = np.max(np.abs(j_ep2.divergence() - I2)) / peak2
     diff2 = [a - b for a, b in zip(j_ep2.components, j_loc2.components)]
-    div_diff2 = np.max(np.abs(spectral_divergence(diff2, grid2))) / peak2
+    div_diff2 = np.max(np.abs(VectorField(grid2, diff2).divergence())) / peak2
     pointwise2 = max(np.max(np.abs(d)) for d in diff2)
     ok = ok and cont2 < 1e-8 and div_diff2 < 1e-8 and pointwise2 > 1e-3
     details.append(
@@ -277,7 +274,7 @@ def test_criterion_08_epstein_construction():
     j_loc3 = eval_current(derive_current_table(require_hermitian(H3, spec3)), psi3)
     cont3 = np.max(np.abs(j_ep3.divergence() - I3)) / peak3
     diff3 = [a - b for a, b in zip(j_ep3.components, j_loc3.components)]
-    div_diff3 = np.max(np.abs(spectral_divergence(diff3, grid3))) / peak3
+    div_diff3 = np.max(np.abs(VectorField(grid3, diff3).divergence())) / peak3
     ok = ok and cont3 < 1e-8 and div_diff3 < 1e-8
     details.append(f"N=3 continuity {cont3:.1e}, div diff {div_diff3:.1e}")
     report(8, "epstein-construction", ok, "; ".join(details))

@@ -7,7 +7,7 @@ from pilotwave import expr
 from pilotwave.altcurrents import born_jordan_current, compare_fields, second_order_current
 from pilotwave.currents import derive_current_table, eval_current
 from pilotwave.errors import DimensionMismatchError, PilotwaveError
-from pilotwave.grids import Grid, spectral_derivative
+from pilotwave.grids import DerivativeCache, Grid
 from pilotwave.multiindex import MultiIndex
 from pilotwave.operators import DifferentialOperator, hermitize, load_hamiltonian, require_hermitian
 from pilotwave.states import gaussian, plane_wave
@@ -32,7 +32,7 @@ def test_born_jordan_standard_kinetic():
     grid = Grid((40.0,), (256,))
     psi = gaussian(grid, center=[20.0], width=0.8, wavevector=[1.3])
     j_bj = born_jordan_current(H, psi)
-    dpsi = spectral_derivative(psi.values, grid, MultiIndex((1,)))
+    dpsi = DerivativeCache(psi.values, grid).derivative(MultiIndex((1,)))
     expected = np.imag(np.conjugate(psi.values) * dpsi)
     assert np.max(np.abs(j_bj.components[0] - expected)) < 1e-12
     j_can = eval_current(derive_current_table(H), psi)
@@ -55,7 +55,8 @@ def test_born_jordan_p4_closed_form():
     grid = Grid((40.0,), (256,))
     psi = gaussian(grid, center=[20.0], width=1.2, wavevector=[0.5])
     j_bj = born_jordan_current(H, psi)
-    d = [spectral_derivative(psi.values, grid, MultiIndex((k,))) for k in range(4)]
+    dpsi = DerivativeCache(psi.values, grid)
+    d = [dpsi.derivative(MultiIndex((k,))) for k in range(4)]
     db = [np.conjugate(x) for x in d]
     closed = np.real(1j * (d[3] * db[0] - d[2] * db[1] + d[1] * db[2] - d[0] * db[3]))
     assert np.max(np.abs(j_bj.components[0] - closed)) < 1e-10
@@ -125,7 +126,7 @@ def test_second_order_standard_current():
     psi = gaussian(grid, center=[10.0, 10.0], width=1.0, wavevector=[1.0, 2.0])
     j = second_order_current(H, psi)
     for axis in range(2):
-        d = spectral_derivative(psi.values, grid, MultiIndex.unit(axis + 1, 2))
+        d = DerivativeCache(psi.values, grid).derivative(MultiIndex.unit(axis + 1, 2))
         expected = np.imag(np.conjugate(psi.values) * d)
         assert np.max(np.abs(j.components[axis] - expected)) < 1e-12
 
@@ -201,3 +202,31 @@ def test_compare_fields_identical_and_guards():
     jo = eval_current(derive_current_table(H), gaussian(other, center=[5.0], width=0.8))
     with pytest.raises(DimensionMismatchError):
         compare_fields(j, jo)
+
+
+def test_compare_fields_refuses_another_box_of_the_same_shape():
+    H = load_hamiltonian(STANDARD_1D)
+    table = derive_current_table(H)
+    j = eval_current(table, gaussian(Grid((10.0,), (64,)), center=[5.0], width=0.8, wavevector=[1.0]))
+    wider = eval_current(table, gaussian(Grid((12.0,), (64,)), center=[5.0], width=0.8, wavevector=[1.0]))
+    with pytest.raises(DimensionMismatchError, match="different grids"):
+        compare_fields(j, wider)
+
+
+def test_compare_fields_pins_the_divergence_of_the_difference():
+    """On a 2D box of unequal sides, max_div_diff is the full-grid divergence
+    sum_a ifftn(fftn(d_a) i k_a) of the difference d, within 1e-12 of its peak."""
+    H = load_hamiltonian('dim = 2\nterm [2,0] = "-0.5"\nterm [0,2] = "-0.5"\n')
+    grid = Grid((20.0, 10.0), (64, 32))
+    table = derive_current_table(H)
+    a = eval_current(table, gaussian(grid, center=[9.0, 5.0], width=1.0, wavevector=[1.0, -0.5]))
+    b = eval_current(table, gaussian(grid, center=[11.0, 4.0], width=1.3, wavevector=[0.2, 1.5]))
+    diff = [ca - cb for ca, cb in zip(a.components, b.components)]
+    k = np.meshgrid(*(2 * np.pi * np.fft.fftfreq(n, d=L / n) for L, n in zip(grid.lengths, grid.shape)),
+                    indexing="ij")
+    divergence = sum(np.fft.ifftn(np.fft.fftn(d) * 1j * k_a) for d, k_a in zip(diff, k)).real
+    report = compare_fields(a, b)
+    assert report.max_abs_diff == max(np.max(np.abs(d)) for d in diff)
+    peak = np.max(np.abs(divergence))
+    assert peak > 1e-2
+    assert abs(report.max_div_diff - peak) <= 1e-12 * peak

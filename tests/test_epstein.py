@@ -5,10 +5,10 @@ import pytest
 
 from helpers import band_limited_state, centered_spec, grid_meshes, random_hermitian_operator
 from oracles import green_function
-from pilotwave.currents import derive_current_table, eval_current, source_term
+from pilotwave.currents import VectorField, derive_current_table, eval_current, source_term
 from pilotwave.epstein import nonlocal_current, poisson_solve
 from pilotwave.errors import PilotwaveError
-from pilotwave.grids import Grid, spectral_divergence
+from pilotwave.grids import Grid
 from pilotwave.operators import load_hamiltonian, require_hermitian
 from pilotwave.states import gaussian, ho_eigenstate, superposition
 
@@ -117,7 +117,7 @@ def test_nonlocal_differs_pointwise_but_not_in_divergence():
     j_nonlocal = nonlocal_current(H, psi)
     j_local = eval_current(derive_current_table(H), psi)
     diff = [a - b for a, b in zip(j_nonlocal.components, j_local.components)]
-    div_diff = np.max(np.abs(spectral_divergence(diff, grid)))
+    div_diff = np.max(np.abs(VectorField(grid, diff).divergence()))
     assert div_diff < 1e-8 * np.max(np.abs(I))
     # the fields themselves genuinely differ: currents are fixed by
     # continuity only up to a divergence-free part

@@ -7,7 +7,7 @@ from helpers import grid_meshes
 from oracles import indices_of_max_order
 from pilotwave import expr
 from pilotwave.errors import EvaluationDomainError, GridError
-from pilotwave.grids import DerivativeCache, Grid, _symbol, check_integer, spectral_derivative
+from pilotwave.grids import DerivativeCache, Grid, _symbol, check_integer
 from pilotwave.multiindex import MultiIndex
 
 
@@ -76,7 +76,7 @@ def test_wavenumbers_are_built_once_per_grid_axis_and_power(monkeypatch):
         cache = DerivativeCache(rng.normal(size=grid.shape), grid)
         for n in indices_of_max_order(2, 4):
             cache.derivative(n)
-            spectral_derivative(cache.values, grid, n)
+            DerivativeCache(cache.values, grid).derivative(n)
     # powers 1..4 on each axis, however many fields and derivatives
     assert calls == Counter({0: 4, 1: 4})
 

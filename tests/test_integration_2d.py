@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import no_child_left  # noqa: F401  (autouse fixture)
+from helpers import continuity_identity_defect, no_child_left  # noqa: F401  (autouse fixture)
 from pilotwave import expr
 from pilotwave.cli import main
 from pilotwave.currents import derive_current_table, eval_current
@@ -96,11 +96,7 @@ def test_time_dependent_potential_keeps_continuity():
     grid = Grid((40.0,), (256,))
     psi0 = gaussian(grid, center=[20.0], width=1.0, wavevector=[0.5])
     snaps = evolve(H, psi0, EvolutionSpec(dt=1e-3, steps=20, stride=10))
-    table = derive_current_table(H)
-    from pilotwave.solver import continuity_residual
-
-    res = continuity_residual(snaps, lambda s: eval_current(table, s))
-    assert res < 1e-3
+    assert continuity_identity_defect(H, snaps) < 1e-10  # 4.2e-14
 
 
 def test_cli_simulate_2d_writes_two_axis_trajectories(tmp_path):

@@ -3,17 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dense_propagator
+from helpers import continuity_identity_defect, dense_propagator
 from pilotwave import solver
-from pilotwave.currents import derive_current_table, eval_current
 from pilotwave.errors import NormDriftError, StabilityError
-from pilotwave.grids import Grid, GridState, spectral_derivative
+from pilotwave.grids import DerivativeCache, Grid, GridState
 from pilotwave.operators import OperatorApplier, hermiticity_violations, load_hamiltonian
 from pilotwave.solver import (
     EvolutionSpec,
     _check_dt,
     chebyshev_coefficients,
-    continuity_residual,
     evolve,
     norm_drift,
 )
@@ -161,44 +159,28 @@ def test_norm_drift_abort_on_underresolved_state():
         evolve(H, noise, spec)
 
 
-def test_continuity_residual_free_gaussian():
+def test_continuity_identity_free_gaussian():
     H = load_hamiltonian(FREE_1D)
     grid = Grid((40.0,), (512,))
     psi0 = gaussian(grid, center=[19.0], width=0.6, wavevector=[1.0])
     snaps = evolve(H, psi0, EvolutionSpec(dt=1e-3, steps=20, stride=10))
-    table = derive_current_table(H)
-    res = continuity_residual(snaps, lambda s: eval_current(table, s))
-    assert res < 1e-3
+    assert continuity_identity_defect(H, snaps) < 1e-10  # 1.3e-13
 
 
-def test_continuity_residual_stationary_absolute():
+def test_continuity_identity_stationary_absolute():
     H = load_hamiltonian(HO_1D)
     grid = Grid((40.0,), (256,))
     psi0 = ho_eigenstate(grid, [0], center=[20.0])
     snaps = evolve(H, psi0, EvolutionSpec(dt=1e-3, steps=20, stride=10))
-    table = derive_current_table(H)
-    res = continuity_residual(snaps, lambda s: eval_current(table, s), normalized=False)
-    assert res < 1e-8
+    assert continuity_identity_defect(H, snaps, relative=False) < 1e-12  # 6.9e-15
 
 
-def test_continuity_residual_p4_packet():
+def test_continuity_identity_p4_packet():
     H = load_hamiltonian(P4_1D)
     grid = Grid((40.0,), (128,))
     psi0 = gaussian(grid, center=[20.0], width=1.5, wavevector=[0.5])
     snaps = evolve(H, psi0, EvolutionSpec(dt=1e-4, steps=20, stride=10))
-    table = derive_current_table(H)
-    res = continuity_residual(snaps, lambda s: eval_current(table, s))
-    assert res < 1e-3
-
-
-def test_continuity_residual_needs_three_snapshots():
-    H = load_hamiltonian(FREE_1D)
-    grid = Grid((40.0,), (128,))
-    psi0 = gaussian(grid, center=[20.0], width=1.0)
-    snaps = evolve(H, psi0, EvolutionSpec(dt=1e-3, steps=1, stride=1))
-    table = derive_current_table(H)
-    with pytest.raises(ValueError):
-        continuity_residual(snaps, lambda s: eval_current(table, s))
+    assert continuity_identity_defect(H, snaps) < 1e-10  # 2.4e-12
 
 
 def test_snapshots_carry_times_and_copies():
@@ -503,6 +485,56 @@ def test_a_run_above_the_step_budget_builds_no_series(monkeypatch):
         evolve(load_hamiltonian(VARIABLE_MASS_1D), psi0, EvolutionSpec(dt=1.0, steps=2 * 10**6, stride=2 * 10**6))
 
 
+def test_series_are_built_only_for_intervals_that_run(monkeypatch):
+    """Both intervals' series when the series path runs; the full interval's alone when RK4
+    wins; none at h dt >= 4, where a series of more than h stride dt terms cannot win.  Every
+    a given to chebyshev_coefficients is recorded, and one above 10^4 fails before it is built."""
+    H = load_hamiltonian(VARIABLE_MASS_1D)
+    grid = Grid((8.0,), (64,))
+    psi0 = gaussian(grid, center=[4.5], width=0.6, wavevector=[1.0])
+    applier = H.realize(grid)
+    low, high = applier.spectral_interval(0.0)
+    half_width = (high - low) / 2
+    recorded = []
+    original = solver.chebyshev_coefficients
+
+    def recording(a):
+        recorded.append(a)
+        if a > 1e4:
+            pytest.fail(f"series for a = {a}")
+        return original(a)
+
+    monkeypatch.setattr(solver, "chebyshev_coefficients", recording)
+    dt = 1.0 / applier.spectral_radius(0.0)
+    evolve(H, psi0, EvolutionSpec(dt=dt, steps=10 * 12 + 4, stride=10))
+    assert recorded == [half_width * 10 * dt, half_width * 4 * dt]
+    # 3 steps of 1e-3 at stride 2 take RK4; stride 10^6 over 2 steps is the run with stride 2
+    for steps, stride in [(3, 2), (2, 10**6)]:
+        recorded.clear()
+        evolve(H, psi0, EvolutionSpec(dt=1e-3, steps=steps, stride=stride))
+        assert recorded == [half_width * 2 * 1e-3]
+    recorded.clear()
+    assert half_width * 1.0 >= 4
+    with pytest.raises(StabilityError, match="exceeds the RK4 limit"):
+        evolve(H, psi0, EvolutionSpec(dt=1.0, steps=1000, stride=1000))
+    assert recorded == []
+
+
+@pytest.mark.parametrize("dt, steps, stride", [(1e-3, 2, 10**6), (0.002, 40, 10**3)], ids=["rk4", "series"])
+def test_a_stride_above_steps_is_the_run_with_stride_steps(dt, steps, stride, monkeypatch):
+    """Snapshots at 0 and at steps alone: the same path, applications and bits as stride = steps."""
+    H = load_hamiltonian(VARIABLE_MASS_1D)
+    psi0 = gaussian(Grid((8.0,), (64,)), center=[4.5], width=0.6, wavevector=[1.0])
+    calls = count_applications(monkeypatch)
+    reference = evolve(H, psi0, EvolutionSpec(dt=dt, steps=steps, stride=steps))
+    applications = len(calls)
+    calls.clear()
+    snaps = evolve(H, psi0, EvolutionSpec(dt=dt, steps=steps, stride=stride))
+    assert len(calls) == applications
+    assert [s.t for s in snaps] == [s.t for s in reference] == [0.0, steps * dt]
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(snaps, reference))
+
+
 def count_ffts(monkeypatch) -> list:
     calls = []
     for name in ("fftn", "ifftn"):
@@ -535,8 +567,9 @@ def test_folded_applier_equals_the_term_sum(text, shape):
     t = 0.7
     axes = grid.axis_vectors()
     applier = H.realize(grid)
+    derivatives = DerivativeCache(values, grid)
     expected = sum(
-        np.broadcast_to(coef.evaluate_on(axes, t), shape) * spectral_derivative(values, grid, n)
+        np.broadcast_to(coef.evaluate_on(axes, t), shape) * derivatives.derivative(n)
         for n, coef in H.terms.items()
     )
     out = applier(values, t)

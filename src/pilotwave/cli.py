@@ -202,7 +202,8 @@ def _snapshot_writer(out_dir: Path, grid: Grid):
 
 
 def _load_operator(args) -> DifferentialOperator:
-    """The Hamiltonian file, symmetrized on --hermitize; not yet verified."""
+    """The Hamiltonian file, not yet verified, or on --hermitize its symmetric
+    part, Hermitian by construction and never sampled."""
     H = load_hamiltonian(_read(args.hamiltonian))
     return hermitize(H) if args.hermitize else H
 
@@ -269,11 +270,12 @@ def _resolve_grid(args, dim: int) -> Grid:
 
 
 def _load_problem(args):
-    """(H, psi, grid): the state and grid are resolved first, then H is
-    verified once, on the grid's box [0, L_1) x ... x [0, L_N), and realized
-    on the grid, whose numerical gate refuses a grid where H's derivative
-    factors overflow.  A grid too coarse to apply H (which `compare`'s
-    canonical method does not need) is not realized."""
+    """(H, psi, grid): the state and grid are resolved first.  An H read from
+    a file is then sampled once, on the grid's box [0, L_1) x ... x [0, L_N);
+    a --hermitize H is Hermitian by construction and never sampled.  H is
+    realized on the grid, whose numerical gate refuses a grid where H's
+    derivative factors overflow.  A grid too coarse to apply H (which
+    `compare`'s canonical method does not need) is not realized."""
     H = _load_operator(args)
     if not args.state:
         raise HamiltonianFormatError("this command needs --state <file>")

@@ -7,11 +7,12 @@ which after a Leibniz expansion gives coefficients
 
     adj(h)_n = sum_{m >= n} (-1)^|m| C(m,n) D^(m-n) conj(h_m),
 
-and Hermiticity is exactly the fixed-point condition h_n = adj(h)_n.  That
-condition is decided by `expr.approx_equal` on the points of an
-`expr.SamplingSpec`, which is imported here for callers of the check.  Only
-a structurally zero coefficient, the literal 0, is dropped from an operator,
-so no term depends on where the check samples.
+and Hermiticity is exactly the fixed-point condition h_n = adj(h)_n.  An
+operator read from a file is sampled once: `expr.approx_equal` decides the
+condition on the points of an `expr.SamplingSpec` (imported here for callers).
+`hermitize`'s (H + adj(H))/2 is Hermitian by construction and never sampled.
+Only a structurally zero coefficient, the literal 0, is dropped from an
+operator, so no term depends on where the check samples.
 """
 
 from __future__ import annotations
@@ -111,31 +112,27 @@ def hermiticity_violations(
     return [n for n in slots if not expr.approx_equal(H.coefficient(n), adj.coefficient(n), spec)]
 
 
-def hermitize(H: DifferentialOperator) -> DifferentialOperator:
-    """Symmetric part (H + adjoint(H))/2; a fixed point when H is Hermitian."""
-    return (H + adjoint(H)).scaled(0.5)
-
-
 class HermitianOperator(DifferentialOperator):
-    """An operator that passed the sampled Hermiticity check when it was built;
-    get one from `require_hermitian`.  It keeps every term of the checked
-    operator, and its repr is the provenance of a derived current table."""
+    """An operator known to be Hermitian, made only by `require_hermitian` after
+    its sampled verdict and by `hermitize`.  It keeps every term of the operator
+    it came from, and its repr is the provenance of a derived current table."""
 
-    def __init__(self, H: DifferentialOperator, check: SamplingSpec | None = None):
-        bad = hermiticity_violations(H, check)
-        if bad:
-            slots = ", ".join(str(n) for n in bad)
-            raise NonHermitianError(f"Hamiltonian is not Hermitian; violated slots: {slots}")
-        super().__init__(H.dim, H._terms)
+
+def hermitize(H: DifferentialOperator) -> HermitianOperator:
+    """Symmetric part (H + adjoint(H))/2, a fixed point when H is Hermitian; it is
+    Hermitian by construction, the adjoint being an involution, so never sampled."""
+    return HermitianOperator(H.dim, (H + adjoint(H)).scaled(0.5)._terms)
 
 
 def require_hermitian(H: DifferentialOperator, check: SamplingSpec | None = None) -> HermitianOperator:
-    """H verified, or NonHermitianError naming the violated slots.  Every
-    current needs a Hermitian H; a verified H is checked again only under an
-    explicit `check`."""
-    if isinstance(H, HermitianOperator) and check is None:
+    """H verified, or NonHermitianError naming the violated slots.  Every current
+    needs a Hermitian H.  A `HermitianOperator` is returned as it is; any other
+    operator, such as one read from a file, gets one sampled verdict on `check`."""
+    if isinstance(H, HermitianOperator):
         return H
-    return HermitianOperator(H, check)
+    if bad := hermiticity_violations(H, check):
+        raise NonHermitianError(f"Hamiltonian is not Hermitian; violated slots: {', '.join(map(str, bad))}")
+    return HermitianOperator(H.dim, H._terms)
 
 
 class OperatorApplier:

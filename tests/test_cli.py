@@ -403,21 +403,27 @@ def test_usage_error_exits_2(capsys):
     assert exit_info.value.code == 2
 
 
+SIMULATE = [
+    "simulate", "{free}", "--state", "{gauss}", "--grid", "128", "--dt", "1e-3",
+    "--steps", "20", "--stride", "10", "--trajectories", "10", "--out", "{out}",
+]
+COMPARE = ["compare", "{free}", "--state", "{gauss}", "--grid", "128", "--methods", ",".join(METHODS)]
+EQUIVARIANCE = [
+    "equivariance", "{free}", "--state", "{gauss}", "--grid", "128", "--count", "50",
+    "--horizon", "0.02", "--dt", "1e-3", "--steps", "20",
+]
+# (argv, sampled verdicts): an operator read from a file gets one, and a
+# --hermitize operator, Hermitian by construction, none
 ONE_CHECK_COMMANDS = {
-    "check": ["check", "{free}"],
-    "derive": ["derive", "{free}"],
-    "derive --hermitize": ["derive", "{qp}", "--hermitize"],
-    "simulate --trajectories": [
-        "simulate", "{free}", "--state", "{gauss}", "--grid", "128", "--dt", "1e-3",
-        "--steps", "20", "--stride", "10", "--trajectories", "10", "--out", "{out}",
-    ],
-    "compare": [
-        "compare", "{free}", "--state", "{gauss}", "--grid", "128", "--methods", ",".join(METHODS),
-    ],
-    "equivariance": [
-        "equivariance", "{free}", "--state", "{gauss}", "--grid", "128", "--count", "50",
-        "--horizon", "0.02", "--dt", "1e-3", "--steps", "20",
-    ],
+    "check": (["check", "{free}"], 1),
+    "derive": (["derive", "{free}"], 1),
+    "derive --hermitize": (["derive", "{qp}", "--hermitize"], 0),
+    "simulate --trajectories": (SIMULATE, 1),
+    "simulate --hermitize": ([*SIMULATE, "--hermitize"], 0),
+    "compare": (COMPARE, 1),
+    "compare --hermitize": ([*COMPARE, "--hermitize"], 0),
+    "equivariance": (EQUIVARIANCE, 1),
+    "equivariance --hermitize": ([*EQUIVARIANCE, "--hermitize"], 0),
 }
 
 
@@ -426,17 +432,21 @@ def test_each_command_checks_hermiticity_once(command, ham, tmp_path, monkeypatc
     calls = count_hermiticity_checks(monkeypatch)
     files = {"free": ham("free.ham", FREE), "qp": ham("qp.ham", QP),
              "gauss": ham("gauss.st", GAUSS), "out": str(tmp_path / "run")}
-    assert main([arg.format(**files) for arg in ONE_CHECK_COMMANDS[command]]) == 0
-    assert len(calls) == 1
+    argv, verdicts = ONE_CHECK_COMMANDS[command]
+    assert main([arg.format(**files) for arg in argv]) == 0
+    assert len(calls) == verdicts
 
 
-def test_check_and_derive_never_import_numpy(ham):
+def test_check_and_derive_never_import_numpy(ham, capsys):
     """The symbolic commands run without numpy: in a fresh interpreter, check,
     both derive formats and derive --hermitize leave no numpy module behind,
-    whether the operator is Hermitian or not and whether a check faults."""
+    whether the operator is Hermitian or not and whether a check faults.
+    derive --hermitize samples nothing, so the overflowing potential gets its
+    correct current, j_1 = 0, where its sampled verdict faults."""
+    big = ham("big.ham", 'dim = 1\nterm [0] = "1e200*1e200*q1"\n')
     files = [ham("drive.ham", 'dim = 2\nterm [2,0] = "-0.5*(1+0.2*cos(q1))"\nterm [0,2] = "-0.5"\n'
                  'term [1,0] = "0.3*i*sin(q2)"\nterm [0,0] = "sqrt(2+cos(q1))*log(3+sin(q2)) + exp(-t)"\n'),
-             ham("ho.ham", HO), ham("big.ham", 'dim = 1\nterm [0] = "1e200*1e200*q1"\n')]
+             ham("ho.ham", HO), big]
     script = (
         "import contextlib, io, sys\n"
         "from pilotwave.cli import main\n"
@@ -445,14 +455,24 @@ def test_check_and_derive_never_import_numpy(ham):
         "    for path in sys.argv[1:]:\n"
         "        for argv in (['check'], ['derive'], ['derive', '--format', 'latex'], ['derive', '--hermitize']):\n"
         "            codes.append(main([*argv, path]))\n"
+        "    latex = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(latex):\n"
+        "        codes.append(main(['derive', '--hermitize', '--format', 'latex', sys.argv[-1]]))\n"
         "print(codes, sorted(name for name in sys.modules if name.startswith('numpy.')))\n"
+        "print(latex.getvalue(), end='')\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script, *files], env=env, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[0] == str([1, 1, 1, 0] + [0, 0, 0, 0] + [3, 3, 3, 3]) + " []"
+    assert done.stdout.split("\n") == [
+        str([1, 1, 1, 0] + [0, 0, 0, 0] + [3, 3, 3, 0] + [0]) + " []", "j_{1} = 0", ""
+    ]
+    # a grid command on that operator still stops at the applier's numerical gate
+    argv = ["compare", big, "--hermitize", "--state", ham("gauss.st", GAUSS), "--grid", "64"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: overflow encountered in multiply in '1e+200*1e+200'"]
 
 
 def test_traced_derive_records_one_hermiticity_span(ham, tmp_path):

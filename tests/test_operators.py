@@ -133,18 +133,19 @@ def test_require_hermitian_returns_a_verified_operator(monkeypatch):
     assert verified.terms == H.terms and repr(verified) == repr(H)
     assert repr(verified).startswith("DifferentialOperator(dim=1, ")
     assert require_hermitian(verified) is verified and len(calls) == 1
-    spec = SamplingSpec(seed=5)
-    assert isinstance(require_hermitian(verified, spec), HermitianOperator)
-    assert calls == [None, spec]
+    # an explicit spec configures the verdict of an unverified operator only
+    assert require_hermitian(verified, SamplingSpec(seed=5)) is verified
+    assert calls == [None]
     with pytest.raises(NonHermitianError, match=r"violated slots: \[1\]"):
         require_hermitian(op_1d({1: "1"}))
 
 
 def test_operations_on_a_verified_operator_are_unverified():
+    """`hermitize` builds a Hermitian operator; scaling and sums need a verdict."""
     verified = require_hermitian(op_1d({2: "-0.5"}))
     assert not isinstance(verified.scaled(1j), HermitianOperator)
     assert not isinstance(verified + verified, HermitianOperator)
-    assert not isinstance(hermitize(verified), HermitianOperator)
+    assert isinstance(hermitize(verified), HermitianOperator)
 
 
 @pytest.mark.parametrize("name", CURRENTS)
@@ -268,6 +269,25 @@ def test_benchmark_slot_verdicts_match_the_numpy_batch_oracle(tmp_path):
                 for n in set(op.terms) | set(adj.terms):
                     a, b = op.coefficient(n), adj.coefficient(n)
                     assert expr.approx_equal(a, b, spec) == batch_approx_equal(a, b, spec), (n, a)
+
+
+def test_hermitize_is_hermitian_by_construction(tmp_path, monkeypatch):
+    """`hermitize` samples nothing, so its claim is checked here: every slot of
+    (H + adj H)/2 passes the sampled verdict for the benchmark operators, on
+    the default box and on the run's box, and for random operators."""
+    for H, length in benchmark_operators(tmp_path):
+        for spec in (SamplingSpec(), SamplingSpec(lengths=(length,) * H.dim)):
+            assert hermiticity_violations(hermitize(H), spec) == []
+    rng = np.random.default_rng(3001)
+    for k in range(30):
+        dim = k % 3 + 1
+        center = (2.0,) * dim  # sampled on [0, 4), where the coefficients are not negligible
+        H = random_hermitian_operator(rng, dim, 4, center, max_terms=3)
+        assert hermiticity_violations(H, centered_spec(center)) == []
+    calls = count_hermiticity_checks(monkeypatch)
+    sym = hermitize(op_1d({1: "-i*q1"}))
+    assert isinstance(sym, HermitianOperator) and calls == []
+    assert require_hermitian(sym, SamplingSpec(seed=5)) is sym and calls == []
 
 
 def test_hermitize_examples():

@@ -10,8 +10,8 @@ without both --dt and --steps, all refused before any work; and a state
 file's grid or domain line, a preset value out of its range, such as
 levels = [-1] or mass = 0, or a state that is 0 at every grid point,
 refused before any file is written), 3 numerical failure (including a grid
-above grids.MAX_GRID_POINTS, an RK4 or Chebyshev run above
-solver.MAX_RK4_STEPS or a particle count above trajectories.MAX_PARTICLES,
+above grids.MAX_GRID_POINTS, a step-by-step run above solver.MAX_RK4_STEPS
+or RK4's dt limit, or a particle count above trajectories.MAX_PARTICLES,
 refused at setup).  A closed standard output, as in `pilotwave derive H.ham
 | head`, ends the command quietly with its own code.  An output that cannot
 be written, such as a simulate --out that names a file or a derive --out in
@@ -59,7 +59,7 @@ from .operators import (
     load_hamiltonian,
     require_hermitian,
 )
-from .solver import EvolutionSpec, default_stride, evolve, norm_drift
+from .solver import evolve, norm_drift, schedule
 from .states import parse_state_spec, build_state
 from .trajectories import (
     check_count,
@@ -288,17 +288,6 @@ def _load_problem(args):
     return H, psi, grid
 
 
-def _auto_spec(args, H: DifferentialOperator, grid: Grid) -> EvolutionSpec:
-    steps = args.steps if args.steps is not None else 1000
-    if args.dt is not None:
-        dt = args.dt
-    else:
-        radius = H.realize(grid).spectral_radius(0.0)
-        dt = min(1e-3, 1.0 / radius) if radius > 0 else 1e-3
-    stride = args.stride if args.stride is not None else default_stride(steps)
-    return EvolutionSpec(dt=dt, steps=steps, stride=stride)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -325,7 +314,7 @@ def cmd_simulate(args) -> int:
     H, psi0, grid = _load_problem(args)
     if args.trajectories:
         check_count(args.trajectories)
-    spec = _auto_spec(args, H, grid)
+    spec = schedule(H, psi0, steps=args.steps, dt=args.dt, stride=args.stride)
     out_dir = Path(args.out or "pilotwave-out")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -420,14 +409,14 @@ def cmd_equivariance(args) -> int:
             f"{', '.join(given)} given without {' and '.join(missing)}; a fixed schedule needs "
             "both --dt and --steps, or neither to let the program choose"
         )
-    H, psi0, grid = _load_problem(args)
+    H, psi0, _ = _load_problem(args)
     report = equivariance_test(
         H,
         psi0,
         count=args.count,
         horizon=args.horizon,
         seed=args.seed,
-        evolution_spec=_auto_spec(args, H, grid) if given else None,
+        evolution_spec=schedule(H, psi0, steps=args.steps, dt=args.dt, stride=args.stride) if given else None,
         substeps=args.substeps,
     )
     _emit(json.dumps(asdict(report), indent=2))

@@ -149,7 +149,7 @@ class OperatorApplier:
     derivative factors (i k_a)^p up to H's order on that axis, and the folded
     multiplier, are built here, and a non-finite one raises StabilityError
     naming the grid.  `eigh` diagonalizes the grid matrix for the solver's
-    dense path when that matrix is Hermitian by construction.
+    dense path when that matrix is Hermitian by construction (`diagonalizable`).
     """
 
     def __init__(self, H: DifferentialOperator, grid: Grid):
@@ -238,24 +238,24 @@ class OperatorApplier:
                 spread += self._term_bound(n, coef_grid)
         return max(low - spread, -radius), min(high + spread, radius)
 
+    def diagonalizable(self) -> bool:
+        """True when the grid matrix is Hermitian by construction, which `eigh` needs: H has no
+        explicit t, every derivative term is folded into the multiplier, and h_0 and the
+        multiplier are exactly real on the grid."""
+        if self._dynamic or (self._multiplier is not None and np.any(self._multiplier.imag)):
+            return False
+        return all(n in self._folded or (n.order() == 0 and not np.any(coef_grid.imag))
+                   for n, coef_grid in self._static.items())
+
     def eigh(self):
         """`np.linalg.eigh` of the grid matrix F^-1 diag(multiplier) F + diag(h_0) on C-order flattened
-        values, or None unless H has no explicit t, every derivative term is folded into the
-        multiplier, and h_0 and the multiplier are exactly real on the grid, so that the matrix is
-        Hermitian.  It is the block circulant of ifftn(multiplier) plus the diagonal, real when the
-        multiplier is even in k."""
-        size = math.prod(self.grid.shape)
-        diagonal = np.zeros(size)
-        multiplier = self._multiplier if self._multiplier is not None else np.zeros(self.grid.shape)
-        if self._dynamic or np.any(multiplier.imag):
+        values, or None unless the applier is `diagonalizable`.  It is the block circulant of
+        ifftn(multiplier) plus the diagonal, real when the multiplier is even in k."""
+        if not self.diagonalizable():
             return None
-        for n, coef_grid in self._static.items():
-            if n.order() == 0:
-                if np.any(coef_grid.imag):
-                    return None
-                diagonal = coef_grid.real.ravel()
-            elif n not in self._folded:
-                return None
+        size = math.prod(self.grid.shape)
+        multiplier = self._multiplier if self._multiplier is not None else np.zeros(self.grid.shape)
+        diagonal = next((g.real.ravel() for n, g in self._static.items() if n.order() == 0), np.zeros(size))
         kernel = np.fft.ifftn(multiplier)
         if np.array_equal(multiplier, np.roll(np.flip(multiplier), 1, axis=tuple(range(self.grid.dim)))):
             kernel = kernel.real

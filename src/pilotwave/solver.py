@@ -1,20 +1,16 @@
-"""Time evolution of i d/dt psi = H psi on the periodic grid.
+"""Time evolution of i d/dt psi = H psi on the periodic grid, and the schedule it runs.
 
-Three propagators.  A time-independent H is propagated exactly: each
-snapshot interval tau applies the Chebyshev series exp(-i H tau) =
+Three propagators, one chosen per run by `_plan`.  For a time-independent H
+each snapshot interval tau can apply the Chebyshev series exp(-i H tau) =
 e^(-i c tau) sum_k c_k T_k((H - c)/h) (Tal-Ezer and Kosloff 1984), where
-[c - h, c + h] is the operator's spectral interval, when that series is
-shorter than the 4 * stride applications RK4 would spend.  A constant H
-(h = 0) is the phase e^(-i c tau) alone.  Otherwise classic fourth-order
-Runge-Kutta applies the operator at substep times, so time-dependent
-coefficients are supported, and dt * R must respect the RK4 stability
-limit, checked at setup, where R = sum_n max|h_n| k_max^n bounds the norm
-of the grid operator.  On a small grid, where either path would apply H
-more often than a diagonalization costs, a Hermitian grid matrix with
-constant-coefficient derivatives is diagonalized once (the Fourier grid
-Hamiltonian, Marston and Balint-Kurti 1989) and every snapshot is
-U exp(-i lambda t) U^dagger psi0.  Norm drift is monitored at every
-snapshot on every path and aborts the run when it exceeds NORM_DRIFT_LIMIT.
+[c - h, c + h] is the operator's spectral interval; a constant H (h = 0) is
+the phase e^(-i c tau) alone.  Classic fourth-order Runge-Kutta supports
+time-dependent coefficients, and dt * R must respect its stability limit,
+where R = sum_n max|h_n| k_max^n bounds the norm of the grid operator.  On a
+small grid a Hermitian grid matrix with constant-coefficient derivatives is
+diagonalized once (the Fourier grid Hamiltonian, Marston and Balint-Kurti
+1989) and every snapshot is U exp(-i lambda t) U^dagger psi0.  Norm drift
+aborts the run when it exceeds NORM_DRIFT_LIMIT at any snapshot.
 """
 
 from __future__ import annotations
@@ -32,9 +28,9 @@ from .operators import DifferentialOperator
 RK4_STABILITY_LIMIT = 2.8
 NORM_DRIFT_LIMIT = 1e-6
 # At 0.5 ms per step (a 256-point 1D p^4 operator on a 2-vCPU host) this
-# budget is over 8 minutes; a larger count means a grid too fine for RK4.
-# It counts schedule steps on the RK4 and Chebyshev paths, and snapshot
-# intervals on the dense path.
+# budget is over 8 minutes; a larger count means a grid too fine for RK4.  It
+# counts steps on the RK4 and Chebyshev paths and snapshot intervals on the
+# dense path, where a schedule the program chooses has one step per interval.
 MAX_RK4_STEPS = 10**6
 # The dense path's grid limit.  With single-threaded OpenBLAS on a 2-core x86
 # host, eigh of a complex grid matrix takes 28 ms at 256 points, 0.24 s at 512
@@ -62,11 +58,6 @@ class EvolutionSpec:
             raise ValueError("steps must be >= 1")
         if check_integer(self.stride, "stride") < 1:
             raise ValueError("stride must be >= 1")
-
-
-def default_stride(steps: int) -> int:
-    """The snapshot cadence a run takes when none is given: about 100 snapshots."""
-    return max(1, steps // 100)
 
 
 def _relative_drift(norm_sq: float, norm0: float) -> float:
@@ -130,33 +121,18 @@ def _matvec(matrix: np.ndarray, vector: np.ndarray) -> np.ndarray:
     return (matrix @ vector.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
-def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec,
-           on_snapshot=None) -> list[GridState]:
-    """Propagate the state, returning snapshots every `stride` steps.
-
-    The initial state and the final step are always included.  Each snapshot
-    is an immutable copy stamped with its time psi0.t + step * dt.  Of the
-    two step-by-step propagators a time-independent H takes the Chebyshev
-    path when its series for one snapshot interval is shorter than
-    4 * stride, and every other input takes RK4; a stride above steps runs
-    as stride = steps.  The dense path replaces either one when the grid has
-    at most MAX_DENSE_POINTS points N, the path it replaces would apply H at
-    least N^2 / 32 times, there are at most
-    MAX_RK4_STEPS snapshot intervals, and `OperatorApplier.eigh` gives
-    H = U diag(lambda) U^dagger: every snapshot is then
-    U exp(-i lambda step dt) U^dagger psi0, straight from psi0.
-    MAX_RK4_STEPS and the RK4 stability limit apply to the other two paths.
-    `on_snapshot(snapshot)`, when given, is called with each snapshot as it is
-    taken, after the setup checks and after that snapshot's norm check, so a
-    run that fails has handed over every snapshot it reached.
-    """
-    applier = H.realize(psi0.grid)
-    dt = spec.dt
-    # a stride above steps is the same run as stride = steps: snapshots at 0 and at steps
-    spec = replace(spec, stride=min(spec.stride, spec.steps))
+def _plan(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec, radius: float):
+    """(dense, chebyshev) for `spec` (stride <= steps) and R = `radius`: `evolve`'s path choice, also
+    asked by `schedule`.  A time-independent H takes the Chebyshev series when it is shorter than RK4's
+    4 * stride applications per interval; chebyshev is (center, half_width, series, last_series), or None.
+    RK4 costs 4 per stable step, max(steps, ceil(steps dt R / RK4_STABILITY_LIMIT)), or 0 if R steps dt
+    overflows.  The run is dense on at most MAX_DENSE_POINTS points N if the other path would apply H
+    N^2 / 32 times or more, in at most MAX_RK4_STEPS snapshot intervals, and H is `diagonalizable`."""
+    applier, dt = H.realize(psi0.grid), spec.dt
     full, last = divmod(spec.steps, spec.stride)
-    series = None
-    applications = 4 * spec.steps
+    chebyshev = None
+    stable_steps = spec.steps * (dt * radius / RK4_STABILITY_LIMIT)
+    applications = 4 * max(spec.steps, math.ceil(stable_steps)) if radius * spec.steps * dt < math.inf else 0
     # No series is built above MAX_RK4_STEPS, where neither step-by-step path may run, nor at
     # h dt >= 4: a series for h tau has more than h tau terms, never fewer than RK4's 4 * stride.
     if not H.is_time_dependent() and spec.steps <= MAX_RK4_STEPS:
@@ -167,23 +143,61 @@ def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec,
             if len(series) < 4 * spec.stride:
                 last_series = chebyshev_coefficients(half_width * last * dt) if last else series
                 applications = full * len(series) + (len(last_series) if last else 0)
-            else:
-                series = None
+                chebyshev = center, half_width, series, last_series
     points = psi0.values.size
-    dense = None
-    if points <= MAX_DENSE_POINTS and applications >= points**2 / 32 and full + (last > 0) <= MAX_RK4_STEPS:
-        dense = applier.eigh()
-    if dense is None:
-        if spec.steps > MAX_RK4_STEPS:
-            raise StabilityError(
-                f"{spec.steps} RK4 steps exceed MAX_RK4_STEPS = {MAX_RK4_STEPS}; "
-                "coarsen the grid or shorten the run"
-            )
-        if series is None:
-            _check_dt(dt, applier.spectral_radius(psi0.t))
-    else:
-        energies, vectors = dense
+    return (points <= MAX_DENSE_POINTS and applications >= points**2 / 32
+            and full + (last > 0) <= MAX_RK4_STEPS and applier.diagonalizable()), chebyshev
+
+
+def schedule(H: DifferentialOperator, psi0: GridState, *, steps: int | None = None, dt: float | None = None,
+             stride: int | None = None, horizon: float | None = None) -> EvolutionSpec:
+    """The EvolutionSpec of a command's schedule flags, R being H's spectral-radius bound at psi0.t:
+    flags left out are 1000 steps, dt = min(1e-3, 1/R) and stride max(1, steps // 100).  A horizon T
+    takes no flag: the 100 equally spaced snapshot times of (0, T] when `evolve` would diagonalize
+    them, one step each; else max(100, ceil(T R)) steps of T / steps, stride max(1, steps // 100)."""
+    if horizon is not None and (steps, dt, stride) != (None, None, None):
+        raise ValueError("a horizon schedule takes no steps, dt or stride")
+    radius = H.realize(psi0.grid).spectral_radius(psi0.t) if dt is None else None
+    if horizon is not None:
+        snapshots = EvolutionSpec(dt=horizon / 100, steps=100)
+        if _plan(H, psi0, snapshots, radius)[0]:
+            return snapshots
+        steps = max(100, math.ceil(horizon / (1.0 / radius if radius > 0 else horizon / 100.0)))
+        dt = horizon / steps
+    elif dt is None:
+        dt = min(1e-3, 1.0 / radius) if radius > 0 else 1e-3
+    steps = 1000 if steps is None else steps
+    return EvolutionSpec(dt=dt, steps=steps, stride=max(1, steps // 100) if stride is None else stride)
+
+
+def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec,
+           on_snapshot=None) -> list[GridState]:
+    """Propagate the state, returning snapshots every `stride` steps.
+
+    The initial state and the final step are always included.  Each snapshot is an immutable copy
+    stamped with its time psi0.t + step * dt; a stride above steps runs as stride = steps.  R is
+    computed once, for `_plan`'s path choice and RK4's stability limit.  `on_snapshot(snapshot)`,
+    when given, is called with each snapshot as it is taken, after the setup checks and after that
+    snapshot's norm check, so a run that fails has handed over every snapshot it reached.
+    """
+    applier = H.realize(psi0.grid)
+    dt = spec.dt
+    # a stride above steps is the same run as stride = steps: snapshots at 0 and at steps
+    spec = replace(spec, stride=min(spec.stride, spec.steps))
+    radius = applier.spectral_radius(psi0.t)
+    dense, chebyshev = _plan(H, psi0, spec, radius)
+    if dense:
+        energies, vectors = applier.eigh()
         amplitudes = _matvec(vectors.T, psi0.values.ravel().conj()).conj()
+    elif spec.steps > MAX_RK4_STEPS:
+        raise StabilityError(
+            f"{spec.steps} RK4 steps exceed MAX_RK4_STEPS = {MAX_RK4_STEPS}; "
+            "coarsen the grid or shorten the run"
+        )
+    elif chebyshev is None:
+        _check_dt(dt, radius)
+    else:
+        center, half_width, series, last_series = chebyshev
 
     def rhs(values: np.ndarray, t: float) -> np.ndarray:
         return -1j * applier(values, t)
@@ -202,10 +216,10 @@ def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec,
     values = psi0.values.copy()
     start = 0
     for stop in _snapshot_steps(spec):
-        if dense is not None:
+        if dense:
             phases = np.exp(-1j * energies * (stop * dt))
             values = _matvec(vectors, phases * amplitudes).reshape(psi0.grid.shape)
-        elif series is None:
+        elif chebyshev is None:
             for step in range(start, stop):
                 t = psi0.t + step * dt
                 k1 = rhs(values, t)

@@ -15,16 +15,15 @@ from dataclasses import dataclass, field
 
 from ._numpy import np
 
-from .currents import CurrentTable, VectorField, derive_current_table, eval_current
+from .currents import CurrentTable, derive_current_table, eval_current
 from .errors import (
     DimensionMismatchError,
-    NodeError,
     PilotwaveError,
     TruncationError,
 )
 from .grids import Grid, GridState
 from .operators import DifferentialOperator, require_hermitian
-from .solver import EvolutionSpec, default_stride, evolve
+from .solver import evolve, schedule
 
 NODE_EPS = 1e-10
 MAX_TRUNCATED_FRACTION = 0.10
@@ -143,24 +142,6 @@ def sample_density(rho: np.ndarray, grid: Grid, count: int, seed: int) -> Ensemb
         accepted = np.vstack([accepted, proposals[keep]])
     positions = accepted[:count]
     return Ensemble(positions)
-
-
-# ---------------------------------------------------------------------------
-# Velocities
-
-def velocity(state: GridState, current: VectorField, q) -> np.ndarray:
-    """Guidance velocity j(q)/|psi(q)|^2 at a single point."""
-    if current.grid != state.grid:
-        raise DimensionMismatchError("current and state must share one grid")
-    point = np.atleast_2d(np.asarray(q, dtype=float))
-    density = state.density()
-    rho = interpolate(state.grid, density, point)[0]
-    floor = NODE_EPS * float(density.max())
-    if rho < floor:
-        raise NodeError(f"|psi|^2 = {rho:.3e} below node threshold {floor:.3e} at q = {q}")
-    return np.array(
-        [interpolate(state.grid, comp, point)[0] / rho for comp in current.components]
-    )
 
 
 class _FlowField:
@@ -344,10 +325,7 @@ def equivariance_test(
         raise ValueError("substeps must be >= 1")
     H = require_hermitian(H)
     if evolution_spec is None:
-        radius = H.realize(psi0.grid).spectral_radius(psi0.t)
-        dt_max = 1.0 / radius if radius > 0 else horizon / 100.0
-        steps = max(100, int(math.ceil(horizon / dt_max)))
-        evolution_spec = EvolutionSpec(dt=horizon / steps, steps=steps, stride=default_stride(steps))
+        evolution_spec = schedule(H, psi0, horizon=horizon)
     else:
         horizon = evolution_spec.steps * evolution_spec.dt
     table = derive_current_table(H)

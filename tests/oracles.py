@@ -10,6 +10,8 @@ and the nested-sum form of the current
           (|n-m-e_i|!/(n-m-e_i)!) D^m(conj(psi) h_n) D^(n-m-e_i) psi,
 
 which `eval_current_direct` evaluates on the grid without building a table.
+`velocity` is the guidance equation j(q)/|psi(q)|^2 at one point, which the
+package's flow field evaluates for a whole ensemble at once.
 
 It also keeps the sampled check as a numpy batch: `approx_equal` draws
 every point up front and evaluates each side over all of them in one
@@ -29,11 +31,12 @@ import numpy as np
 
 from pilotwave import expr
 from pilotwave.currents import VectorField, _real_sum
-from pilotwave.errors import DimensionMismatchError, EvaluationDomainError, PilotwaveError, SamplingError
+from pilotwave.errors import DimensionMismatchError, EvaluationDomainError, NodeError, PilotwaveError, SamplingError
 from pilotwave.expr import CoefficientExpression, SamplingSpec, _eval
 from pilotwave.grids import DEFAULT_LENGTH, DerivativeCache, GridState, check_length
 from pilotwave.multiindex import MultiIndex, binom_multi, indices_up_to, multinomial
 from pilotwave.operators import DifferentialOperator, require_hermitian
+from pilotwave.trajectories import NODE_EPS, interpolate
 
 
 def indices_of_max_order(dim: int, max_order: int) -> Iterator[MultiIndex]:
@@ -175,6 +178,21 @@ def current_1d_integral(before: GridState, after: GridState) -> np.ndarray:
     cumulative = np.zeros_like(drho_dt)
     cumulative[1:] = np.cumsum(0.5 * (drho_dt[1:] + drho_dt[:-1]) * dx)
     return -cumulative
+
+
+def velocity(state: GridState, current: VectorField, q) -> np.ndarray:
+    """Guidance velocity j(q)/|psi(q)|^2 at a single point."""
+    if current.grid != state.grid:
+        raise DimensionMismatchError("current and state must share one grid")
+    point = np.atleast_2d(np.asarray(q, dtype=float))
+    density = state.density()
+    rho = interpolate(state.grid, density, point)[0]
+    floor = NODE_EPS * float(density.max())
+    if rho < floor:
+        raise NodeError(f"|psi|^2 = {rho:.3e} below node threshold {floor:.3e} at q = {q}")
+    return np.array(
+        [interpolate(state.grid, comp, point)[0] / rho for comp in current.components]
+    )
 
 
 def green_function(dim: int, q) -> float:

@@ -24,6 +24,7 @@ from oracles import (
     eval_current_direct,
     identity_residual,
     indices_of_max_order,
+    velocity,
 )
 from pilotwave import expr
 from pilotwave.altcurrents import born_jordan_current, compare_fields, second_order_current
@@ -34,7 +35,7 @@ from pilotwave.multiindex import MultiIndex, indices_up_to
 from pilotwave.operators import hermiticity_violations, load_hamiltonian, require_hermitian
 from pilotwave.solver import EvolutionSpec, evolve, norm_drift
 from pilotwave.states import gaussian, plane_wave
-from pilotwave.trajectories import equivariance_test, velocity
+from pilotwave.trajectories import equivariance_test
 
 FREE_1D = 'dim = 1\nterm [2] = "-0.5"\n'
 P4_1D = 'dim = 1\nterm [4] = "1"\n'

@@ -230,10 +230,11 @@ def test_simulate_stationary_trajectories_flat(ham, tmp_path):
 
 
 def test_simulate_stability_violation_exits_3(ham, tmp_path):
+    # a drive keeps the run off the dense path, which would take the free particle at this dt
     code = main(
         [
             "simulate",
-            ham("free.ham", FREE),
+            ham("driven.ham", DRIVEN_FREE),
             "--state",
             ham("gauss.st", GAUSS),
             "--grid",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import continuity_identity_defect, no_child_left  # noqa: F401  (autouse fixture)
+from oracles import velocity
 from pilotwave import expr
 from pilotwave.cli import main
 from pilotwave.currents import derive_current_table, eval_current
@@ -18,7 +19,6 @@ from pilotwave.trajectories import (
     equivariance_test,
     integrate_trajectories,
     sample_density,
-    velocity,
 )
 
 STD2D = 'dim = 2\nterm [2,0] = "-0.5"\nterm [0,2] = "-0.5"\n'

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import grid_meshes
+from oracles import velocity
 from pilotwave.cli import build_parser, _resolve_grid
 from pilotwave.currents import derive_current_table, eval_current
 from pilotwave.grids import Grid
@@ -11,7 +12,7 @@ from pilotwave.multiindex import MultiIndex
 from pilotwave.operators import load_hamiltonian
 from pilotwave.solver import EvolutionSpec, evolve
 from pilotwave.states import gaussian
-from pilotwave.trajectories import integrate_trajectories, interpolate, sample_density, velocity
+from pilotwave.trajectories import integrate_trajectories, interpolate, sample_density
 
 STD3D = (
     'dim = 3\n'

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from pilotwave.solver import (
     chebyshev_coefficients,
     evolve,
     norm_drift,
+    schedule,
 )
 from pilotwave.states import gaussian, ho_eigenstate, plane_wave
 
@@ -582,3 +584,84 @@ def test_folded_applier_equals_the_term_sum(text, shape):
         radius += float(np.max(np.abs(coef_grid))) * math.prod(
             k ** p for k, p in zip(grid.max_wavenumbers(), n.entries))
     assert applier.spectral_radius(t) == radius
+
+
+# ---------------------------------------------------------------------------
+# The schedule a command runs
+
+@pytest.mark.parametrize("points", [256, 1024])
+@pytest.mark.parametrize("text", [FREE_1D, HO_1D, DRIVEN_1D], ids=["free", "oscillator", "driven"])
+def test_schedule_fills_in_the_flags_left_out(text, points):
+    """Without a horizon each flag left out is filled in: 1000 steps, dt = min(1e-3, 1/R) with R
+    at t = 0, and stride max(1, steps // 100).  On 1024 points 1/R is below 1e-3."""
+    H = load_hamiltonian(text)
+    psi0 = gaussian(Grid((40.0,), (points,)), center=[20.0], width=1.0)
+    radius = H.realize(psi0.grid).spectral_radius(0.0)
+    assert (1.0 / radius < 1e-3) == (points == 1024)
+    for steps, dt, stride in itertools.product([None, 50, 400], [None, 2e-3], [None, 7]):
+        want_steps = 1000 if steps is None else steps
+        want = EvolutionSpec(dt=min(1e-3, 1.0 / radius) if dt is None else dt, steps=want_steps,
+                             stride=max(1, want_steps // 100) if stride is None else stride)
+        assert schedule(H, psi0, steps=steps, dt=dt, stride=stride) == want
+
+
+def test_schedule_takes_no_flag_with_a_horizon():
+    H = load_hamiltonian(FREE_1D)
+    psi0 = gaussian(Grid((40.0,), (64,)), center=[20.0], width=1.0)
+    for flags in [{"steps": 100}, {"dt": 1e-3}, {"stride": 1}]:
+        with pytest.raises(ValueError, match="a horizon schedule takes no steps, dt or stride"):
+            schedule(H, psi0, horizon=1.0, **flags)
+
+
+def test_a_diagonalized_horizon_schedule_is_its_snapshot_times(monkeypatch):
+    """equiv1d's quartic on 256 points to T = 1: RK4 would take 4 ceil(T R / 2.8) applications for
+    the 100 snapshot intervals, above 256^2 / 32, so the schedule is the snapshot times k / 100, one
+    step each.  evolve applies H never, and eigh runs once across schedule and evolve."""
+    H = load_hamiltonian(QUARTIC_1D)
+    psi0 = gaussian(EQUIV1D_GRID, center=[18.0], width=0.5, wavevector=[1.0])
+    decompositions = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: decompositions.append(matrix.shape) or original(matrix))
+    calls = count_applications(monkeypatch)
+    spec = schedule(H, psi0, horizon=1.0)
+    assert spec == EvolutionSpec(dt=0.01, steps=100, stride=1)
+    snapshots = evolve(H, psi0, spec)
+    assert [s.t for s in snapshots] == [k * 0.01 for k in range(101)]
+    assert calls == [] and decompositions == [(256, 256)]
+    exact = dense_propagator(H, EQUIV1D_GRID, 1.0) @ psi0.values.reshape(-1)
+    assert relative_error(snapshots[-1].values.reshape(-1), exact) <= 1e-10
+
+
+@pytest.mark.parametrize("text, grid", [
+    (QUARTIC_1D.replace('^2/8"', '^2/8 + 1e-3*cos(t)"'), Grid((40.0,), (128,))),
+    (VARIABLE_MASS_1D, Grid((8.0,), (64,))),
+], ids=["driven", "variable-mass"])
+def test_a_horizon_schedule_off_the_dense_path_splits_the_horizon_by_r(text, grid):
+    """The same snapshot intervals would cost RK4 more than N^2 / 32 applications here too, but H
+    has an explicit t or a variable mass, so the horizon is split into max(100, ceil(T R)) steps of
+    dt <= 1/R with stride steps // 100, and the run reaches T."""
+    H = load_hamiltonian(text)
+    psi0 = gaussian(grid, center=[grid.lengths[0] / 2], width=0.6, wavevector=[1.0])
+    radius = H.realize(grid).spectral_radius(0.0)
+    assert 4 * math.ceil(radius / 2.8) >= grid.shape[0] ** 2 / 32
+    steps = max(100, math.ceil(1.0 / (1.0 / radius)))
+    spec = schedule(H, psi0, horizon=1.0)
+    assert spec == EvolutionSpec(dt=1.0 / steps, steps=steps, stride=max(1, steps // 100)) and steps > 100
+    assert evolve(H, psi0, spec)[-1].t == pytest.approx(1.0, rel=1e-12)
+
+
+def test_a_step_above_rk4s_limit_runs_on_the_dense_path(monkeypatch):
+    """The free particle on 256 points at dt = 1, 10 steps: RK4 refuses dt R = 202, and would need
+    ceil(10 R / 2.8) = 722 stable steps, above 256^2 / 32 applications in all, so the run is
+    diagonalized and matches the dense propagator."""
+    H = load_hamiltonian(FREE_1D)
+    psi0 = gaussian(EQUIV1D_GRID, center=[20.0], width=1.0, wavevector=[1.0])
+    radius = H.realize(EQUIV1D_GRID).spectral_radius(0.0)
+    with pytest.raises(StabilityError, match="exceeds the RK4 limit"):
+        _check_dt(1.0, radius)
+    assert math.ceil(10 * radius / 2.8) == 722
+    calls = count_applications(monkeypatch)
+    snapshots = evolve(H, psi0, EvolutionSpec(dt=1.0, steps=10))
+    assert calls == [] and [s.t for s in snapshots] == [float(k) for k in range(11)]
+    exact = dense_propagator(H, EQUIV1D_GRID, 10.0) @ psi0.values.reshape(-1)
+    assert relative_error(snapshots[-1].values.reshape(-1), exact) <= 1e-12

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import grid_meshes, reference_integrate_trajectories, reference_interpolate, run_fresh_python
+from oracles import velocity
 from pilotwave import trajectories
 from pilotwave.currents import derive_current_table, eval_current
 from pilotwave.errors import (
@@ -28,7 +29,6 @@ from pilotwave.trajectories import (
     ks_critical_99,
     ks_distance_to_density,
     sample_density,
-    velocity,
 )
 
 FREE_1D = 'dim = 1\nterm [2] = "-0.5"\n'
@@ -89,7 +89,7 @@ def test_velocity_node_error():
 ], ids=["1d-quartic", "2d-cosine-potential"])
 def test_flow_field_velocity_is_the_guidance_velocity_at_each_snapshot(text, grid, wavevector, dt):
     """What integrate_trajectories integrates is, at each snapshot time, bitwise
-    trajectories.velocity of that snapshot and its current, away from nodes."""
+    oracles.velocity of that snapshot and its current, away from nodes."""
     H = load_hamiltonian(text)
     table = derive_current_table(H)
     snaps = evolve(H, gaussian(grid, wavevector=wavevector), EvolutionSpec(dt=dt, steps=40, stride=10))
@@ -269,7 +269,9 @@ def test_equivariance_stationary_flow_is_identity():
 
 
 def test_equivariance_auto_evolution_spec():
-    # with no explicit spec the horizon is split by the stability estimate
+    # with no explicit spec solver.schedule chooses: RK4 would apply H 400 times over the 100
+    # snapshot intervals, below 128^2 / 32, so the run is not diagonalized and the horizon is
+    # split into max(100, ceil(T R)) = 100 steps of dt <= 1/R
     H = load_hamiltonian(FREE_1D)
     grid = Grid((40.0,), (128,))
     psi0 = gaussian(grid, center=[20.0], width=1.0)

@@ -11,8 +11,8 @@ file's grid or domain line, a preset value out of its range, such as
 levels = [-1] or mass = 0, or a state that is 0 at every grid point,
 refused before any file is written), 3 numerical failure (including a grid
 above grids.MAX_GRID_POINTS, a step-by-step run above solver.MAX_RK4_STEPS
-or RK4's dt limit, or a particle count above trajectories.MAX_PARTICLES,
-refused at setup).  A closed standard output, as in `pilotwave derive H.ham
+or RK4's dt limit, a dense run whose phases keep no digits, or a particle
+count above trajectories.MAX_PARTICLES, refused at setup).  A closed standard output, as in `pilotwave derive H.ham
 | head`, ends the command quietly with its own code.  An output that cannot
 be written, such as a simulate --out that names a file or a derive --out in
 a missing directory, is a usage error (exit 2) naming the path; simulate
@@ -62,6 +62,7 @@ from .operators import (
 from .solver import evolve, norm_drift, schedule
 from .states import parse_state_spec, build_state
 from .trajectories import (
+    DEFAULT_SUBSTEPS,
     check_count,
     equivariance_test,
     integrate_trajectories,
@@ -438,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=_positive_float)
         p.add_argument("--steps", type=positive_int)
         p.add_argument("--stride", type=positive_int)
-        p.add_argument("--substeps", type=positive_int, default=4)
+        p.add_argument("--substeps", type=positive_int, default=DEFAULT_SUBSTEPS)
         p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     def add_common(p, min_points=1):

@@ -9,8 +9,10 @@ time-dependent coefficients, and dt * R must respect its stability limit,
 where R = sum_n max|h_n| k_max^n bounds the norm of the grid operator.  On a
 small grid a Hermitian grid matrix with constant-coefficient derivatives is
 diagonalized once (the Fourier grid Hamiltonian, Marston and Balint-Kurti
-1989) and every snapshot is U exp(-i lambda t) U^dagger psi0.  Norm drift
-aborts the run when it exceeds NORM_DRIFT_LIMIT at any snapshot.
+1989) and every snapshot is U exp(-i lambda t) U^dagger psi0; a phase
+lambda t is off by up to R t 2^-52 radians, and the path refuses a run whose
+span T gives R T 2^-52 above NORM_DRIFT_LIMIT.  Norm drift aborts the run
+when it exceeds NORM_DRIFT_LIMIT at any snapshot.
 """
 
 from __future__ import annotations
@@ -187,6 +189,13 @@ def evolve(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec,
     radius = applier.spectral_radius(psi0.t)
     dense, chebyshev = _plan(H, psi0, spec, radius)
     if dense:
+        # the unitary path keeps the norm, so lost phase digits would show no drift
+        phase_error = radius * spec.steps * dt * 2.0**-52
+        if not phase_error <= NORM_DRIFT_LIMIT:
+            raise StabilityError(
+                f"phases exp(-i lambda t) to t = {spec.steps * dt:.6g} are off by up to R t 2^-52 = "
+                f"{phase_error:.3e} rad, above NORM_DRIFT_LIMIT = {NORM_DRIFT_LIMIT:.0e}; shorten the run"
+            )
         energies, vectors = applier.eigh()
         amplitudes = _matvec(vectors.T, psi0.values.ravel().conj()).conj()
     elif spec.steps > MAX_RK4_STEPS:

@@ -1,11 +1,16 @@
 """Guidance-equation trajectories, equilibrium sampling, equivariance.
 
-The configuration moves with velocity j/|psi|^2.  Between PDE snapshots the
-current and density grids are interpolated linearly in time, and particles
-advance with classical RK4; near a node of psi (density below NODE_EPS times
-its maximum) the velocity is singular and the particle is truncated —
-flagged and frozen, never silently dropped and never velocity-capped, since
-capping would quietly break equivariance.
+The configuration moves with velocity j/|psi|^2.  The density and current
+grids are interpolated in space by one periodic 4-point Lagrange stencil per
+axis (`_corners`, fourth order, 4^N corners) and linearly in time between
+PDE snapshots, and particles advance with classical RK4, by default one step
+per snapshot interval: the spatial kernel, not the time step, sets the
+error floor.  Near a node of psi (density below NODE_EPS times its maximum)
+the velocity is singular and the particle is truncated — flagged and
+frozen, never silently dropped and never velocity-capped, since capping
+would quietly break equivariance.  The stencil can overshoot, so an
+interpolated density next to a node can fall below the floor or below zero;
+that particle is truncated too.
 """
 
 from __future__ import annotations
@@ -31,34 +36,79 @@ MAX_TRUNCATED_FRACTION = 0.10
 # each of about 100 snapshots and writes them as CSV rows, about 7 kB per
 # particle in 1D, so this many take under 1 GB.
 MAX_PARTICLES = 10**5
+# RK4 steps per snapshot interval unless a caller asks for more (--substeps)
+DEFAULT_SUBSTEPS = 1
 
 
 # ---------------------------------------------------------------------------
-# Multilinear periodic interpolation
+# Periodic 4-point Lagrange interpolation
 
-def _corners(grid: Grid, points: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Flat row-major indices and multilinear weights of the 2^N cell corners
-    around each point; corner c takes the upper neighbour on axis a when bit a
-    of c is set."""
-    corners = [(0, 1.0)]
+def _stencil_work(dim: int, count: int) -> tuple:
+    """Work buffers of `_corners` for `count` points: each axis's 4 node
+    indices and weights, the running corner index and weight past axis 0, and
+    three scratch rows."""
+    return (
+        np.empty((dim, 4, count), dtype=np.intp),
+        np.empty((dim, 4, count)),
+        np.empty((dim - 1, count), dtype=np.intp),
+        np.empty((dim - 1, count)),
+        np.empty((3, count)),
+    )
+
+
+def _corners(grid: Grid, points: np.ndarray, work: tuple):
+    """Yield the flat row-major index and the weight of each of the 4^N
+    corners of the periodic 4-point Lagrange stencil around each point: the
+    nodes at offsets -1, 0, 1, 2 from the point's cell on every axis.
+
+    At a fraction f of its cell, with g = 1 - f and r = f g, an axis weighs
+    its nodes r (f - 2) / 6, (1 + r / 2) g, (1 + r / 2) f and -r (f + 1) / 6.
+    Corners come in row-major order of their offsets, and a corner's weight
+    is the product of its axis weights, axis 0 first.  The yielded arrays
+    are rows of `work` (from `_stencil_work`), overwritten by the next corner.
+    """
+    axis_index, axis_weight, index, weight, (f, r, s) = work
+    offsets = np.arange(-1.0, 3.0).reshape(4, 1)
     for axis in range(grid.dim):
-        u = points[:, axis] / grid.spacings[axis]
-        cell = np.floor(u)
-        fraction = u - cell
+        np.divide(points[:, axis], grid.spacings[axis], out=f)
+        np.floor(f, out=s)
+        np.subtract(f, s, out=f)
         # axis lengths are powers of two (Grid checks), so & (n - 1) is mod n
-        wrap = grid.shape[axis] - 1
-        i0 = cell.astype(int)
+        nodes = axis_index[axis]
+        np.add(s, offsets, out=nodes, casting="unsafe")
+        np.bitwise_and(nodes, grid.shape[axis] - 1, out=nodes)
         stride = math.prod(grid.shape[axis + 1 :])
-        lower = (i0 & wrap) * stride
-        upper = ((i0 + 1) & wrap) * stride
-        corners = [(idx + lower, weight * (1.0 - fraction)) for idx, weight in corners] + [
-            (idx + upper, weight * fraction) for idx, weight in corners
-        ]
-    return corners
+        if stride > 1:
+            np.multiply(nodes, stride, out=nodes)
+        w = axis_weight[axis]
+        g = np.subtract(1.0, f, out=w[1])
+        np.multiply(f, g, out=r)
+        half = np.add(np.multiply(r, 0.5, out=s), 1.0, out=s)  # 1 + r / 2
+        np.multiply(half, g, out=w[1])
+        np.multiply(half, f, out=w[2])
+        np.divide(r, 6.0, out=r)
+        np.multiply(r, np.subtract(f, 2.0, out=s), out=w[0])
+        np.multiply(r, np.subtract(-1.0, f, out=s), out=w[3])
+    for k in range(4):  # the first axis's rows as they are: no multiply by 1.0
+        yield from _products(work, 1, axis_index[0, k], axis_weight[0, k])
+
+
+def _products(work: tuple, axis: int, idx: np.ndarray, wt: np.ndarray):
+    """The corners of `_corners` from `axis` on, after the running index and
+    weight of the axes before it.  A module function, not a closure: a
+    recursive closure is a reference cycle, and the buffers it holds would
+    wait for the cycle collector."""
+    axis_index, axis_weight, index, weight, _ = work
+    if axis == len(axis_index):
+        yield idx, wt
+        return
+    for k in range(4):
+        yield from _products(work, axis + 1, np.add(idx, axis_index[axis, k], out=index[axis - 1]),
+                             np.multiply(wt, axis_weight[axis, k], out=weight[axis - 1]))
 
 
 def interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation with periodic wrap; points shape (M, N)."""
+    """Periodic 4-point Lagrange interpolation (`_corners`); points shape (M, N)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != grid.dim:
         raise DimensionMismatchError(f"points have {points.shape[1]} coords, grid dim {grid.dim}")
@@ -66,7 +116,7 @@ def interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarra
         raise DimensionMismatchError(f"values of shape {np.shape(values)} on a grid of shape {grid.shape}")
     flat = np.asarray(values).reshape(-1)
     out = np.zeros(points.shape[0], dtype=flat.dtype)
-    for idx, weight in _corners(grid, points):
+    for idx, weight in _corners(grid, points, _stencil_work(grid.dim, points.shape[0])):
         out = out + weight * flat[idx]
     return out
 
@@ -112,7 +162,10 @@ def check_count(count: int) -> None:
 
 
 def sample_density(rho: np.ndarray, grid: Grid, count: int, seed: int) -> Ensemble:
-    """Rejection sampling against the grid maximum, with multilinear density."""
+    """Rejection sampling of the density interpolated by `interpolate`,
+    clipped at 0.  On each axis the 4-point stencil's weights sum in absolute
+    value to 1 + f (1 - f) <= 5/4, so the interpolant stays below 1.25^N times
+    the grid maximum, and proposals are accepted under that ceiling."""
     check_count(count)
     rho = np.asarray(rho, dtype=float)
     if rho.shape != grid.shape:
@@ -137,7 +190,7 @@ def sample_density(rho: np.ndarray, grid: Grid, count: int, seed: int) -> Ensemb
         batch = max(1024, 2 * (count - accepted.shape[0]))
         drawn += batch
         proposals = rng.uniform(0.0, 1.0, (batch, grid.dim)) * lengths
-        acceptance = rng.uniform(0.0, peak, batch)
+        acceptance = rng.uniform(0.0, 1.25**grid.dim * peak, batch)
         keep = acceptance < interpolate(grid, rho, proposals)
         accepted = np.vstack([accepted, proposals[keep]])
     positions = accepted[:count]
@@ -145,13 +198,17 @@ def sample_density(rho: np.ndarray, grid: Grid, count: int, seed: int) -> Ensemb
 
 
 class _FlowField:
-    """Snapshot stack with linear-in-time interpolation of rho and j.
+    """Snapshot stack of rho and j, interpolated linearly in time and then in
+    space by the 4-point stencil of `_corners`.
 
-    `velocities` gathers and sums the bracketing snapshots' corner values in
-    two work buffers of shape (2, N + 1, M), sized for the live particle count
-    and reallocated only when that count changes.  Allocated per call, arrays
-    that large (above glibc's 128 KiB mmap threshold, so M > 4096 in 1D) cost
-    about 150 page faults per RK4 stage at M = 5000.
+    `velocities` blends the two bracketing snapshots on the grid, in two
+    buffers of the fields' shape, and gathers and sums that blend's corner
+    values in two work buffers of shape (N + 1, M); the stencil keeps its
+    per-axis indices and weights in the `_stencil_work` buffers.  The
+    particle buffers are sized for the live count and reallocated only when
+    that count changes, so a warm call allocates no per-corner array.
+    Allocated per call, arrays above glibc's 128 KiB mmap threshold would be
+    fresh zeroed pages at every RK4 stage.
     """
 
     def __init__(self, snapshots: list[GridState], table: CurrentTable):
@@ -168,7 +225,9 @@ class _FlowField:
             for axis, component in enumerate(eval_current(table, snap).components, start=1):
                 self.fields[s, axis] = component.reshape(-1)
         self.node_floor = NODE_EPS * float(self.fields[:, 0].max())
-        self._gathered = self._summed = np.empty((2, self.grid.dim + 1, 0))
+        self._blend, self._scaled = np.empty((2,) + self.fields.shape[1:])
+        self._gathered = self._summed = np.empty((self.grid.dim + 1, 0))
+        self._stencil = _stencil_work(self.grid.dim, 0)
 
     def velocities(self, points: np.ndarray, t: float, active: np.ndarray):
         """Velocities for the active subset; returns (velocities, node_mask)."""
@@ -178,19 +237,20 @@ class _FlowField:
         # integrate_trajectories passes live particles only: no copy then
         pts = points if active.all() else points[active]
         if self._summed.shape[-1] != pts.shape[0]:
-            self._gathered = np.empty(self._gathered.shape[:2] + (pts.shape[0],))
+            self._gathered = np.empty((self.grid.dim + 1, pts.shape[0]))
             self._summed = np.empty_like(self._gathered)
-        bracket, gathered, summed = self.fields[k : k + 2], self._gathered, self._summed
+            self._stencil = _stencil_work(self.grid.dim, pts.shape[0])
+        blend, gathered, summed = self._blend, self._gathered, self._summed
+        np.multiply(1.0 - w, self.fields[k], out=blend)
+        blend += np.multiply(w, self.fields[k + 1], out=self._scaled)
         summed.fill(0.0)  # +0.0 first, as the per-field sum: a sum of -0.0 stays +0.0
-        for idx, weight in _corners(self.grid, pts):
+        for idx, weight in _corners(self.grid, pts, self._stencil):
             # indices are in range by construction; mode="raise" would copy `out`
-            bracket.take(idx, axis=-1, out=gathered, mode="clip")
+            blend.take(idx, axis=-1, out=gathered, mode="clip")
             np.add(summed, np.multiply(weight, gathered, out=gathered), out=summed)
-        blended = np.multiply(1.0 - w, summed[0], out=summed[0])
-        blended += np.multiply(w, summed[1], out=summed[1])
-        rho = blended[0]
+        rho = summed[0]
         nodes = rho < self.node_floor
-        vel = (blended[1:] / np.where(nodes, 1.0, rho)).T
+        vel = (summed[1:] / np.where(nodes, 1.0, rho)).T
         vel[nodes] = 0.0
         return vel, nodes
 
@@ -199,7 +259,7 @@ def integrate_trajectories(
     snapshots: list[GridState],
     table: CurrentTable,
     ensemble: Ensemble,
-    substeps: int = 4,
+    substeps: int = DEFAULT_SUBSTEPS,
     record_history: bool = True,
 ) -> Ensemble:
     """RK4 integration of dq/dt = j/|psi|^2 across the snapshot window.
@@ -231,10 +291,11 @@ def integrate_trajectories(
             # the four stages run on the particles live at the substep's start
             pts = positions[live]
             everyone = np.ones(live.size, dtype=bool)
+            # the stencil wraps its node indices, so only the moved positions are wrapped
             k1, h1 = flow.velocities(pts, t, everyone)
-            k2, h2 = flow.velocities(np.mod(pts + 0.5 * dt * k1, lengths), t + 0.5 * dt, everyone)
-            k3, h3 = flow.velocities(np.mod(pts + 0.5 * dt * k2, lengths), t + 0.5 * dt, everyone)
-            k4, h4 = flow.velocities(np.mod(pts + dt * k3, lengths), t + dt, everyone)
+            k2, h2 = flow.velocities(pts + 0.5 * dt * k1, t + 0.5 * dt, everyone)
+            k3, h3 = flow.velocities(pts + 0.5 * dt * k2, t + 0.5 * dt, everyone)
+            k4, h4 = flow.velocities(pts + dt * k3, t + dt, everyone)
             hit = h1 | h2 | h3 | h4
             moved = np.mod(pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), lengths)
             positions[live[~hit]] = moved[~hit]
@@ -313,7 +374,7 @@ def equivariance_test(
     horizon: float,
     seed: int,
     evolution_spec=None,
-    substeps: int = 4,
+    substeps: int = DEFAULT_SUBSTEPS,
 ) -> EquivarianceReport:
     """Sample |psi0|^2, integrate guided trajectories to the horizon, and
     compare the empirical distribution against |psi(T)|^2.

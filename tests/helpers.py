@@ -23,7 +23,7 @@ from pilotwave.currents import CurrentTable, derive_current_table, eval_current,
 from pilotwave.expr import CoefficientExpression
 from pilotwave.grids import Grid, GridState
 from pilotwave.operators import DifferentialOperator, SamplingSpec, hermitize
-from pilotwave.trajectories import NODE_EPS, Ensemble
+from pilotwave.trajectories import DEFAULT_SUBSTEPS, NODE_EPS, Ensemble, integrate_trajectories
 
 
 def grid_meshes(grid: Grid) -> list[np.ndarray]:
@@ -267,6 +267,40 @@ def continuity_identity_defect(H: DifferentialOperator, snapshots: list[GridStat
     return worst
 
 
+def padded_cdf(state: GridState, factor: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [0, L] and values of the CDF of a 1D state's |psi|^2, with psi
+    zero-padded `factor` times in Fourier space (the Nyquist mode split
+    between its two images) and the density summed by the trapezoid rule."""
+    points = state.grid.shape[0]
+    half = points // 2
+    spectrum = np.fft.fft(state.values)
+    padded = np.zeros(factor * points, dtype=complex)
+    padded[:half] = spectrum[:half]
+    padded[-half + 1 :] = spectrum[half + 1 :]
+    padded[half] = padded[-half] = 0.5 * spectrum[half]
+    rho = np.abs(np.fft.ifft(padded) * factor) ** 2
+    dx = state.grid.lengths[0] / rho.size
+    closed = np.append(rho, rho[0])
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (closed[1:] + closed[:-1]) * dx)])
+    return np.arange(rho.size + 1) * dx, cdf / cdf[-1]
+
+
+def guidance_residual(snapshots: list[GridState], table: CurrentTable, count: int = 200) -> float:
+    """How far guided 1D trajectories are from carrying the |psi|^2 mass
+    between them.  Particles start at the quantiles u_i = (i + 1/2) / count of
+    |psi0|^2 and are integrated with the default settings; in 1D they do not
+    cross, so F_T(q_i(T)) - u_i is one constant (Duerr, Goldstein and Zanghi
+    1992), and the residual is its largest deviation from its mean.  The
+    CDFs come from `padded_cdf`; the mass must not cross the box edge."""
+    quantiles = (np.arange(count) + 0.5) / count
+    nodes, cdf = padded_cdf(snapshots[0])
+    final = integrate_trajectories(snapshots, table, Ensemble(np.interp(quantiles, cdf, nodes).reshape(-1, 1)))
+    assert not final.truncated.any()
+    nodes, cdf = padded_cdf(snapshots[-1])
+    shift = np.interp(final.positions[:, 0], nodes, cdf) - quantiles
+    return float(np.max(np.abs(shift - shift.mean())))
+
+
 # ---------------------------------------------------------------------------
 # Per-element references for the guided-trajectory path and the text writers.
 # They interpolate one field at a time through tuple indexing, run the RK4
@@ -274,32 +308,43 @@ def continuity_identity_defect(H: DifferentialOperator, snapshots: list[GridStat
 # time; the array versions must match them bit for bit and byte for byte.
 
 
+def lagrange_weights(f: np.ndarray) -> list[np.ndarray]:
+    """The cubic Lagrange basis on the nodes -1, 0, 1, 2 at the points f of
+    [0, 1): -f (f - 1)(f - 2) / 6, (f + 1)(f - 1)(f - 2) / 2,
+    -(f + 1) f (f - 2) / 2 and (f + 1) f (f - 1) / 6, each factored through
+    r = f (1 - f) with the rounding the package's stencil uses."""
+    g = 1.0 - f
+    r = f * g
+    half = r * 0.5 + 1.0
+    sixth = r / 6.0
+    return [sixth * (f - 2.0), half * g, half * f, sixth * (-1.0 - f)]
+
+
 def reference_interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Periodic 4-point Lagrange interpolation, one corner of the 4^N at a
+    time: corners in row-major order of their offsets, each weight the
+    product of the axis weights taken from axis 0 on."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.zeros(points.shape[0], dtype=values.dtype)
-    fractional = []
     base = []
+    weights = []
     for axis in range(grid.dim):
         u = points[:, axis] / grid.spacings[axis]
         i0 = np.floor(u).astype(int)
-        fractional.append(u - i0)
-        base.append(np.mod(i0, grid.shape[axis]))
-    for corner in range(1 << grid.dim):
-        weight = np.ones(points.shape[0])
-        idx = []
-        for axis in range(grid.dim):
-            if corner >> axis & 1:
-                idx.append(np.mod(base[axis] + 1, grid.shape[axis]))
-                weight = weight * fractional[axis]
-            else:
-                idx.append(base[axis])
-                weight = weight * (1.0 - fractional[axis])
-        out = out + weight * values[tuple(idx)]
+        base.append(i0)
+        weights.append(lagrange_weights(u - i0))
+    for offsets in np.ndindex(*(4,) * grid.dim):
+        weight = weights[0][offsets[0]]
+        for axis in range(1, grid.dim):
+            weight = weight * weights[axis][offsets[axis]]
+        idx = tuple(np.mod(base[axis] + offsets[axis] - 1, grid.shape[axis]) for axis in range(grid.dim))
+        out = out + weight * values[idx]
     return out
 
 
 class ReferenceFlowField:
-    """One density and N current grids per snapshot, each interpolated on its own."""
+    """One density and N current grids per snapshot; the two snapshots around
+    t are blended on the grid, and each blended grid is interpolated on its own."""
 
     def __init__(self, snapshots: list[GridState], table: CurrentTable):
         self.grid = snapshots[0].grid
@@ -313,23 +358,19 @@ class ReferenceFlowField:
         t0, t1 = self.times[k], self.times[k + 1]
         w = float(np.clip((t - t0) / (t1 - t0), 0.0, 1.0))
         pts = points[active]
-        rho = (1.0 - w) * reference_interpolate(self.grid, self.densities[k], pts) + w * (
-            reference_interpolate(self.grid, self.densities[k + 1], pts)
-        )
+        rho = reference_interpolate(self.grid, (1.0 - w) * self.densities[k] + w * self.densities[k + 1], pts)
         nodes = rho < self.node_floor
         rho_safe = np.where(nodes, 1.0, rho)
         vel = np.empty_like(pts)
         for axis in range(self.grid.dim):
-            j = (1.0 - w) * reference_interpolate(self.grid, self.currents[k][axis], pts) + w * (
-                reference_interpolate(self.grid, self.currents[k + 1][axis], pts)
-            )
-            vel[:, axis] = j / rho_safe
+            j = (1.0 - w) * self.currents[k][axis] + w * self.currents[k + 1][axis]
+            vel[:, axis] = reference_interpolate(self.grid, j, pts) / rho_safe
         vel[nodes] = 0.0
         return vel, nodes
 
 
 def reference_integrate_trajectories(
-    snapshots: list[GridState], table: CurrentTable, ensemble: Ensemble, substeps: int = 4
+    snapshots: list[GridState], table: CurrentTable, ensemble: Ensemble, substeps: int = DEFAULT_SUBSTEPS
 ) -> Ensemble:
     flow = ReferenceFlowField(snapshots, table)
     lengths = np.asarray(flow.grid.lengths)
@@ -355,9 +396,9 @@ def reference_integrate_trajectories(
                 return full, hit
 
             k1, h1 = stage(positions, t)
-            k2, h2 = stage(np.mod(positions + 0.5 * dt * k1, lengths), t + 0.5 * dt)
-            k3, h3 = stage(np.mod(positions + 0.5 * dt * k2, lengths), t + 0.5 * dt)
-            k4, h4 = stage(np.mod(positions + dt * k3, lengths), t + dt)
+            k2, h2 = stage(positions + 0.5 * dt * k1, t + 0.5 * dt)
+            k3, h3 = stage(positions + 0.5 * dt * k2, t + 0.5 * dt)
+            k4, h4 = stage(positions + dt * k3, t + dt)
             stage_trunc = h1 | h2 | h3 | h4
             move = active & ~stage_trunc
             positions[move] = np.mod(

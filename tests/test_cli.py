@@ -253,6 +253,17 @@ def test_simulate_stability_violation_exits_3(ham, tmp_path):
     assert not list((tmp_path / "x").glob("snapshot_*"))  # refused at setup, before any snapshot
 
 
+def test_a_dense_run_whose_phases_keep_no_digits_exits_3(ham, tmp_path, capsys):
+    """The free particle at dt = 1e300 runs on the dense path, whose phases
+    lambda t at t = 1e301 have no correct digit: R t 2^-52 is about 4.5e287 rad.
+    It is refused before any snapshot, naming the limit."""
+    args = ["simulate", ham("free.ham", FREE), "--state", ham("gauss.st", GAUSS), "--grid", "256",
+            "--dt", "1e300", "--steps", "10", "--out", str(tmp_path / "x")]
+    assert main(args) == 3
+    assert "NORM_DRIFT_LIMIT = 1e-06" in capsys.readouterr().err
+    assert not list((tmp_path / "x").glob("snapshot_*"))
+
+
 def test_simulate_non_hermitian_exits_1(ham, tmp_path):
     code = main(
         [
@@ -935,10 +946,10 @@ def test_traced_equivariance_counts_each_layer(ham, tmp_path):
 def test_traced_equivariance_counts_particle_stages(ham, tmp_path):
     """The tracer counts `active.sum()` in each `_FlowField.velocities(points,
     t, active)` call: every live particle at every RK4 stage.  The ground
-    state has no node, so 200 particles x 100 snapshot intervals x 4
-    substeps x 4 stages."""
+    state has no node, so 200 particles x 100 snapshot intervals x 1 RK4
+    step (the default) x 4 stages."""
     counts = _traced_equivariance_counts(ham, tmp_path)
-    assert counts["trajectories.particle_stages"] == 200 * 100 * 4 * 4
+    assert counts["trajectories.particle_stages"] == 200 * 100 * 1 * 4
 
 
 DRIVEN_2D = (

@@ -23,10 +23,12 @@ STD3D = (
 
 
 def test_interpolate_trilinear_exact():
+    """Exact for a linear field wherever the 4-point stencil (nodes at
+    offsets -1 to 2 from the cell, spacing 0.5) does not wrap."""
     grid = Grid((4.0, 4.0, 4.0), (8, 8, 8))
     X, Y, Z = grid_meshes(grid)
     values = 1.0 + 2.0 * X - 0.5 * Y + 3.0 * Z
-    pts = np.array([[0.25, 1.75, 2.5], [3.1, 0.4, 1.9]])
+    pts = np.array([[0.75, 1.75, 2.5], [2.6, 0.9, 1.9]])
     expected = 1.0 + 2.0 * pts[:, 0] - 0.5 * pts[:, 1] + 3.0 * pts[:, 2]
     assert np.allclose(interpolate(grid, values, pts), expected)
 

@@ -5,10 +5,16 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from helpers import grid_meshes, reference_integrate_trajectories, reference_interpolate, run_fresh_python
+from helpers import (
+    grid_meshes,
+    guidance_residual,
+    reference_integrate_trajectories,
+    reference_interpolate,
+    run_fresh_python,
+)
 from oracles import velocity
-from pilotwave import trajectories
-from pilotwave.currents import derive_current_table, eval_current
+from pilotwave import expr, trajectories
+from pilotwave.currents import CurrentTable, derive_current_table, eval_current
 from pilotwave.errors import (
     DimensionMismatchError,
     NodeError,
@@ -18,7 +24,7 @@ from pilotwave.errors import (
 )
 from pilotwave.grids import Grid, GridState
 from pilotwave.operators import OperatorApplier, load_hamiltonian
-from pilotwave.solver import EvolutionSpec, evolve
+from pilotwave.solver import EvolutionSpec, evolve, schedule
 from pilotwave.states import gaussian, ho_eigenstate, plane_wave
 from pilotwave.trajectories import (
     Ensemble,
@@ -47,11 +53,15 @@ def test_interpolate_linear_exact_with_wrap():
 
 
 def test_interpolate_2d_bilinear():
-    grid = Grid((4.0, 4.0), (4, 4))
+    """The 4-point stencil reproduces a field of degree 3 or less per axis
+    wherever its nodes, offsets -1 to 2 from the cell, do not wrap."""
+    grid = Grid((8.0, 8.0), (8, 8))
     X, Y = grid_meshes(grid)
-    values = 2.0 * X + 3.0 * Y
-    pts = np.array([[1.5, 0.5], [0.25, 2.75]])
-    assert np.allclose(interpolate(grid, values, pts), 2 * pts[:, 0] + 3 * pts[:, 1])
+    def field(x, y):
+        return 2.0 * x + 3.0 * y + x * y**2 + x**3 - 0.5 * y**3
+
+    pts = np.array([[1.5, 1.5], [2.25, 5.75], [1.0, 3.9], [4.3, 2.05]])
+    assert np.allclose(interpolate(grid, field(X, Y), pts), field(pts[:, 0], pts[:, 1]))
 
 
 def test_velocity_plane_wave():
@@ -120,6 +130,25 @@ def test_sample_density_hot_cell():
     dx = grid.spacings[0]
     target = grid.axis_points(0)[40]
     assert np.all(np.abs(ens.positions[:, 0] - target) <= dx + 1e-12)
+
+
+def test_sample_density_draws_the_interpolant_where_it_overshoots():
+    """Two equal hot nodes: the 4-point interpolant peaks at 1.125 times the
+    grid maximum between them, so rejection under the grid maximum would
+    under-draw that cell; the ensemble follows the clipped interpolant."""
+    grid = Grid((8.0,), (8,))
+    rho = np.zeros(8)
+    rho[3:5] = 1.0
+    count = 50_000
+    ens = sample_density(rho, grid, count, seed=2)
+    x = np.linspace(0.0, 8.0, 80_001)
+    density = np.clip(interpolate(grid, rho, x.reshape(-1, 1)), 0.0, None)
+    assert density.max() == pytest.approx(1.125)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (density[1:] + density[:-1]) * np.diff(x))])
+    model = np.interp(np.sort(ens.positions[:, 0]), x, cdf / cdf[-1])
+    steps = np.arange(count + 1) / count
+    ks = max(np.max(steps[1:] - model), np.max(model - steps[:-1]))
+    assert ks < ks_critical_99(count)
 
 
 def test_sample_density_gaussian_variance():
@@ -321,6 +350,30 @@ def test_equivariance_refuses_a_run_above_the_step_budget(monkeypatch):
     assert applications == []
 
 
+def quartic_guidance(scale: float = 1.0) -> float:
+    """`guidance_residual` on the quartic packet of the equivariance benchmark
+    (256 points on [0, 40), horizon 1 on the program's schedule), guided by
+    the exact current table times `scale`."""
+    H = load_hamiltonian(QUARTIC_1D)
+    psi0 = gaussian(Grid((40.0,), (256,)), center=[18.0], width=0.5, wavevector=[1.0])
+    snaps = evolve(H, psi0, schedule(H, psi0, horizon=1.0))
+    table = derive_current_table(H)
+    factor = expr.const(scale, 1)
+    scaled = CurrentTable(1, [{key: factor * coef for key, coef in axis.items()} for axis in table.axes])
+    return guidance_residual(snaps, scaled)
+
+
+def test_default_guidance_carries_the_mass_between_trajectories():
+    """The 4-point kernel at one RK4 step per snapshot interval reads 1.7e-4;
+    the multilinear kernel read 1.96e-3 at 1 substep and at 4."""
+    assert quartic_guidance() <= 3e-4
+
+
+def test_a_current_one_percent_off_stands_out_of_the_guidance_floor():
+    """j scaled by 1.01 reads 5.1e-3, 30 times the floor of the exact current."""
+    assert quartic_guidance(1.01) >= 3e-3
+
+
 # ---------------------------------------------------------------------------
 # The array path against the per-field reference (tests/helpers.py), bit for bit
 
@@ -495,8 +548,10 @@ def test_velocities_of_a_masked_subset_are_those_of_the_subset():
 
 
 def test_a_warm_velocities_call_allocates_no_work_stack():
-    """tracemalloc peak of a warm 5,000-particle 1D call: 392 KiB with the
-    reused buffers, 666 KiB when each call allocated its own stacks."""
+    """tracemalloc peak of a warm 5,000-particle 1D call: 85 KiB with the
+    stencil's reused buffers, 392 KiB when the multilinear stencil allocated
+    its corners per call, 666 KiB when each call also allocated its own
+    stacks."""
     grid = GRIDS["1d"]
     flow = drifting_flow(grid)
     points = np.random.default_rng(3).uniform(0.0, grid.lengths[0], (5000, 1))
@@ -519,7 +574,7 @@ from pilotwave.currents import derive_current_table
 from pilotwave.grids import Grid, GridState
 from pilotwave.operators import load_hamiltonian
 from pilotwave.solver import EvolutionSpec, evolve
-from pilotwave.trajectories import Ensemble, integrate_trajectories
+from pilotwave.trajectories import DEFAULT_SUBSTEPS, Ensemble, integrate_trajectories
 grid = Grid((10.0,), (64,))
 phase = 2 * np.pi * grid.axis_points(0) / 10.0
 psi = GridState(grid, np.exp(1j * phase) * (1.5 + np.cos(phase)), 0.0).normalized()
@@ -529,7 +584,7 @@ table = derive_current_table(H)
 ensemble = Ensemble(np.random.default_rng(0).uniform(0.0, 10.0, (5000, 1)))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 integrate_trajectories(snaps, table, ensemble)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, (len(snaps) - 1) * 4 * 4)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, (len(snaps) - 1) * DEFAULT_SUBSTEPS * 4)
 """
 
 
@@ -537,7 +592,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, (len(snaps) -
 def test_integration_faults_fewer_pages_per_stage_than_one_work_stack():
     """A fresh interpreter, as a CLI call is: 5,000 1D particles took about
     133 minor faults per RK4 stage when each stage allocated its own stacks
-    (39 pages each), and take about 17 with the reused buffers."""
+    (39 pages each), about 17 with reused stacks of both snapshots, and take
+    about 5 now that the stacks hold one blended snapshot (80 kB, below
+    glibc's mmap threshold)."""
     pytest.importorskip("resource")
     faults, stages = map(int, run_fresh_python(FAULTS_SCRIPT).stdout.split())
     stack_pages = 2 * 2 * 5000 * 8 / 4096

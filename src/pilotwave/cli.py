@@ -33,7 +33,6 @@ import math
 import os
 import struct
 import sys
-import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -106,27 +105,15 @@ def _write_snapshot(out_dir: Path, index: int, state: GridState) -> None:
         _write(out_dir / f"snapshot_{index:04d}.csv", serialize.snapshot_to_csv(state))
 
 
-def _feed(pending, fd: int) -> None:
-    """Pass each queued state's time and values into the pipe `fd`, up to None."""
-    try:
-        with open(fd, "wb") as pipe:
-            while (state := pending.get()) is not None:
-                pipe.write(struct.pack("d", state.t))
-                pipe.write(state.values)
-                pipe.flush()
-    except BrokenPipeError:
-        pass  # the writer stopped at a write error, which it reports itself
-
-
-def _writer_process(data: int, errors: int, out_dir: Path, grid: Grid) -> None:
-    """The forked writer: write each state read from the pipe `data` until its
-    end, then leave through os._exit, never returning into the caller's
+def _writer_process(data, errors: int, out_dir: Path, grid: Grid) -> None:
+    """The forked writer: write each state read from the socket `data` until
+    its end, then leave through os._exit, never returning into the caller's
     stack.  A write error's message goes to the pipe `errors` first."""
     code = 1
     try:
         size = 8 + 16 * math.prod(grid.shape)
-        with open(data, "rb") as pipe:
-            for index, record in enumerate(iter(lambda: pipe.read(size), b"")):
+        with data.makefile("rb") as records:
+            for index, record in enumerate(iter(lambda: records.read(size), b"")):
                 values = np.frombuffer(record, complex, offset=8).reshape(grid.shape)
                 _write_snapshot(out_dir, index, GridState(grid, values, struct.unpack_from("d", record)[0]))
         code = 0
@@ -147,13 +134,14 @@ def _snapshot_writer(out_dir: Path, grid: Grid):
     `out_dir`, and `check()` raises the writer's error if it has already failed.
 
     Where os.fork exists, a forked process formats and writes the files while
-    this one keeps working; a feeder thread passes it each state through a
-    pipe, so `send` never waits.  `send` and `check` look at the writer's
-    error pipe without blocking; it turns readable only when the writer
-    stops early, with its message or at its end.  Leaving the block waits
-    until every state sent is written and reaps the writer; if the block
-    raised nothing or the writer stopped, the writer's error is raised here.
-    Elsewhere `send` writes the files itself and `check` has nothing to do.
+    this one keeps working, fed through a socket whose send buffer holds
+    several states: `send` waits only when the writer is a full buffer behind.
+    `send` and `check` look at the writer's error pipe without blocking; it
+    turns readable only when the writer stops early, with its message or at
+    its end.  Leaving the block waits until every state sent is written and
+    reaps the writer; if the block raised nothing or the writer stopped, the
+    writer's error is raised here.  Elsewhere `send` writes the files itself
+    and `check` has nothing to do.
     """
     if not hasattr(os, "fork"):
         indices = itertools.count()
@@ -161,22 +149,19 @@ def _snapshot_writer(out_dir: Path, grid: Grid):
         return
     # Here, so the other commands import nothing more at startup.
     import select
-    from queue import SimpleQueue
+    import socket
 
-    data_read, data_write = os.pipe()
+    ours, theirs = socket.socketpair()
+    # Linux doubles the request up to net.core.wmem_max; its default cap still holds six 64^2 records.
+    ours.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1 << 20)
     errors_read, errors_write = os.pipe()
-    # Forked before the feeder thread starts; the writer calls no BLAS routine,
-    # so an idle BLAS thread of this process is no hazard to it.
     pid = os.fork()
     if pid == 0:
-        os.close(data_write)
+        ours.close()
         os.close(errors_read)
-        _writer_process(data_read, errors_write, out_dir, grid)
-    os.close(data_read)
+        _writer_process(theirs, errors_write, out_dir, grid)
+    theirs.close()
     os.close(errors_write)
-    pending = SimpleQueue()
-    feeder = threading.Thread(target=_feed, args=(pending, data_write))
-    feeder.start()
 
     def check() -> None:
         if select.select([errors_read], [], [], 0)[0]:
@@ -184,15 +169,18 @@ def _snapshot_writer(out_dir: Path, grid: Grid):
 
     def send(state: GridState) -> None:
         check()
-        pending.put(state)
+        try:
+            ours.sendall(struct.pack("d", state.t))
+            ours.sendall(state.values)
+        except OSError as exc:  # the writer has exited, so its error pipe tells why
+            raise _WriterStopped from exc
 
     try:
         yield send, check
     except _WriterStopped:
         pass  # a writer that stopped early exits non-zero, so its error is raised below
     finally:
-        pending.put(None)
-        feeder.join()
+        ours.close()
         with open(errors_read, "rb") as errors:
             message = errors.read().decode()
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])

@@ -132,23 +132,25 @@ def _plan(H: DifferentialOperator, psi0: GridState, spec: EvolutionSpec, radius:
     N^2 / 32 times or more, in at most MAX_RK4_STEPS snapshot intervals, and H is `diagonalizable`."""
     applier, dt = H.realize(psi0.grid), spec.dt
     full, last = divmod(spec.steps, spec.stride)
+    points = psi0.values.size
+    eligible = points <= MAX_DENSE_POINTS and full + (last > 0) <= MAX_RK4_STEPS and applier.diagonalizable()
     chebyshev = None
     stable_steps = spec.steps * (dt * radius / RK4_STABILITY_LIMIT)
     applications = 4 * max(spec.steps, math.ceil(stable_steps)) if radius * spec.steps * dt < math.inf else 0
-    # No series is built above MAX_RK4_STEPS, where neither step-by-step path may run, nor at
-    # h dt >= 4: a series for h tau has more than h tau terms, never fewer than RK4's 4 * stride.
+    # A series for h tau has more than h tau terms: none is built at h dt >= 4, where RK4's 4 * stride wins,
+    # or once RK4 and h dt steps both reach N^2 / 32, where every path is dense, or above MAX_RK4_STEPS.
     if not H.is_time_dependent() and spec.steps <= MAX_RK4_STEPS:
         low, high = applier.spectral_interval(psi0.t)
         center, half_width = (low + high) / 2, (high - low) / 2
+        if eligible and min(applications, half_width * dt * spec.steps) >= points**2 / 32:
+            return True, None
         if half_width * dt < 4:
             series = chebyshev_coefficients(half_width * spec.stride * dt)
             if len(series) < 4 * spec.stride:
                 last_series = chebyshev_coefficients(half_width * last * dt) if last else series
                 applications = full * len(series) + (len(last_series) if last else 0)
                 chebyshev = center, half_width, series, last_series
-    points = psi0.values.size
-    return (points <= MAX_DENSE_POINTS and applications >= points**2 / 32
-            and full + (last > 0) <= MAX_RK4_STEPS and applier.diagonalizable()), chebyshev
+    return eligible and applications >= points**2 / 32, chebyshev
 
 
 def schedule(H: DifferentialOperator, psi0: GridState, *, steps: int | None = None, dt: float | None = None,

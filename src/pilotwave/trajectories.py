@@ -107,9 +107,18 @@ def _products(work: tuple, axis: int, idx: np.ndarray, wt: np.ndarray):
                              np.multiply(wt, axis_weight[axis, k], out=weight[axis - 1]))
 
 
-def interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Periodic 4-point Lagrange interpolation (`_corners`); points shape (M, N)."""
+def _finite_points(points) -> np.ndarray:
+    """`points` as a float array of shape (M, N), refusing a non-finite coordinate."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.isfinite(points).all():
+        row = np.isfinite(points).all(axis=1).argmin()
+        raise ValueError(f"coordinates must be finite, got {points[row].tolist()} in row {row}")
+    return points
+
+
+def interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Periodic 4-point Lagrange interpolation (`_corners`); points shape (M, N), finite."""
+    points = _finite_points(points)
     if points.shape[1] != grid.dim:
         raise DimensionMismatchError(f"points have {points.shape[1]} coords, grid dim {grid.dim}")
     if np.shape(values) != grid.shape:
@@ -126,7 +135,7 @@ def interpolate(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarra
 
 @dataclass
 class Ensemble:
-    """Configuration-space points with their recorded trajectory history."""
+    """Configuration-space points, with finite coordinates, and their recorded trajectory history."""
 
     positions: np.ndarray  # (M, N)
     times: list[float] = field(default_factory=list)
@@ -134,7 +143,7 @@ class Ensemble:
     truncated: np.ndarray | None = None
 
     def __post_init__(self):
-        self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
+        self.positions = _finite_points(self.positions)
         if self.truncated is None:
             self.truncated = np.zeros(self.positions.shape[0], dtype=bool)
         if not self.times:

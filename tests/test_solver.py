@@ -487,6 +487,20 @@ def test_a_run_above_the_step_budget_builds_no_series(monkeypatch):
         evolve(load_hamiltonian(VARIABLE_MASS_1D), psi0, EvolutionSpec(dt=1.0, steps=2 * 10**6, stride=2 * 10**6))
 
 
+def test_a_dense_run_builds_no_series(monkeypatch):
+    """A free particle on 256 points at dt R = 6.06 over 10^5 steps in one
+    interval: RK4 and every series would apply H at least N^2 / 32 times, so
+    the run is diagonalized without the 3 * 10^5-term series for h tau."""
+    monkeypatch.setattr(solver, "chebyshev_coefficients", lambda a: pytest.fail(f"series for a = {a}"))
+    H, grid = load_hamiltonian(FREE_1D), Grid((40.0,), (256,))
+    psi0 = gaussian(grid, center=[18.0], width=0.5, wavevector=[1.0])
+    calls = count_applications(monkeypatch)
+    snaps = evolve(H, psi0, EvolutionSpec(dt=0.03, steps=10**5, stride=10**5))
+    assert calls == [] and [s.t for s in snaps] == [0.0, 3000.0]
+    exact = dense_propagator(H, grid, 3000.0) @ psi0.values.reshape(-1)
+    assert relative_error(snaps[-1].values.reshape(-1), exact) <= 1e-9
+
+
 def test_series_are_built_only_for_intervals_that_run(monkeypatch):
     """Both intervals' series when the series path runs; the full interval's alone when RK4
     wins; none at h dt >= 4, where a series of more than h stride dt terms cannot win.  Every

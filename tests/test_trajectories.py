@@ -445,6 +445,21 @@ def test_interpolate_refuses_values_off_the_grid_shape():
         interpolate(grid, np.ones((64, 64)), np.array([[1.0, 1.0]]))
 
 
+def test_interpolate_refuses_non_finite_points():
+    """A nan or inf coordinate would index the stencil through a nan cell."""
+    grid = Grid((40.0,), (128,))
+    for bad, shown in ((np.nan, r"\[nan\]"), (np.inf, r"\[inf\]")):
+        with pytest.raises(ValueError, match=rf"^coordinates must be finite, got {shown} in row 1$"):
+            interpolate(grid, np.ones(128), np.array([[1.0], [bad]]))
+
+
+def test_an_ensemble_refuses_non_finite_positions():
+    """Such a particle would be neither moved nor truncated, and its rows
+    would reach trajectories.csv as nan."""
+    with pytest.raises(ValueError, match=r"^coordinates must be finite, got \[20\.0, -inf\] in row 1$"):
+        Ensemble([[1.0, 2.0], [20.0, -np.inf], [np.nan, 3.0]])
+
+
 @pytest.mark.parametrize("name", GRIDS)
 def test_trajectories_are_bitwise_the_per_field_reference(name):
     grid = GRIDS[name]

@@ -1014,25 +1014,23 @@ def test_forked_snapshot_writer_matches_the_inline_path(ham, tmp_path, capsys, m
     code that writing them in this process gives: on 16^2 with trajectories,
     and on 256^2, whose three records of 1 MiB + 8 B each are larger than a
     socket send buffer at Linux's default cap, so they go out in parts."""
-    out = tmp_path / "run"
-    common = ["simulate", ham("std2d.ham", STD2D), "--state", ham("g.st", GAUSS2D), "--domain", "20",
-              "--dt", "1e-3", "--out", str(out)]
+    common = ["simulate", ham("std2d.ham", STD2D), "--state", ham("g.st", GAUSS2D), "--domain", "20", "--dt", "1e-3"]
     small = ["--grid", "16", "--steps", "12", "--stride", "4", "--trajectories", "10"]
     large = ["--grid", "256", "--steps", "20", "--stride", "10"]
-    for argv, snapshot_files, csv_files in ((small, 8, 5), (large, 3, 0)):
-        assert main([*common, *argv]) == 0
+    for flags, snapshot_files, csv_files in ((small, 8, 5), (large, 3, 0)):
+        out = tmp_path / f"grid{flags[1]}"
+        argv = [*common, *flags, "--out", str(out)]
+        assert main(argv) == 0
         forked, forked_stdout = _files(out), capsys.readouterr().out
         for path in out.iterdir():
             path.unlink()
         with monkeypatch.context() as patch:
             patch.delattr(os, "fork")
-            assert main([*common, *argv]) == 0
+            assert main(argv) == 0
         assert capsys.readouterr().out == forked_stdout
         assert _files(out) == forked
         assert sum(name.name.startswith("snapshot_") for name in forked) == snapshot_files
         assert sum(name.suffix == ".csv" for name in forked) == csv_files  # snapshots and trajectories.csv
-        for path in out.iterdir():
-            path.unlink()
 
 
 def test_norm_drift_mid_run_keeps_the_snapshots_it_reached(ham, tmp_path, capsys):
